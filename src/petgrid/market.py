@@ -5,14 +5,19 @@ Buyers are processed in descending price order and filled from the
 cheapest price-compatible sellers, if and only if those sellers'
 combined remaining quantity covers the full buy quantity. Transactions
 price at the seller's ask, which minimizes the spend of each filled
-buyer. Ties break on trader id so results are independent of input
-order. Quantities are integer watts committed for one market round.
+buyer. Equal prices break on each order's `priority`, which defaults to
+its trader id, and then on trader id, so results are independent of
+input order. Clearing B buyers against S sellers takes
+O((B + S) log(B + S)) time. Quantities are integer watts committed for
+one market round.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 class Side(enum.Enum):
@@ -27,12 +32,15 @@ class Order:
     quantity: int          # W, committed for the coming round
     price: float           # $/kWh
     responsive: bool = True
+    priority: int | None = None    # tie-break among equal prices; None: trader
 
     def __post_init__(self):
         if self.quantity <= 0:
             raise ValueError("order quantity must be positive")
         if self.price < 0:
             raise ValueError("order price must be non-negative")
+        if self.priority is None:
+            object.__setattr__(self, "priority", self.trader)
 
 
 @dataclass(frozen=True)
@@ -58,37 +66,43 @@ class MarketResult:
 def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     """Clear one round of the double auction.
 
-    Buyers descend by price (ties: lower trader id first). For each
-    buyer, sellers with ask <= bid are taken cheapest-first (ties: lower
-    trader id); the buyer fills only if their combined remaining
-    quantity covers it in full. Partial seller fills persist across
-    buyers; unfillable buyers are dropped.
+    Buyers descend by price (ties: lower priority, then lower trader id
+    first). For each buyer, sellers with ask <= bid are taken
+    cheapest-first (ties likewise); the buyer fills only if their
+    combined remaining quantity covers it in full. Partial seller fills
+    persist across buyers; unfillable buyers are dropped.
+
+    Bids descend and fills take the cheapest sellers first, so the used
+    up sellers form a prefix of the sorted sellers: a cursor, prefix sums
+    and one bisection per buyer clear B buyers against S sellers in
+    O((B + S) log S) after sorting.
     """
     buyers = sorted((o for o in orders if o.side is Side.BUY),
-                    key=lambda o: (-o.price, o.trader))
+                    key=lambda o: (-o.price, o.priority, o.trader))
     sellers = sorted((o for o in orders if o.side is Side.SELL),
-                     key=lambda o: (o.price, o.trader))
-    remaining = [s.quantity for s in sellers]
+                     key=lambda o: (o.price, o.priority, o.trader))
+    asks = [s.price for s in sellers]
+    supply = list(accumulate((s.quantity for s in sellers), initial=0))
+    # sellers before `cursor` are used up; `used` W have been sold so far
+    cursor = used = 0
     result = MarketResult()
     for buyer in buyers:
-        eligible = [i for i, s in enumerate(sellers)
-                    if remaining[i] > 0 and s.price <= buyer.price]
-        if sum(remaining[i] for i in eligible) < buyer.quantity:
+        if supply[bisect_right(asks, buyer.price)] - used < buyer.quantity:
             continue
         need = buyer.quantity
-        for i in eligible:
-            if need == 0:
-                break
-            q = min(remaining[i], need)
-            remaining[i] -= q
+        while need:
+            seller = sellers[cursor]
+            q = min(supply[cursor + 1] - used, need)
+            used += q
             need -= q
             result.transactions.append(Transaction(
-                buyer.trader, sellers[i].trader, q, sellers[i].price,
-                round_index))
+                buyer.trader, seller.trader, q, seller.price, round_index))
+            if used == supply[cursor + 1]:
+                cursor += 1
         result.bought[buyer.trader] = (
             result.bought.get(buyer.trader, 0) + buyer.quantity)
-    for i, s in enumerate(sellers):
-        filled = s.quantity - remaining[i]
+    for i, s in enumerate(sellers[:cursor + 1]):
+        filled = min(used, supply[i + 1]) - supply[i]
         if filled > 0:
             result.sold[s.trader] = result.sold.get(s.trader, 0) + filled
     return result

@@ -13,6 +13,8 @@ import numpy as np
 
 from .weather import DAY_S
 
+VWAP_MODES = ("volume", "round_mean")
+
 
 def t_excess2(t_air: float, t_setpoint: float) -> float:
     """Squared positive deviation of air temperature above the setpoint."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,6 +14,9 @@ import yaml
 from . import evfleet, household, metrics, substation, weather
 from .kernel import Federation
 from .weather import DAY_S
+
+
+WEATHER_MODES = ("synthetic", "csv")
 
 
 @dataclass
@@ -68,14 +72,32 @@ class ScenarioConfig:
     vwap_mode: str = "volume"
 
     def validate(self) -> None:
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite")
+        if self.n_houses < 1:
+            raise ValueError("n_houses must be at least 1")
         if not (0 <= self.n_ev <= self.n_houses):
             raise ValueError("n_ev must be within [0, n_houses]")
         if not (0 <= self.n_pv <= self.n_houses):
             raise ValueError("n_pv must be within [0, n_houses]")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
+        if self.step_s <= 0:
+            raise ValueError("step_s must be positive")
         if self.t_market_s % self.step_s != 0:
             raise ValueError("t_market_s must be a multiple of step_s")
+        if self.t_market_s <= 0 or DAY_S % self.t_market_s != 0:
+            raise ValueError("t_market_s must be positive and divide a day")
+        if self.grid_capacity_kw <= 0 or self.lmp_reference_capacity_kw <= 0:
+            raise ValueError("grid capacity and LMP reference capacity "
+                             "must be positive")
+        if self.weather_mode not in WEATHER_MODES:
+            raise ValueError(f"unknown weather mode {self.weather_mode!r}")
+        if self.weather_mode == "csv" and not self.weather_csv_path:
+            raise ValueError("weather mode 'csv' needs weather.csv_path")
+        if self.vwap_mode not in metrics.VWAP_MODES:
+            raise ValueError(f"unknown vwap_mode {self.vwap_mode!r}")
 
 
 # Uncapped grid is approximated by a sentinel capacity that never binds.
@@ -97,51 +119,15 @@ SCENARIO_DESCRIPTIONS = {
     "s5": "100 kW cap + PV and V2G EV at every house",
 }
 
-# dotted config keys (file / --set) -> ScenarioConfig attributes
+# dotted config keys (file / --set) -> ScenarioConfig attributes: a field
+# `<section>_<rest>` is `<section>.<rest>`, any other is `scenario.<field>`
+_SECTIONS = ("grid", "weather", "houses", "pv", "ev", "lmp", "prices")
 _KEY_MAP = {
-    "scenario.n_houses": "n_houses",
-    "scenario.n_ev": "n_ev",
-    "scenario.n_pv": "n_pv",
-    "scenario.days": "days",
-    "scenario.discard_days": "discard_days",
-    "scenario.seed": "seed",
-    "grid.capacity_kw": "grid_capacity_kw",
-    "kernel.step_s": "step_s",
-    "market.t_market_s": "t_market_s",
-    "weather.mode": "weather_mode",
-    "weather.csv_path": "weather_csv_path",
-    "weather.rated_irradiance_wm2": "weather_rated_irradiance_wm2",
-    "weather.temp_min_c": "weather_temp_min_c",
-    "weather.temp_max_c": "weather_temp_max_c",
-    "houses.count": "n_houses",
-    "houses.rc_hours_range": "houses_rc_hours_range",
-    "houses.ua_w_per_k_range": "houses_ua_w_per_k_range",
-    "houses.hvac_kw": "houses_hvac_kw",
-    "houses.cop": "houses_cop",
-    "houses.deadband_c": "houses_deadband_c",
-    "houses.unresponsive_mean_kw": "houses_unresponsive_mean_kw",
-    "houses.unresponsive_noise_frac": "houses_unresponsive_noise_frac",
-    "pv.panels_range": "pv_panels_range",
-    "pv.panel_w": "pv_panel_w",
-    "ev.count": "n_ev",
-    "ev.charger_kw": "ev_charger_kw",
-    "ev.efficiency": "ev_efficiency",
-    "ev.worker_ratio": "ev_worker_ratio",
-    "ev.drive_kwh_per_km": "ev_drive_kwh_per_km",
-    "ev.speed_kmh": "ev_speed_kmh",
-    "ev.initial_soc_range": "ev_initial_soc_range",
-    "ev.seed": "ev_seed",
-    "lmp.p_base": "lmp_p_base",
-    "lmp.alpha": "lmp_alpha",
-    "lmp.diurnal_amplitude": "lmp_diurnal_amplitude",
-    "lmp.reference_capacity_kw": "lmp_reference_capacity_kw",
-    "lmp.demand_ema": "lmp_demand_ema",
-    "prices.unresponsive": "prices_unresponsive",
-    "prices.hvac": "prices_hvac",
-    "prices.pv_sell": "prices_pv_sell",
-    "prices.ev_floor": "prices_ev_floor",
-    "metrics.vwap_mode": "vwap_mode",
-}
+    (f.name.replace("_", ".", 1) if f.name.split("_")[0] in _SECTIONS
+     else f"scenario.{f.name}"): f.name
+    for f in dataclasses.fields(ScenarioConfig)
+} | {"houses.count": "n_houses", "ev.count": "n_ev", "kernel.step_s": "step_s",
+     "market.t_market_s": "t_market_s", "metrics.vwap_mode": "vwap_mode"}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
@@ -168,20 +154,18 @@ def _flatten(mapping: dict, prefix: str = "") -> dict:
 
 
 def _coerce(attr: str, value):
-    current = getattr(ScenarioConfig(), attr)
-    if isinstance(value, str):
-        if isinstance(current, bool):
-            return value.lower() in ("1", "true", "yes")
-        if isinstance(current, int) and not isinstance(current, bool):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        if isinstance(current, tuple) or (current is None and "," in value):
-            parts = [p for p in value.replace("(", "").replace(")", "").split(",") if p]
-            return tuple(float(p) for p in parts)
+    """Convert a --set string to the field's declared type."""
     if isinstance(value, list):
         return tuple(value)
-    return value
+    if not isinstance(value, str):
+        return value
+    kind, _, optional = _FIELD_TYPES[attr].partition(" | ")
+    if optional and value.lower() in ("none", "null"):
+        return None
+    if kind == "tuple":
+        parts = [p for p in value.replace("(", "").replace(")", "").split(",") if p]
+        return tuple(float(p) for p in parts)
+    return {"int": int, "float": float, "str": str}[kind](value)
 
 
 def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
@@ -229,11 +213,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     if cfg.weather_mode == "csv":
         profile = weather.CsvWeather.from_csv(
             cfg.weather_csv_path, cfg.weather_rated_irradiance_wm2)
-    elif cfg.weather_mode == "synthetic":
+    else:
         profile = weather.SyntheticWeather(cfg.weather_temp_min_c,
                                            cfg.weather_temp_max_c)
-    else:
-        raise ValueError(f"unknown weather mode {cfg.weather_mode!r}")
 
     houses = household.build_houses(cfg, np.random.default_rng(houses_ss),
                                     profile,

@@ -37,39 +37,43 @@ class PriceBook:
 
 
 class LmpHistory:
-    """Rolling grid-price series with the statistics the EV strategy needs."""
+    """Rolling grid-price series with the statistics the EV strategy needs,
+    all read from one array built on first use after each append."""
 
     def __init__(self, t_market_s: float = 300.0, long_window_s: float = DAY_S,
                  short_window_s: float = 1800.0):
         self._n_long = max(int(round(long_window_s / t_market_s)), 1)
         self._n_short = max(int(round(short_window_s / t_market_s)), 1)
         self._values: deque[float] = deque(maxlen=self._n_long)
+        self._array: np.ndarray | None = None
 
     def append(self, t: float, lmp: float) -> None:
         self._values.append(lmp)
+        self._array = None
 
     def __len__(self) -> int:
         return len(self._values)
 
-    @property
-    def ma_long(self) -> float:
+    def _series(self) -> np.ndarray:
         if not self._values:
             raise ValueError("empty LMP history")
-        return float(np.mean(self._values))
+        if self._array is None:
+            self._array = np.fromiter(self._values, dtype=float,
+                                      count=len(self._values))
+        return self._array
+
+    @property
+    def ma_long(self) -> float:
+        return float(np.mean(self._series()))
 
     @property
     def ma_short(self) -> float:
-        if not self._values:
-            raise ValueError("empty LMP history")
-        vals = list(self._values)[-self._n_short:]
-        return float(np.mean(vals))
+        return float(np.mean(self._series()[-self._n_short:]))
 
     @property
     def iqr_long(self) -> float:
-        if not self._values:
-            raise ValueError("empty LMP history")
-        arr = np.fromiter(self._values, dtype=float)
-        return float(np.percentile(arr, 75) - np.percentile(arr, 25))
+        q25, q75 = np.percentile(self._series(), [25, 75])
+        return float(q75 - q25)
 
 
 def base_price(t: float, p_base: float = 0.012,
@@ -124,43 +128,39 @@ def ev_strategy_prices(hist: LmpHistory) -> tuple[float, float]:
     return buy, sell
 
 
+def ev_bids_two_sided(load_min_w: float, load_max_w: float) -> bool:
+    """True when the EV bids at the strategy prices (range straddles 0)."""
+    lo, hi = int(round(load_min_w)), int(round(load_max_w))
+    return lo <= 0 <= hi and lo != hi
+
+
 def formulate_ev_bids(load_min_w: float, load_max_w: float,
-                      hist: LmpHistory, ev_index: int,
-                      prices: PriceBook,
-                      sell_index: int | None = None) -> list[Order]:
-    buy_trader = EV_BASE + ev_index
-    sell_trader = EV_SELL_BASE + (ev_index if sell_index is None
-                                  else sell_index)
+                      strategy: tuple[float, float] | None, ev_index: int,
+                      prices: PriceBook, buy_rank: int,
+                      sell_rank: int) -> list[Order]:
+    """Orders of EV `ev_index`; `strategy` is the `ev_strategy_prices`
+    pair, read only for a two-sided range. The ranks set the orders'
+    priority among EVs (lower fills first); trader ids stay stable."""
+    buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
+    sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
     lo, hi = int(round(load_min_w)), int(round(load_max_w))
     if lo == 0 and hi == 0:
         return []
     if lo > 0:
-        return [Order(buy_trader, Side.BUY, lo, prices.unresponsive)]
+        return [Order(buy_trader, Side.BUY, lo, prices.unresponsive,
+                      priority=buy_prio)]
     if hi < 0:
-        return [Order(sell_trader, Side.SELL, abs(hi), prices.ev_floor)]
-    buy_price, sell_price = ev_strategy_prices(hist)
+        return [Order(sell_trader, Side.SELL, abs(hi), prices.ev_floor,
+                      priority=sell_prio)]
+    buy_price, sell_price = strategy
     orders = []
     if hi > 0:
-        orders.append(Order(buy_trader, Side.BUY, hi, buy_price))
+        orders.append(Order(buy_trader, Side.BUY, hi, buy_price,
+                            priority=buy_prio))
     if lo < 0:
-        orders.append(Order(sell_trader, Side.SELL, abs(lo), sell_price))
+        orders.append(Order(sell_trader, Side.SELL, abs(lo), sell_price,
+                            priority=sell_prio))
     return orders
-
-
-def _relabel_ev_traders(result, to_canonical):
-    """Map per-round need-ranked EV trader ids back to stable ids."""
-    from dataclasses import replace
-
-    from .market import MarketResult
-
-    def fix(trader):
-        return to_canonical.get(trader, trader)
-
-    txs = [replace(tx, buyer=fix(tx.buyer), seller=fix(tx.seller))
-           for tx in result.transactions]
-    bought = {fix(t): q for t, q in result.bought.items()}
-    sold = {fix(t): q for t, q in result.sold.items()}
-    return MarketResult(transactions=txs, bought=bought, sold=sold)
 
 
 class SubstationFederate:
@@ -200,36 +200,31 @@ class SubstationFederate:
             pv_pot[i] = ctx.read(f"house/{i}/pv_potential_w", 0.0)
             orders.extend(formulate_house_bids(
                 i, unresp[i], hvac_demand[i], pv_pot[i], self.prices))
-        ranges = {}
-        socs = {}
-        departs = {}
+        ranges, socs, departs = [], [], []
         for j in range(self.n_ev):
-            lo = ctx.read(f"ev/{j}/load_min_w", 0.0)
-            hi = ctx.read(f"ev/{j}/load_max_w", 0.0)
-            ranges[j] = (lo, hi)
-            socs[j] = ctx.read(f"ev/{j}/soc", 0.0)
-            departs[j] = ctx.read(f"ev/{j}/next_depart_s", float("inf"))
-        # EVs all bid the same strategy prices, so the matcher's
-        # trader-id tie-break would ration scarce supply/demand to the
-        # same EVs every round. Rank buy ids by urgency (soonest next
-        # departure, then lowest SoC) so commuters refill before idle
-        # vehicles, and sell ids by fullness (descending SoC) so the
-        # emptiest EVs keep their reserve.
+            ranges.append((ctx.read(f"ev/{j}/load_min_w", 0.0),
+                           ctx.read(f"ev/{j}/load_max_w", 0.0)))
+            socs.append(ctx.read(f"ev/{j}/soc", 0.0))
+            departs.append(ctx.read(f"ev/{j}/next_depart_s", float("inf")))
+        # EVs all bid the same strategy prices, so a tie-break on trader
+        # id would ration scarce supply/demand to the same EVs every
+        # round. Instead each EV order carries a priority rank: buys by
+        # urgency (soonest next departure, then lowest SoC) so commuters
+        # refill before idle vehicles, sells by fullness (descending SoC)
+        # so the emptiest EVs keep their reserve.
         by_urgency = sorted(range(self.n_ev),
                             key=lambda j: (departs[j], socs[j], j))
-        by_fullness = sorted(range(self.n_ev),
-                             key=lambda j: (-socs[j], j))
+        by_fullness = sorted(range(self.n_ev), key=lambda j: (-socs[j], j))
+        buy_rank = {j: r for r, j in enumerate(by_urgency)}
         sell_rank = {j: r for r, j in enumerate(by_fullness)}
-        to_canonical = {}
-        for rank, j in enumerate(by_urgency):
-            to_canonical[EV_BASE + rank] = EV_BASE + j
-            to_canonical[EV_SELL_BASE + sell_rank[j]] = EV_SELL_BASE + j
-            orders.extend(formulate_ev_bids(*ranges[j], self.hist, rank,
-                                            self.prices, sell_rank[j]))
+        strategy = (ev_strategy_prices(self.hist)
+                    if any(ev_bids_two_sided(*r) for r in ranges) else None)
+        for j in range(self.n_ev):
+            orders.extend(formulate_ev_bids(*ranges[j], strategy, j,
+                                            self.prices, buy_rank[j],
+                                            sell_rank[j]))
 
         result = match_orders(orders, round_index)
-        if to_canonical:
-            result = _relabel_ev_traders(result, to_canonical)
         self.transactions.extend(result.transactions)
         self._dispatch(ctx, result, unresp, hvac_demand, pv_pot, ranges,
                        lmp, round_index)

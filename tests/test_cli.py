@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from petgrid import __version__
+from petgrid import __version__, kernel
 from petgrid.cli import main
 
 
@@ -39,6 +39,42 @@ def test_run_invalid_config_value(capsys):
     code = main(["run", "--scenario", "s1", "--days", "2"])
     assert code == 1
     assert "days" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "kernel.step_s=0",
+    "market.t_market_s=420",            # a multiple of step_s, not of a day
+    "houses.count=0",
+    "grid.capacity_kw=-5",
+    "lmp.reference_capacity_kw=0",
+    "metrics.vwap_mode=bogus",
+    "weather.mode=bogus",
+    "weather.mode=csv",                 # without weather.csv_path
+    "grid.capacity_kw=nan",
+    "prices.hvac=nan",
+])
+def test_invalid_config_fails_before_any_step(setting, capsys, monkeypatch,
+                                              tmp_path):
+    def no_stepping(*args):
+        raise AssertionError("the federation must not run")
+
+    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
+    code = main(["run", "--scenario", "s1", "--out", str(tmp_path / "out"),
+                 "--set", setting])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_with_ev_seed_override(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "s4", "--days", "2", "--out", str(out),
+                 "--set", "scenario.discard_days=1", "--set", "houses.count=2",
+                 "--set", "ev.count=2", "--set", "ev.seed=5"])
+    assert code in (0, 2)
+    assert (out / "summary.json").exists()
 
 
 def _run_tiny(tmp_path, capsys, *extra):

@@ -11,12 +11,45 @@ from petgrid.market import MarketResult, Order, Side, Transaction, \
     match_orders, vwap
 
 
-def buy(trader, q, p):
-    return Order(trader, Side.BUY, q, p)
+def buy(trader, q, p, priority=None):
+    return Order(trader, Side.BUY, q, p, priority=priority)
 
 
-def sell(trader, q, p):
-    return Order(trader, Side.SELL, q, p)
+def sell(trader, q, p, priority=None):
+    return Order(trader, Side.SELL, q, p, priority=priority)
+
+
+def reference_match_orders(orders, round_index=0):
+    """The O(B*S) matcher that scans every seller for every buyer, kept as
+    a test-only reference for the prefix-sum matcher."""
+    buyers = sorted((o for o in orders if o.side is Side.BUY),
+                    key=lambda o: (-o.price, o.priority, o.trader))
+    sellers = sorted((o for o in orders if o.side is Side.SELL),
+                     key=lambda o: (o.price, o.priority, o.trader))
+    remaining = [s.quantity for s in sellers]
+    result = MarketResult()
+    for buyer in buyers:
+        eligible = [i for i, s in enumerate(sellers)
+                    if remaining[i] > 0 and s.price <= buyer.price]
+        if sum(remaining[i] for i in eligible) < buyer.quantity:
+            continue
+        need = buyer.quantity
+        for i in eligible:
+            if need == 0:
+                break
+            q = min(remaining[i], need)
+            remaining[i] -= q
+            need -= q
+            result.transactions.append(Transaction(
+                buyer.trader, sellers[i].trader, q, sellers[i].price,
+                round_index))
+        result.bought[buyer.trader] = (
+            result.bought.get(buyer.trader, 0) + buyer.quantity)
+    for i, s in enumerate(sellers):
+        filled = s.quantity - remaining[i]
+        if filled > 0:
+            result.sold[s.trader] = result.sold.get(s.trader, 0) + filled
+    return result
 
 
 def test_two_buyer_two_seller_worked_example():
@@ -56,6 +89,24 @@ def test_sellers_above_bid_price_excluded():
 
 def test_ties_break_on_trader_id():
     result = match_orders([buy(5, 100, 0.02), buy(3, 100, 0.02),
+                           sell(9, 100, 0.01)])
+    assert result.bought == {3: 100}
+
+
+def test_priority_defaults_to_trader():
+    assert buy(7, 100, 0.02).priority == 7
+    assert buy(7, 100, 0.02, priority=2).priority == 2
+
+
+def test_ties_break_on_priority_before_trader_id():
+    result = match_orders([buy(3, 100, 0.02, priority=9),
+                           buy(5, 100, 0.02, priority=1),
+                           sell(8, 50, 0.01, priority=4),
+                           sell(9, 100, 0.01, priority=0)])
+    assert result.transactions == [Transaction(5, 9, 100, 0.01)]
+    # equal priorities fall back to trader id
+    result = match_orders([buy(5, 100, 0.02, priority=1),
+                           buy(3, 100, 0.02, priority=1),
                            sell(9, 100, 0.01)])
     assert result.bought == {3: 100}
 
@@ -116,9 +167,9 @@ def check_spend_minimality(orders, result):
     spend given all higher-priority buyers' fills, and that fill/no-fill
     follows remaining eligible supply exactly."""
     buys = sorted((o for o in orders if o.side is Side.BUY),
-                  key=lambda o: (-o.price, o.trader))
+                  key=lambda o: (-o.price, o.priority, o.trader))
     sells = sorted((o for o in orders if o.side is Side.SELL),
-                   key=lambda o: (o.price, o.trader))
+                   key=lambda o: (o.price, o.priority, o.trader))
     remaining = {o.trader: o.quantity for o in sells}
     spend = {}
     for tx in result.transactions:
@@ -152,17 +203,59 @@ def test_random_instances_against_oracle():
         check_spend_minimality(orders, result)
 
 
+def tie_heavy_instance(rng, n_orders):
+    """Many orders on few prices, with shared priorities that differ from
+    the trader ids, and supply close to demand so sellers run dry."""
+    prices = rng.sample(PRICES, rng.randint(1, 3))
+    n_buy = rng.randint(1, n_orders - 1)
+    orders = []
+    for i in range(n_buy):
+        orders.append(buy(100_000 + i, rng.randint(1, 60), rng.choice(prices),
+                          priority=rng.choice([None, rng.randint(0, 4)])))
+    for i in range(n_orders - n_buy):
+        orders.append(sell(200_000 + i, rng.randint(1, 60),
+                           rng.choice(prices),
+                           priority=rng.choice([None, rng.randint(0, 4)])))
+    rng.shuffle(orders)
+    return orders
+
+
+def test_matches_reference_on_large_tie_heavy_instances():
+    rng = random.Random(777)
+    for n_orders in [100] * 30 + [300] * 10 + [1000] * 4:
+        orders = tie_heavy_instance(rng, n_orders)
+        expected = reference_match_orders(orders, round_index=3)
+        result = match_orders(orders, round_index=3)
+        assert result.transactions == expected.transactions
+        assert result.bought == expected.bought
+        assert list(result.sold.items()) == list(expected.sold.items())
+        check_invariants(orders, result)
+
+
+def test_matches_reference_on_small_instances():
+    rng = random.Random(4321)
+    for _ in range(2000):
+        orders = [Order(o.trader, o.side, o.quantity, o.price,
+                        priority=rng.choice([None, 0, 1, 2]))
+                  for o in random_instance(rng)]
+        expected = reference_match_orders(orders)
+        result = match_orders(orders)
+        assert result.transactions == expected.transactions
+        assert result.sold == expected.sold
+
+
 @st.composite
 def order_lists(draw):
     n_buy = draw(st.integers(0, 5))
     n_sell = draw(st.integers(0, 5))
+    priorities = st.none() | st.integers(0, 3)
     orders = []
     for i in range(n_buy):
         orders.append(buy(100 + i, draw(st.integers(1, 4)),
-                          draw(st.sampled_from(PRICES))))
+                          draw(st.sampled_from(PRICES)), draw(priorities)))
     for i in range(n_sell):
         orders.append(sell(200 + i, draw(st.integers(1, 4)),
-                           draw(st.sampled_from(PRICES))))
+                           draw(st.sampled_from(PRICES)), draw(priorities)))
     return orders
 
 

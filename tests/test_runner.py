@@ -41,6 +41,15 @@ def test_validation_errors():
         ScenarioConfig(days=4, discard_days=4).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(step_s=70.0, t_market_s=300.0).validate()
+    # configs that would fail only once stepping (or the whole run) is done
+    for bad in (dict(step_s=0.0), dict(step_s=-60.0), dict(t_market_s=420.0),
+                dict(t_market_s=0.0), dict(n_houses=0),
+                dict(grid_capacity_kw=0.0), dict(lmp_reference_capacity_kw=-1.0),
+                dict(vwap_mode="bogus"), dict(weather_mode="bogus"),
+                dict(weather_mode="csv"), dict(lmp_alpha=float("nan")),
+                dict(houses_cop=float("inf"))):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad).validate()
 
 
 def test_apply_settings_coercion():
@@ -56,6 +65,28 @@ def test_apply_settings_coercion():
     assert cfg.grid_capacity_kw == 80.0
     assert cfg.pv_panels_range == (8.0, 14.0)
     assert cfg.ev_worker_ratio == 0.5
+
+
+def test_apply_settings_coerces_by_declared_type():
+    cfg = ScenarioConfig()
+    apply_settings(cfg, {"ev.seed": "5", "weather.csv_path": "a,b.csv"})
+    assert cfg.ev_seed == 5 and isinstance(cfg.ev_seed, int)
+    assert cfg.weather_csv_path == "a,b.csv"
+    apply_settings(cfg, {"ev.seed": "none"})
+    assert cfg.ev_seed is None
+    with pytest.raises(ValueError):
+        apply_settings(cfg, {"ev.seed": "five"})
+
+
+def test_ev_seed_setting_runs():
+    cfg = ScenarioConfig(n_houses=2, n_ev=2, days=2, discard_days=1)
+    apply_settings(cfg, {"ev.seed": "5"})
+    a = run_scenario(cfg)
+    apply_settings(cfg, {"scenario.seed": "6"})
+    b = run_scenario(cfg)
+    # the EV fleet follows ev.seed, not the scenario seed
+    assert [ev.itinerary.trips for ev in a.fleet] == \
+        [ev.itinerary.trips for ev in b.fleet]
 
 
 def test_apply_settings_unknown_key():

@@ -1,14 +1,19 @@
 """Bid formulation, grid pricing and the EV bidding strategy."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petgrid.market import Side
+from petgrid import substation
+from petgrid.market import Side, match_orders
+from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
                                 HVAC_BASE, LmpHistory, PV_BASE, PriceBook,
-                                UNRESP_BASE, base_price, compute_lmp,
+                                SubstationFederate, UNRESP_BASE, base_price,
+                                compute_lmp, ev_bids_two_sided,
                                 ev_strategy_prices, formulate_ev_bids,
                                 formulate_grid_bid, formulate_house_bids)
 
@@ -131,9 +136,24 @@ def test_sell_price_never_below_buy_price(series):
     assert buy_p == float(np.mean(series))
 
 
+def test_history_statistics_match_separate_computations():
+    """One shared array and one two-quantile percentile call give the
+    same bits as computing each statistic on its own."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 287, 288, 400):
+        series = np.round(rng.uniform(0.01, 0.03, size=n), 4)
+        hist = LmpHistory(300.0)
+        for k, v in enumerate(series):
+            hist.append(k * 300.0, float(v))
+        window = series[-288:]
+        assert hist.ma_long == float(np.mean(window))
+        assert hist.ma_short == float(np.mean(window[-6:]))
+        assert hist.iqr_long == float(np.percentile(window, 75)
+                                      - np.percentile(window, 25))
+
+
 def test_ev_bids_forced_charge():
-    orders = formulate_ev_bids(11000.0, 11000.0, StubHistory(0.02, 0.02, 0.0),
-                               4, PRICES)
+    orders = formulate_ev_bids(11000.0, 11000.0, None, 4, PRICES, 4, 4)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price) == \
@@ -141,8 +161,7 @@ def test_ev_bids_forced_charge():
 
 
 def test_ev_bids_must_discharge_at_floor():
-    orders = formulate_ev_bids(-11000.0, -11000.0,
-                               StubHistory(0.02, 0.02, 0.0), 4, PRICES)
+    orders = formulate_ev_bids(-11000.0, -11000.0, None, 4, PRICES, 4, 4)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price) == \
@@ -150,27 +169,142 @@ def test_ev_bids_must_discharge_at_floor():
 
 
 def test_ev_bids_two_sided_with_strategy_prices():
-    hist = StubHistory(0.020, 0.030, 0.010)
-    orders = formulate_ev_bids(-11000.0, 11000.0, hist, 2, PRICES,
-                               sell_index=7)
+    strategy = ev_strategy_prices(StubHistory(0.020, 0.030, 0.010))
+    orders = formulate_ev_bids(-11000.0, 11000.0, strategy, 2, PRICES,
+                               buy_rank=5, sell_rank=7)
     by_side = {o.side: o for o in orders}
     assert by_side[Side.BUY].trader == EV_BASE + 2
+    assert by_side[Side.BUY].priority == EV_BASE + 5
     assert by_side[Side.BUY].quantity == 11000
     assert by_side[Side.BUY].price == 0.020
-    assert by_side[Side.SELL].trader == EV_SELL_BASE + 7
+    assert by_side[Side.SELL].trader == EV_SELL_BASE + 2
+    assert by_side[Side.SELL].priority == EV_SELL_BASE + 7
     assert by_side[Side.SELL].quantity == 11000
     assert by_side[Side.SELL].price == pytest.approx(0.031)
 
 
 def test_ev_bids_idle_range_produces_no_orders():
-    assert formulate_ev_bids(0.0, 0.0, StubHistory(0.02, 0.02, 0.0),
-                             0, PRICES) == []
+    assert formulate_ev_bids(0.0, 0.0, None, 0, PRICES, 0, 0) == []
+
+
+def test_two_sided_classification():
+    assert ev_bids_two_sided(-11000.0, 11000.0)
+    assert ev_bids_two_sided(0.0, 11000.0)
+    assert ev_bids_two_sided(-11000.0, 0.2)
+    assert not ev_bids_two_sided(0.0, 0.4)       # idle after rounding
+    assert not ev_bids_two_sided(500.0, 11000.0)  # forced charge
+    assert not ev_bids_two_sided(-11000.0, -500.0)  # forced discharge
 
 
 def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
     """With any price spread the sell sits strictly above the buy, so an
     EV's own ask is never eligible against its own bid."""
-    hist = StubHistory(0.020, 0.020, 0.004)
-    orders = formulate_ev_bids(-11000.0, 11000.0, hist, 0, PRICES)
-    from petgrid.market import match_orders
+    strategy = ev_strategy_prices(StubHistory(0.020, 0.020, 0.004))
+    orders = formulate_ev_bids(-11000.0, 11000.0, strategy, 0, PRICES, 0, 0)
     assert match_orders(orders).transactions == []
+
+
+# ---------------------------------------------------------------------------
+# The substation round: strategy prices once per round, EV priority
+# ---------------------------------------------------------------------------
+
+TINY_S5 = dict(n_houses=3, n_ev=3, n_pv=3, days=2, discard_days=1)
+
+
+def count_strategy_rounds(monkeypatch, cfg):
+    """Run `cfg`; return the round index of every `ev_strategy_prices`
+    call and the rounds in which some EV bid two-sided."""
+    calls, two_sided, n_rounds = [], set(), 0
+    lmp, strategy, bids = (substation.compute_lmp,
+                           substation.ev_strategy_prices,
+                           substation.formulate_ev_bids)
+
+    def counting_lmp(*args):        # runs once at the start of each round
+        nonlocal n_rounds
+        n_rounds += 1
+        return lmp(*args)
+
+    def counting_strategy(hist):
+        calls.append(n_rounds)
+        return strategy(hist)
+
+    def recording_bids(lo, hi, *args):
+        if ev_bids_two_sided(lo, hi):
+            two_sided.add(n_rounds)
+        return bids(lo, hi, *args)
+
+    monkeypatch.setattr(substation, "compute_lmp", counting_lmp)
+    monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
+    monkeypatch.setattr(substation, "formulate_ev_bids", recording_bids)
+    run_scenario(cfg)
+    return calls, two_sided, n_rounds
+
+
+def test_strategy_prices_run_at_most_once_per_round(monkeypatch):
+    cfg = builtin_config("s5", **TINY_S5)
+    calls, two_sided, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    assert n_rounds == 2 * 288
+    assert max(Counter(calls).values()) == 1
+    # and only in rounds where at least one EV bids two-sided
+    assert set(calls) == two_sided
+    assert 0 < len(calls) <= n_rounds
+
+
+def test_strategy_prices_never_run_without_evs(monkeypatch):
+    cfg = builtin_config("s5", **dict(TINY_S5, n_ev=0))
+    calls, two_sided, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    assert n_rounds == 2 * 288
+    assert calls == [] and two_sided == set()
+
+
+class StubContext:
+    """One round's bus: reads come from `values`, publishes are kept."""
+
+    def __init__(self, values, t=0.0):
+        self.t = t
+        self.values = values
+        self.published = {}
+
+    def read(self, key, default=0.0):
+        return self.values.get(key, default)
+
+    def publish(self, key, value):
+        self.published[key] = value
+
+
+def ev_round(grid_kw, evs, hvac_w=0.0):
+    """Clear one round of a one-house substation with the given EVs,
+    each a (load_min_w, load_max_w, soc, next_depart_s) tuple."""
+    values = {"house/0/hvac_demand_w": hvac_w}
+    for j, (lo, hi, soc, depart) in enumerate(evs):
+        values.update({f"ev/{j}/load_min_w": lo, f"ev/{j}/load_max_w": hi,
+                       f"ev/{j}/soc": soc, f"ev/{j}/next_depart_s": depart})
+    sub = SubstationFederate(ScenarioConfig(grid_capacity_kw=grid_kw), 1,
+                             len(evs), PRICES)
+    ctx = StubContext(values)
+    sub(ctx)
+    return sub, ctx
+
+
+def test_scarce_supply_goes_to_the_most_urgent_ev():
+    # three forced charges tie on price; the grid covers only one of them
+    evs = [(11000.0, 11000.0, 0.15, float("inf")),
+           (11000.0, 11000.0, 0.10, 50_000.0),
+           (11000.0, 11000.0, 0.18, 3_600.0)]
+    sub, ctx = ev_round(11.0, evs)
+    assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
+        == [(EV_BASE + 2, GRID_TRADER, 11000)]
+    assert ctx.published["dispatch/ev/2/load_w"] == 11000.0
+    assert ctx.published["dispatch/ev/0/load_w"] == 0.0
+    assert sub.ev_unfilled_must_charge == 2
+
+
+def test_scarce_demand_is_served_by_the_fullest_ev():
+    # three forced discharges at the floor price, one 4 kW HVAC buy
+    evs = [(-11000.0, -11000.0, 0.92, float("inf")),
+           (-11000.0, -11000.0, 0.97, float("inf")),
+           (-11000.0, -11000.0, 0.95, float("inf"))]
+    sub, ctx = ev_round(100.0, evs, hvac_w=4000.0)
+    assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
+        == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
+    assert ctx.published["dispatch/ev/1/load_w"] == -4000.0
