@@ -135,10 +135,7 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
 @dataclass
 class EvState:
     soc: float
-    at_home: bool = True
     commanded_load_w: float = 0.0
-    load_min_w: float = 0.0
-    load_max_w: float = 0.0
     clamp_events: int = 0
 
     def __post_init__(self):
@@ -161,9 +158,8 @@ def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
     cap = model.battery_capacity_kwh
     energy = state.soc * cap
     energy -= itinerary.driving_kwh(t, dt, model.drive_consumption_kwh_per_km)
-    at_home = itinerary.at_home(t)
     clamps = state.clamp_events
-    if at_home and state.commanded_load_w != 0.0:
+    if itinerary.at_home(t) and state.commanded_load_w != 0.0:
         load_kw = state.commanded_load_w / 1000.0
         hours = dt / 3600.0
         if load_kw > 0:
@@ -173,8 +169,7 @@ def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
     clamped = min(max(energy, 0.0), cap)
     if abs(clamped - energy) > 1e-12:
         clamps += 1
-    return replace(state, soc=clamped / cap, at_home=at_home,
-                   clamp_events=clamps)
+    return replace(state, soc=clamped / cap, clamp_events=clamps)
 
 
 def load_range(state: EvState, itinerary: Itinerary, model: EvModel,
@@ -198,9 +193,7 @@ def load_range(state: EvState, itinerary: Itinerary, model: EvModel,
 
 
 class Ev:
-    def __init__(self, index: int, model: EvModel, itinerary: Itinerary,
-                 state: EvState):
-        self.index = index
+    def __init__(self, model: EvModel, itinerary: Itinerary, state: EvState):
         self.model = model
         self.itinerary = itinerary
         self.state = state
@@ -219,12 +212,13 @@ def build_fleet(cfg, rng: np.random.Generator) -> list[Ev]:
                                        cfg.ev_speed_kmh)
         model = models[j % len(models)]
         state = EvState(soc=rng.uniform(lo, hi))
-        fleet.append(Ev(j, model, itinerary, state))
+        fleet.append(Ev(model, itinerary, state))
     return fleet
 
 
 class EvFederate:
-    """Steps every EV battery and publishes admissible load ranges."""
+    """Steps every EV battery and publishes the fleet's admissible load
+    ranges, SoCs and next departures, one tuple each in EV order."""
 
     def __init__(self, fleet: list[Ev], step_s: float, t_market_s: float,
                  eta_c: float = 0.95, eta_d: float = 0.95):
@@ -239,8 +233,9 @@ class EvFederate:
         self.soc_max_seen = 0.0
         # range active for the current dispatch window vs the one just
         # published for the next round
-        self._active = [(0.0, 0.0)] * len(fleet)
-        self._pending = [(0.0, 0.0)] * len(fleet)
+        self._active = ((0.0, 0.0),) * len(fleet)
+        self._pending = self._active
+        self._no_dispatch = (0.0,) * len(fleet)
         self._window = 0
 
     def __call__(self, ctx) -> None:
@@ -248,11 +243,10 @@ class EvFederate:
         window = max((k - 1) // self.steps_per_round, 0)
         if window != self._window:
             self._window = window
-            self._active = list(self._pending)
-        for ev in self.fleet:
-            cmd = ctx.read(f"dispatch/ev/{ev.index}/load_w", 0.0)
-            lo, hi = self._active[ev.index]
-            ev.state.load_min_w, ev.state.load_max_w = lo, hi
+            self._active = self._pending
+        loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
+        for ev, cmd, (lo, hi) in zip(self.fleet, loads, self._active,
+                                     strict=True):
             if cmd < lo - 0.5 or cmd > hi + 0.5:
                 self.range_violations += 1
                 cmd = min(max(cmd, lo), hi)
@@ -263,16 +257,14 @@ class EvFederate:
             self.soc_min_seen = min(self.soc_min_seen, ev.state.soc)
             self.soc_max_seen = max(self.soc_max_seen, ev.state.soc)
 
-        k = int(round(ctx.t / self.step_s))
         if (k + 1) % self.steps_per_round == 0:
             next_round = (k + 1) // self.steps_per_round
             window_start = next_round * self.t_market_s + self.step_s
-            for ev in self.fleet:
-                lo, hi = load_range(ev.state, ev.itinerary, ev.model,
-                                    window_start, self.t_market_s)
-                self._pending[ev.index] = (lo, hi)
-                ctx.publish(f"ev/{ev.index}/load_min_w", lo)
-                ctx.publish(f"ev/{ev.index}/load_max_w", hi)
-                ctx.publish(f"ev/{ev.index}/soc", ev.state.soc)
-                ctx.publish(f"ev/{ev.index}/next_depart_s",
-                            ev.itinerary.next_departure(window_start))
+            fleet = self.fleet
+            self._pending = tuple(
+                load_range(ev.state, ev.itinerary, ev.model, window_start,
+                           self.t_market_s) for ev in fleet)
+            ctx.publish("evs/load_range_w", self._pending)
+            ctx.publish("evs/soc", tuple(ev.state.soc for ev in fleet))
+            ctx.publish("evs/next_depart_s", tuple(
+                ev.itinerary.next_departure(window_start) for ev in fleet))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import t_excess2
 from .weather import DAY_S
 
 HVAC_W_DEFAULT = 4000.0
@@ -27,7 +28,6 @@ class HouseThermalState:
     c: float                # thermal capacitance, J/°C
     q_internal: float       # appliance/occupant heat gain, W
     q_cool: float           # heat removal rate while HVAC runs, W
-    p_hvac: float = HVAC_W_DEFAULT  # electrical draw while running, W
 
     def __post_init__(self):
         if self.r <= 0 or self.c <= 0 or self.q_cool <= 0:
@@ -141,9 +141,6 @@ class UnresponsiveProfile:
         v = unresponsive_curve(mid, self.mean_w) * (1.0 + self._noise[i])
         return max(v, 0.0)
 
-    def value(self, t: float) -> float:
-        return self.value_for_round(int(t // self.round_s))
-
 
 @dataclass(frozen=True)
 class PvArray:
@@ -162,12 +159,10 @@ def pv_potential(array: PvArray, irradiance_frac: float) -> float:
 class House:
     """One simulated house: thermal zone, HVAC, unresponsive load, PV."""
 
-    def __init__(self, index: int, state: HouseThermalState,
-                 unresponsive: UnresponsiveProfile,
-                 pv: PvArray | None,
+    def __init__(self, state: HouseThermalState,
+                 unresponsive: UnresponsiveProfile, pv: PvArray | None,
                  setpoint_offset_c: float, setpoint_jitter_s: float,
                  deadband_c: float, hvac_w: float):
-        self.index = index
         self.state = state
         self.unresponsive = unresponsive
         self.pv = pv
@@ -211,10 +206,10 @@ def build_houses(cfg, rng: np.random.Generator, weather,
         t_set0 = setpoint(0.0, offset, jitter)
         state = HouseThermalState(
             t_air=min(t0, t_set0), t_setpoint=t_set0, hvac_on=False,
-            r=r, c=c, q_internal=profile.value(0.0), q_cool=q_cool,
-            p_hvac=cfg.houses_hvac_kw * 1000.0,
+            r=r, c=c, q_internal=profile.value_for_round(0),
+            q_cool=q_cool,
         )
-        houses.append(House(i, state, profile, pv, offset, jitter,
+        houses.append(House(state, profile, pv, offset, jitter,
                             cfg.houses_deadband_c, cfg.houses_hvac_kw * 1000.0))
     return houses
 
@@ -222,8 +217,9 @@ def build_houses(cfg, rng: np.random.Generator, weather,
 class HouseholdFederate:
     """Steps every house and publishes per-round bid inputs.
 
-    Per-house demand forecasts are published on the last physics step of
-    each market round so the substation sees them at the round barrier.
+    The fleet's demand forecasts are published on the last physics step
+    of each market round so the substation sees them at the round
+    barrier: one tuple per quantity, in house order.
     """
 
     def __init__(self, houses: list[House], weather, step_s: float,
@@ -233,19 +229,22 @@ class HouseholdFederate:
         self.step_s = step_s
         self.steps_per_round = int(round(t_market_s / step_s))
         self.t_market_s = t_market_s
+        # bus defaults before the first weather step and the first dispatch
+        self._temp0 = weather.sample(0.0).temp_c
+        self._no_dispatch = (0.0,) * len(houses)
 
     def __call__(self, ctx) -> None:
         # The dispatch cleared for round r becomes visible one physics
         # step after the round barrier, so round r's window covers steps
         # 5r+1 .. 5r+5. Unresponsive loads are held constant per window
         # so the cleared quantity equals the power actually consumed.
-        temp_out = ctx.read("weather/temp_c", self.weather.sample(0.0).temp_c)
+        temp_out = ctx.read("weather/temp_c", self._temp0)
+        hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
         t_next = ctx.t + self.step_s
         k = int(round(ctx.t / self.step_s))
         window = max((k - 1) // self.steps_per_round, 0)
-        for h in self.houses:
-            granted = ctx.read(f"dispatch/house/{h.index}/hvac_w", 0.0) > 0.0
-            h.state.hvac_on = granted
+        for h, granted in zip(self.houses, hvac_w, strict=True):
+            h.state.hvac_on = granted > 0.0
             h.state.q_internal = h.unresponsive.value_for_round(window)
             h.state = step_thermal(h.state, temp_out, self.step_s)
             h.state.t_setpoint = setpoint(t_next, h.setpoint_offset_c,
@@ -255,22 +254,26 @@ class HouseholdFederate:
             self._publish_round_inputs(ctx, (k + 1) // self.steps_per_round)
 
     def _publish_round_inputs(self, ctx, next_round: int) -> None:
+        # irradiance is a forecast for the coming window, which the bus
+        # (latest values only) cannot carry, so it is sampled directly
         window_start = next_round * self.t_market_s + self.step_s
         window_mid = window_start + self.t_market_s / 2.0
         frac = self.weather.sample(window_mid).irradiance_frac
+        houses = self.houses
+        ctx.publish("houses/hvac_demand_w", tuple(
+            hvac_demand(h.state.t_air, h.state.t_setpoint, h.state.hvac_on,
+                        h.deadband_c, h.hvac_w) for h in houses))
+        ctx.publish("houses/unresponsive_w", tuple(
+            h.unresponsive.value_for_round(next_round) for h in houses))
+        ctx.publish("houses/pv_potential_w", tuple(
+            pv_potential(h.pv, frac) if h.pv is not None else 0.0
+            for h in houses))
         sum_air = sum_set = sum_ex2 = 0.0
-        for h in self.houses:
-            demand = hvac_demand(h.state.t_air, h.state.t_setpoint,
-                                 h.state.hvac_on, h.deadband_c, h.hvac_w)
-            ctx.publish(f"house/{h.index}/hvac_demand_w", demand)
-            ctx.publish(f"house/{h.index}/unresponsive_w",
-                        h.unresponsive.value_for_round(next_round))
-            pot = pv_potential(h.pv, frac) if h.pv is not None else 0.0
-            ctx.publish(f"house/{h.index}/pv_potential_w", pot)
+        for h in houses:
             sum_air += h.state.t_air
             sum_set += h.state.t_setpoint
-            sum_ex2 += max(h.state.t_air - h.state.t_setpoint, 0.0) ** 2
-        n = len(self.houses)
+            sum_ex2 += t_excess2(h.state.t_air, h.state.t_setpoint)
+        n = len(houses)
         ctx.publish("houses/mean_t_air_c", sum_air / n)
         ctx.publish("houses/mean_t_set_c", sum_set / n)
         ctx.publish("houses/mean_t_excess2", sum_ex2 / n)

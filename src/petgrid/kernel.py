@@ -1,12 +1,13 @@
 """Discrete-time federation scheduler with a latest-value message bus.
 
-Federates register a step handler and exchange scalar values through
+Federates register a step handler and exchange scalars or tuples through
 named topics. A value published during step k becomes visible to every
 federate at step k+1; no federate can observe a value from its own step
-(barrier semantics). Execution is single-threaded and deterministic:
-federates are stepped in registration order with one private RNG stream
-each, so the same seed and configuration always produce the same
-published values.
+(barrier semantics). A published value must be hashable, such as a
+scalar or a tuple of scalars, so no federate can change what another
+one reads. Execution is single-threaded and deterministic: federates are
+stepped in registration order with one private RNG stream each, so the
+same seed and configuration always produce the same published values.
 """
 
 from __future__ import annotations
@@ -105,11 +106,14 @@ class Federation:
                 f"federate {self._names[fed_id]!r} may not publish to "
                 f"{key!r} (owned by {self._names[owner]!r})"
             )
+        try:
+            hash(value)
+        except TypeError:
+            raise FederationError(
+                f"federate {self._names[fed_id]!r} published a mutable "
+                f"{type(value).__name__} to {key!r}; publish a scalar or tuple"
+            ) from None
         self._pending[key] = value
-
-    def publish(self, fed_id: int, key: str, value) -> None:
-        """Publish on behalf of a federate (outside a step handler)."""
-        self._publish(fed_id, key, value)
 
     def read(self, key: str, default: float = 0.0):
         return self._visible.get(key, default)

@@ -21,16 +21,6 @@ def t_excess2(t_air: float, t_setpoint: float) -> float:
     return max(t_air - t_setpoint, 0.0) ** 2
 
 
-def surplus(resource_potential_w: float, resource_supplied_w: float) -> float:
-    """Unused potential of a resource; supplied may never exceed potential."""
-    if resource_supplied_w > resource_potential_w + 1e-6:
-        raise ValueError(
-            f"supplied ({resource_supplied_w}) exceeds potential "
-            f"({resource_potential_w}); dispatch accounting bug"
-        )
-    return resource_potential_w - resource_supplied_w
-
-
 @dataclass
 class MetricsSample:
     """One market round's worth of fleet-level observations."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from .weather import DAY_S
 
 
 WEATHER_MODES = ("synthetic", "csv")
+RANGE_FIELDS = ("houses_rc_hours_range", "houses_ua_w_per_k_range",
+                "pv_panels_range", "ev_initial_soc_range")
 
 
 @dataclass
@@ -75,12 +78,29 @@ class ScenarioConfig:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite")
+        for key in RANGE_FIELDS:
+            value = getattr(self, key)
+            if not (isinstance(value, tuple) and len(value) == 2
+                    and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                            for v in value)
+                    and value[0] <= value[1]):
+                raise ValueError(f"{key} must be two finite numbers lo <= hi")
+        rc, ua, pv, soc = (getattr(self, key) for key in RANGE_FIELDS)
+        if rc[0] <= 0 or ua[0] <= 0:
+            raise ValueError("houses rc_hours_range and ua_w_per_k_range "
+                             "must be positive")
+        if pv[0] < 1 or not all(float(v).is_integer() for v in pv):
+            raise ValueError("pv_panels_range must be whole numbers >= 1")
+        if soc[0] < 0 or soc[1] > 1:
+            raise ValueError("ev_initial_soc_range must lie within [0, 1]")
         if self.n_houses < 1:
             raise ValueError("n_houses must be at least 1")
         if not (0 <= self.n_ev <= self.n_houses):
             raise ValueError("n_ev must be within [0, n_houses]")
         if not (0 <= self.n_pv <= self.n_houses):
             raise ValueError("n_pv must be within [0, n_houses]")
+        if self.discard_days < 0:
+            raise ValueError("discard_days must not be negative")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
         if self.step_s <= 0:

@@ -191,21 +191,16 @@ class SubstationFederate:
         self.hist.append(ctx.t, lmp)
 
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
-        unresp = {}
-        hvac_demand = {}
-        pv_pot = {}
+        no_houses = (0.0,) * self.n_houses
+        unresp = ctx.read("houses/unresponsive_w", no_houses)
+        hvac_demand = ctx.read("houses/hvac_demand_w", no_houses)
+        pv_pot = ctx.read("houses/pv_potential_w", no_houses)
         for i in range(self.n_houses):
-            unresp[i] = ctx.read(f"house/{i}/unresponsive_w", 0.0)
-            hvac_demand[i] = ctx.read(f"house/{i}/hvac_demand_w", 0.0)
-            pv_pot[i] = ctx.read(f"house/{i}/pv_potential_w", 0.0)
             orders.extend(formulate_house_bids(
                 i, unresp[i], hvac_demand[i], pv_pot[i], self.prices))
-        ranges, socs, departs = [], [], []
-        for j in range(self.n_ev):
-            ranges.append((ctx.read(f"ev/{j}/load_min_w", 0.0),
-                           ctx.read(f"ev/{j}/load_max_w", 0.0)))
-            socs.append(ctx.read(f"ev/{j}/soc", 0.0))
-            departs.append(ctx.read(f"ev/{j}/next_depart_s", float("inf")))
+        ranges = ctx.read("evs/load_range_w", ((0.0, 0.0),) * self.n_ev)
+        socs = ctx.read("evs/soc", (0.0,) * self.n_ev)
+        departs = ctx.read("evs/next_depart_s", (float("inf"),) * self.n_ev)
         # EVs all bid the same strategy prices, so a tie-break on trader
         # id would ration scarce supply/demand to the same EVs every
         # round. Instead each EV order carries a priority rank: buys by
@@ -239,6 +234,7 @@ class SubstationFederate:
                   lmp, round_index) -> None:
         grid_supplied = result.sold.get(GRID_TRADER, 0)
         hvac_total = 0.0
+        hvac_granted = []
         unresp_total = 0.0
         slack_w = 0.0
         pv_supplied = 0.0
@@ -253,19 +249,20 @@ class SubstationFederate:
                 self.unserved_unresponsive += 1
                 slack_w += q_unresp
             granted = result.bought.get(HVAC_BASE + i, 0)
-            ctx.publish(f"dispatch/house/{i}/hvac_w", float(granted))
+            hvac_granted.append(float(granted))
             hvac_total += granted
             sold = result.sold.get(PV_BASE + i, 0)
             pot = int(round(pv_pot[i]))
             pv_supplied += sold
             pv_potential_total += pot
             pv_surplus += max(pot - sold, 0)
-            ctx.publish(f"dispatch/house/{i}/pv_w", float(sold))
+        ctx.publish("dispatch/hvac_w", tuple(hvac_granted))
 
         ev_charge = 0.0
         ev_discharge = 0.0
         ev_surplus = 0.0
         must_charge_w = 0.0
+        ev_loads = []
         for j in range(self.n_ev):
             lo, hi = ranges[j]
             bought = result.bought.get(EV_BASE + j, 0)
@@ -275,19 +272,20 @@ class SubstationFederate:
                 must_charge_w += lo
                 if bought == 0:
                     self.ev_unfilled_must_charge += 1
-            ctx.publish(f"dispatch/ev/{j}/load_w", net)
+            ev_loads.append(net)
             if net > 0:
                 ev_charge += net
             else:
                 ev_discharge += -net
             if lo < 0:
                 ev_surplus += max(abs(lo) - sold, 0)
+        ctx.publish("dispatch/ev_load_w", tuple(ev_loads))
 
         supply = grid_supplied + pv_supplied + ev_discharge + slack_w
         load = unresp_total + hvac_total + ev_charge
         self.max_imbalance_w = max(self.max_imbalance_w, abs(supply - load))
 
-        p_target = unresp_total + sum(hvac_demand.values()) + must_charge_w
+        p_target = unresp_total + sum(hvac_demand) + must_charge_w
         self.samples.append(MetricsSample(
             t=ctx.t,
             mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0),

@@ -9,8 +9,10 @@ columns are normalized by the rated panel-plane irradiance.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -33,8 +35,6 @@ def diurnal_wave(hour: float, trough_h: float, peak_h: float,
     v_min at trough_h the next day; the two half-periods may be unequal,
     so the trough and peak hours are free parameters.
     """
-    import math
-
     h = hour % 24.0
     rise = (peak_h - trough_h) % 24.0
     fall = 24.0 - rise
@@ -67,8 +67,6 @@ class SyntheticWeather:
                             self.temp_min_c, self.temp_max_c)
 
     def irradiance_frac(self, t: float) -> float:
-        import math
-
         hour = (t % DAY_S) / 3600.0
         if hour <= self.sunrise_h or hour >= self.sunset_h:
             return 0.0
@@ -144,8 +142,6 @@ class CsvWeather:
                 DAY_S, span_end - span_start
             )
             query = min(max(query, span_start), span_end)
-        import bisect
-
         i = bisect.bisect_right(self.times, query)
         if i == 0:
             return WeatherSample(t, self.temps[0], self.fracs[0])
@@ -170,17 +166,11 @@ def _parse_timestamp(text: str) -> float:
     return float(text)
 
 
-def load_weather_csv(path, rated_irradiance_wm2: float = 1000.0) -> CsvWeather:
-    return CsvWeather.from_csv(path, rated_irradiance_wm2)
-
-
 class WeatherFederate:
-    """Publishes the weather profile onto the federation bus each step."""
+    """Publishes the outdoor temperature onto the federation bus each step."""
 
     def __init__(self, profile):
         self.profile = profile
 
     def __call__(self, ctx) -> None:
-        s = self.profile.sample(ctx.t)
-        ctx.publish("weather/temp_c", s.temp_c)
-        ctx.publish("weather/irradiance_frac", s.irradiance_frac)
+        ctx.publish("weather/temp_c", self.profile.sample(ctx.t).temp_c)

@@ -7,15 +7,17 @@ them on success; they appear in captured output on failure).
 """
 
 import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from petgrid.household import HouseThermalState, step_thermal
 from petgrid.market import match_orders
-from petgrid.runner import builtin_config, run_scenario
+from petgrid.runner import builtin_config, run_scenario, write_outputs
 from petgrid.substation import LmpHistory, ev_strategy_prices
 from petgrid.weather import DAY_S
 
@@ -24,6 +26,7 @@ from test_market import (check_invariants, check_spend_minimality,
 
 SCENARIOS = ["s1", "s2", "s3", "s4", "s5"]
 SEEDS = [1, 2, 3, 4, 5]
+GOLDEN = Path(__file__).parent / "golden" / "seed1.json"
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -198,3 +201,19 @@ def test_c10_byte_identical_reruns(tmp_path):
             (out / "time_series.csv").read_bytes()).hexdigest())
     ok = digests[0] == digests[1]
     report("C10 fixed-seed reruns byte-identical", ok, digests[0][:16])
+
+
+def test_golden_seed1_outputs(runs, tmp_path):
+    """Seed-1 outputs of s1-s5 match the sha256 digests in tests/golden.
+
+    C10 compares two runs of the same code; this pins the outputs across
+    code changes. An intended change of outputs regenerates the file.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == SCENARIOS
+    for name in SCENARIOS:
+        out = tmp_path / name
+        write_outputs(runs[(name, 1)], out)
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in golden[name]}
+        assert digests == golden[name], name

@@ -41,26 +41,37 @@ def test_run_invalid_config_value(capsys):
     assert "days" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", [
-    "kernel.step_s=0",
-    "market.t_market_s=420",            # a multiple of step_s, not of a day
-    "houses.count=0",
-    "grid.capacity_kw=-5",
-    "lmp.reference_capacity_kw=0",
-    "metrics.vwap_mode=bogus",
-    "weather.mode=bogus",
-    "weather.mode=csv",                 # without weather.csv_path
-    "grid.capacity_kw=nan",
-    "prices.hvac=nan",
+def _probe(setting, *extra):
+    return pytest.param(setting, list(extra), id=setting)
+
+
+@pytest.mark.parametrize("setting, extra", [
+    _probe("kernel.step_s=0"),
+    _probe("market.t_market_s=420"),    # a multiple of step_s, not of a day
+    _probe("houses.count=0"),
+    _probe("grid.capacity_kw=-5"),
+    _probe("lmp.reference_capacity_kw=0"),
+    _probe("metrics.vwap_mode=bogus"),
+    _probe("weather.mode=bogus"),
+    _probe("weather.mode=csv"),         # without weather.csv_path
+    _probe("grid.capacity_kw=nan"),
+    _probe("prices.hvac=nan"),
+    _probe("houses.rc_hours_range=nan,2"),
+    _probe("houses.rc_hours_range=3,1.5"),
+    _probe("houses.ua_w_per_k_range=0,700"),
+    _probe("pv.panels_range=0,20"),
+    _probe("pv.panels_range=8"),
+    _probe("ev.initial_soc_range=0.5,1.5"),
+    _probe("scenario.discard_days=-1", "--days", "1"),
 ])
-def test_invalid_config_fails_before_any_step(setting, capsys, monkeypatch,
-                                              tmp_path):
+def test_invalid_config_fails_before_any_step(setting, extra, capsys,
+                                              monkeypatch, tmp_path):
     def no_stepping(*args):
         raise AssertionError("the federation must not run")
 
     monkeypatch.setattr(kernel.Federation, "run", no_stepping)
     code = main(["run", "--scenario", "s1", "--out", str(tmp_path / "out"),
-                 "--set", setting])
+                 "--set", setting, *extra])
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

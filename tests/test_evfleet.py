@@ -202,16 +202,14 @@ def test_build_fleet_mix_models_and_initial_soc():
 
 
 def test_federate_counts_out_of_range_commands():
-    ev = Ev(0, _model(charger_w=7000.0), HOME_ALL_DAY, EvState(soc=0.5))
+    ev = Ev(_model(charger_w=7000.0), HOME_ALL_DAY, EvState(soc=0.5))
     fed = EvFederate([ev], step_s=60.0, t_market_s=300.0)
-    fed._active = [(0.0, 0.0)]
-    fed._pending = [(0.0, 0.0)]
 
     class Ctx:
         t = 60.0
 
         def read(self, key, default=0.0):
-            return 5000.0 if key.startswith("dispatch/") else default
+            return (5000.0,) if key == "dispatch/ev_load_w" else default
 
         def publish(self, key, value):
             pass

@@ -119,6 +119,20 @@ def test_topic_ownership_enforced():
         fed.run(60.0)
 
 
+@pytest.mark.parametrize("value", [
+    [1.0, 2.0], {"a": 1.0}, np.zeros(3), (1.0, [2.0]),
+], ids=["list", "dict", "ndarray", "tuple-holding-list"])
+def test_mutable_published_value_rejected(value):
+    def writer(ctx):
+        ctx.publish("x", value)
+
+    fed = Federation(step_s=60.0)
+    fed.register_federate("w", writer)
+    with pytest.raises(FederationError, match="mutable"):
+        fed.run(60.0)
+    assert fed.read("x", None) is None
+
+
 def test_causality_value_never_observable_same_step():
     """A federate registered after the writer still sees last step's value."""
     observed = []

@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from petgrid.market import Transaction
-from petgrid.metrics import (MetricsSample, average_day, summarize, surplus,
-                             t_excess2)
+from petgrid.metrics import MetricsSample, average_day, summarize, t_excess2
 
 
 def test_t_excess2_formula():
     assert t_excess2(26.0, 24.0) == 4.0
     assert t_excess2(23.0, 24.0) == 0.0
     assert t_excess2(24.0, 24.0) == 0.0
-
-
-def test_surplus_formula_and_accounting_guard():
-    assert surplus(4800.0, 3000.0) == 1800.0
-    assert surplus(0.0, 0.0) == 0.0
-    with pytest.raises(ValueError, match="exceeds potential"):
-        surplus(1000.0, 1500.0)
 
 
 def sample(t, ex2=0.0, vwap=None, **kw):

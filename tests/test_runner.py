@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from petgrid import kernel
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             apply_settings, builtin_config, list_scenarios,
                             load_config_file, run_scenario)
@@ -47,7 +48,18 @@ def test_validation_errors():
                 dict(grid_capacity_kw=0.0), dict(lmp_reference_capacity_kw=-1.0),
                 dict(vwap_mode="bogus"), dict(weather_mode="bogus"),
                 dict(weather_mode="csv"), dict(lmp_alpha=float("nan")),
-                dict(houses_cop=float("inf"))):
+                dict(houses_cop=float("inf")), dict(discard_days=-1),
+                dict(houses_rc_hours_range=(float("nan"), 2.0)),
+                dict(houses_rc_hours_range=(3.0, 1.5)),
+                dict(houses_rc_hours_range=(0.0, 1.5)),
+                dict(houses_ua_w_per_k_range=(-1.0, 700.0)),
+                dict(houses_ua_w_per_k_range=(550.0,)),
+                dict(pv_panels_range=(0, 20)),
+                dict(pv_panels_range=(8.5, 9.5)),
+                dict(pv_panels_range=(8, 20, 30)),
+                dict(pv_panels_range=("8", "20")),
+                dict(ev_initial_soc_range=(0.5, 1.5)),
+                dict(ev_initial_soc_range=(-0.1, 0.5))):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
 
@@ -174,3 +186,35 @@ def test_run_scenario_balances_and_safety_small():
     assert result.max_imbalance_w <= 1.0
     assert 0.0 <= result.soc_min <= result.soc_max <= 1.0
     assert result.violations["ev_range"] == 0
+
+
+def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
+    """Every fleet quantity is one topic whose value is a tuple in fleet
+    order; every other topic carries a float."""
+    cfg = builtin_config("s5", n_houses=4, n_ev=3, n_pv=2, days=2,
+                         discard_days=1)
+    per_house = ("houses/hvac_demand_w", "houses/unresponsive_w",
+                 "houses/pv_potential_w", "dispatch/hvac_w")
+    per_ev = ("evs/load_range_w", "evs/soc", "evs/next_depart_s",
+              "dispatch/ev_load_w")
+    scalars = ("weather/temp_c", "houses/mean_t_air_c",
+               "houses/mean_t_set_c", "houses/mean_t_excess2")
+    published = {}
+    publish = kernel.StepContext.publish
+
+    def recording(ctx, key, value):
+        published.setdefault(key, []).append(value)
+        publish(ctx, key, value)
+
+    monkeypatch.setattr(kernel.StepContext, "publish", recording)
+    run_scenario(cfg)
+    assert set(published) == {*per_house, *per_ev, *scalars}
+    for key in scalars:
+        assert all(isinstance(v, float) for v in published[key]), key
+    for keys, n in ((per_house, cfg.n_houses), (per_ev, cfg.n_ev)):
+        for key in keys:
+            assert all(isinstance(v, tuple) and len(v) == n
+                       for v in published[key]), key
+    ranges = {r for v in published["evs/load_range_w"] for r in v}
+    assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
+    assert any(r != (0.0, 0.0) for r in ranges)

@@ -275,10 +275,10 @@ class StubContext:
 def ev_round(grid_kw, evs, hvac_w=0.0):
     """Clear one round of a one-house substation with the given EVs,
     each a (load_min_w, load_max_w, soc, next_depart_s) tuple."""
-    values = {"house/0/hvac_demand_w": hvac_w}
-    for j, (lo, hi, soc, depart) in enumerate(evs):
-        values.update({f"ev/{j}/load_min_w": lo, f"ev/{j}/load_max_w": hi,
-                       f"ev/{j}/soc": soc, f"ev/{j}/next_depart_s": depart})
+    values = {"houses/hvac_demand_w": (hvac_w,),
+              "evs/load_range_w": tuple((lo, hi) for lo, hi, _, _ in evs),
+              "evs/soc": tuple(soc for _, _, soc, _ in evs),
+              "evs/next_depart_s": tuple(depart for *_, depart in evs)}
     sub = SubstationFederate(ScenarioConfig(grid_capacity_kw=grid_kw), 1,
                              len(evs), PRICES)
     ctx = StubContext(values)
@@ -294,8 +294,7 @@ def test_scarce_supply_goes_to_the_most_urgent_ev():
     sub, ctx = ev_round(11.0, evs)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(EV_BASE + 2, GRID_TRADER, 11000)]
-    assert ctx.published["dispatch/ev/2/load_w"] == 11000.0
-    assert ctx.published["dispatch/ev/0/load_w"] == 0.0
+    assert ctx.published["dispatch/ev_load_w"] == (0.0, 0.0, 11000.0)
     assert sub.ev_unfilled_must_charge == 2
 
 
@@ -307,4 +306,5 @@ def test_scarce_demand_is_served_by_the_fullest_ev():
     sub, ctx = ev_round(100.0, evs, hvac_w=4000.0)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
-    assert ctx.published["dispatch/ev/1/load_w"] == -4000.0
+    assert ctx.published["dispatch/ev_load_w"] == (0.0, -4000.0, 0.0)
+    assert ctx.published["dispatch/hvac_w"] == (4000.0,)

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from petgrid.weather import (CsvWeather, DAY_S, SyntheticWeather, diurnal_wave,
-                             load_weather_csv)
+from petgrid.weather import CsvWeather, DAY_S, SyntheticWeather, diurnal_wave
 
 H = 3600.0
 
@@ -83,7 +82,7 @@ def _write_csv(tmp_path, rows, header="timestamp,temp_c,irradiance_wm2"):
 
 def test_csv_midpoint_interpolation(tmp_path):
     path = _write_csv(tmp_path, ["00:00,10,0", "01:00,12,0"])
-    profile = load_weather_csv(path)
+    profile = CsvWeather.from_csv(path)
     assert profile.sample(1800.0).temp_c == pytest.approx(11.0)
 
 
@@ -98,37 +97,37 @@ def test_csv_missing_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("timestamp,temp_c\n0,20\n")
     with pytest.raises(ValueError, match="irradiance_wm2"):
-        load_weather_csv(path)
+        CsvWeather.from_csv(path)
 
 
 def test_csv_non_monotonic_timestamps_rejected_with_row(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,21,0", "1800,22,0"])
     with pytest.raises(ValueError, match="row 4"):
-        load_weather_csv(path)
+        CsvWeather.from_csv(path)
 
 
 def test_csv_bad_value_names_row(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,warm,0"])
     with pytest.raises(ValueError, match="row 3"):
-        load_weather_csv(path)
+        CsvWeather.from_csv(path)
 
 
 def test_csv_empty_file_rejected(tmp_path):
     path = _write_csv(tmp_path, [])
     with pytest.raises(ValueError, match="no samples"):
-        load_weather_csv(path)
+        CsvWeather.from_csv(path)
 
 
 def test_csv_hhmmss_timestamps(tmp_path):
     path = _write_csv(tmp_path, ["00:00:00,10,0", "00:30:00,11,0"])
-    profile = load_weather_csv(path)
+    profile = CsvWeather.from_csv(path)
     assert profile.sample(900.0).temp_c == pytest.approx(10.5)
 
 
 def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
     rows = [f"{h * 3600},{20 + h},0" for h in range(25)]
     path = _write_csv(tmp_path, rows)
-    profile = load_weather_csv(path)
+    profile = CsvWeather.from_csv(path)
     with caplog.at_level("WARNING"):
         beyond = profile.sample(DAY_S + 7200.0)
     assert beyond.temp_c == pytest.approx(profile.sample(7200.0).temp_c)
@@ -138,4 +137,4 @@ def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
 def test_csv_negative_time_rejected(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,21,0"])
     with pytest.raises(ValueError):
-        load_weather_csv(path).sample(-5.0)
+        CsvWeather.from_csv(path).sample(-5.0)
