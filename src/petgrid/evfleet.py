@@ -11,7 +11,7 @@ can always drive.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,14 +60,11 @@ class Itinerary:
             if b.depart_s < a.arrive_s:
                 raise ValueError("trips overlap or are out of order")
 
-    def _last_started(self, t: float) -> Trip | None:
-        i = bisect.bisect_right(self._departs, t) - 1
-        return self.trips[i] if i >= 0 else None
-
     def location(self, t: float) -> str:
-        tr = self._last_started(t)
-        if tr is None:
+        i = bisect.bisect_right(self._departs, t) - 1
+        if i < 0:
             return HOME
+        tr = self.trips[i]
         if t < tr.arrive_s:
             return "driving"
         return tr.destination
@@ -151,7 +148,8 @@ def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
     Charging delivers eta_c of the metered energy into the pack;
     discharging draws 1/eta_d of the metered energy from the pack.
     Excess commands that would push SoC outside [0, 1] are discarded
-    and counted as clamp events.
+    and counted as clamp events. Returns a new state and never mutates
+    `state`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -159,8 +157,9 @@ def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
     energy = state.soc * cap
     energy -= itinerary.driving_kwh(t, dt, model.drive_consumption_kwh_per_km)
     clamps = state.clamp_events
-    if itinerary.at_home(t) and state.commanded_load_w != 0.0:
-        load_kw = state.commanded_load_w / 1000.0
+    command = state.commanded_load_w
+    if command != 0.0 and itinerary.at_home(t):
+        load_kw = command / 1000.0
         hours = dt / 3600.0
         if load_kw > 0:
             energy += load_kw * hours * eta_c
@@ -169,7 +168,7 @@ def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
     clamped = min(max(energy, 0.0), cap)
     if abs(clamped - energy) > 1e-12:
         clamps += 1
-    return replace(state, soc=clamped / cap, clamp_events=clamps)
+    return EvState(clamped / cap, command, clamps)
 
 
 def load_range(state: EvState, itinerary: Itinerary, model: EvModel,
@@ -245,17 +244,23 @@ class EvFederate:
             self._window = window
             self._active = self._pending
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
+        t, step_s, eta_c, eta_d = ctx.t, self.step_s, self.eta_c, self.eta_d
+        soc_min, soc_max = self.soc_min_seen, self.soc_max_seen
         for ev, cmd, (lo, hi) in zip(self.fleet, loads, self._active,
                                      strict=True):
             if cmd < lo - 0.5 or cmd > hi + 0.5:
                 self.range_violations += 1
                 cmd = min(max(cmd, lo), hi)
-            ev.state.commanded_load_w = cmd
-            ev.state = step_battery(ev.state, ev.itinerary, ev.model,
-                                    ctx.t, self.step_s, self.eta_c,
-                                    self.eta_d)
-            self.soc_min_seen = min(self.soc_min_seen, ev.state.soc)
-            self.soc_max_seen = max(self.soc_max_seen, ev.state.soc)
+            state = ev.state
+            state.commanded_load_w = cmd
+            state = ev.state = step_battery(state, ev.itinerary, ev.model, t,
+                                            step_s, eta_c, eta_d)
+            soc = state.soc
+            if soc < soc_min:
+                soc_min = soc
+            if soc > soc_max:
+                soc_max = soc
+        self.soc_min_seen, self.soc_max_seen = soc_min, soc_max
 
         if (k + 1) % self.steps_per_round == 0:
             next_round = (k + 1) // self.steps_per_round

@@ -9,7 +9,7 @@ potential output scales with the irradiance fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,8 @@ def step_thermal(state: HouseThermalState, temp_out: float,
     """Advance the zone temperature by dt seconds (inputs held constant).
 
     Exact solution of dT/dt = (temp_out - T)/(RC) + (Q_int - on*Q_cool)/C,
-    so any subdivision of dt gives the same result.
+    so any subdivision of dt gives the same result. Returns a new state
+    and never mutates `state`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -47,7 +48,8 @@ def step_thermal(state: HouseThermalState, temp_out: float,
     t_inf = temp_out + state.r * q_net
     decay = math.exp(-dt / (state.r * state.c))
     t_new = t_inf + (state.t_air - t_inf) * decay
-    return replace(state, t_air=t_new)
+    return HouseThermalState(t_new, state.t_setpoint, state.hvac_on, state.r,
+                             state.c, state.q_internal, state.q_cool)
 
 
 def setpoint(t: float, offset_c: float = 0.0, jitter_s: float = 0.0) -> float:
@@ -232,6 +234,15 @@ class HouseholdFederate:
         # bus defaults before the first weather step and the first dispatch
         self._temp0 = weather.sample(0.0).temp_c
         self._no_dispatch = (0.0,) * len(houses)
+        # unresponsive loads, evaluated once per round when it is
+        # published and held for that round's dispatch window
+        self._window = -1
+        self._loads = ()
+        self._published = (-1, ())
+
+    def _round_loads(self, index: int) -> tuple[float, ...]:
+        return tuple(h.unresponsive.value_for_round(index)
+                     for h in self.houses)
 
     def __call__(self, ctx) -> None:
         # The dispatch cleared for round r becomes visible one physics
@@ -240,15 +251,23 @@ class HouseholdFederate:
         # so the cleared quantity equals the power actually consumed.
         temp_out = ctx.read("weather/temp_c", self._temp0)
         hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
-        t_next = ctx.t + self.step_s
-        k = int(round(ctx.t / self.step_s))
+        step_s = self.step_s
+        t_next = ctx.t + step_s
+        k = int(round(ctx.t / step_s))
         window = max((k - 1) // self.steps_per_round, 0)
-        for h, granted in zip(self.houses, hvac_w, strict=True):
-            h.state.hvac_on = granted > 0.0
-            h.state.q_internal = h.unresponsive.value_for_round(window)
-            h.state = step_thermal(h.state, temp_out, self.step_s)
-            h.state.t_setpoint = setpoint(t_next, h.setpoint_offset_c,
-                                          h.setpoint_jitter_s)
+        if window != self._window:
+            self._window = window
+            published_round, loads = self._published
+            self._loads = (loads if published_round == window
+                           else self._round_loads(window))
+        for h, granted, q in zip(self.houses, hvac_w, self._loads,
+                                 strict=True):
+            state = h.state
+            state.hvac_on = granted > 0.0
+            state.q_internal = q
+            state = h.state = step_thermal(state, temp_out, step_s)
+            state.t_setpoint = setpoint(t_next, h.setpoint_offset_c,
+                                        h.setpoint_jitter_s)
 
         if (k + 1) % self.steps_per_round == 0:
             self._publish_round_inputs(ctx, (k + 1) // self.steps_per_round)
@@ -263,8 +282,9 @@ class HouseholdFederate:
         ctx.publish("houses/hvac_demand_w", tuple(
             hvac_demand(h.state.t_air, h.state.t_setpoint, h.state.hvac_on,
                         h.deadband_c, h.hvac_w) for h in houses))
-        ctx.publish("houses/unresponsive_w", tuple(
-            h.unresponsive.value_for_round(next_round) for h in houses))
+        loads = self._round_loads(next_round)
+        self._published = (next_round, loads)
+        ctx.publish("houses/unresponsive_w", loads)
         ctx.publish("houses/pv_potential_w", tuple(
             pv_potential(h.pv, frac) if h.pv is not None else 0.0
             for h in houses))

@@ -94,9 +94,6 @@ class Federation:
         self._rngs.append(np.random.default_rng(self._seed_seq.spawn(1)[0]))
         return fed_id
 
-    def federate_name(self, fed_id: int) -> str:
-        return self._names[fed_id]
-
     # -- bus --------------------------------------------------------------
 
     def _publish(self, fed_id: int, key: str, value) -> None:
@@ -114,9 +111,6 @@ class Federation:
                 f"{type(value).__name__} to {key!r}; publish a scalar or tuple"
             ) from None
         self._pending[key] = value
-
-    def read(self, key: str, default: float = 0.0):
-        return self._visible.get(key, default)
 
     # -- execution --------------------------------------------------------
 

@@ -267,11 +267,15 @@ class SubstationFederate:
             lo, hi = ranges[j]
             bought = result.bought.get(EV_BASE + j, 0)
             sold = result.sold.get(EV_SELL_BASE + j, 0)
-            net = float(bought - sold)
             if lo > 0:
                 must_charge_w += lo
                 if bought == 0:
+                    # forced charge left unfilled: the EV charges at its
+                    # range minimum anyway, served via out-of-market slack
                     self.ev_unfilled_must_charge += 1
+                    bought = int(round(lo))
+                    slack_w += bought
+            net = float(bought - sold)
             ev_loads.append(net)
             if net > 0:
                 ev_charge += net

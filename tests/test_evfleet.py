@@ -1,9 +1,11 @@
 """EV mobility traces, battery integration and admissible load ranges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from petgrid.evfleet import (Ev, EvFederate, EvState, Itinerary, Trip,
+from petgrid.evfleet import (HOME, Ev, EvFederate, EvState, Itinerary, Trip,
                              build_fleet, default_models, generate_itinerary,
                              load_range, step_battery)
 from petgrid.runner import ScenarioConfig
@@ -71,6 +73,28 @@ def test_trips_chronological_and_non_overlapping():
                                     days=5)
             for a, b in zip(it.trips, it.trips[1:]):
                 assert b.depart_s >= a.arrive_s
+
+
+def reference_location(itinerary, t):
+    """Location by a linear scan: the last trip started by t decides."""
+    started = [tr for tr in itinerary.trips if tr.depart_s <= t]
+    if not started:
+        return HOME
+    last = started[-1]
+    return "driving" if t < last.arrive_s else last.destination
+
+
+@pytest.mark.parametrize("profile", ["worker", "unemployed"])
+def test_location_and_at_home_agree_with_a_linear_scan(profile):
+    for seed in range(6):
+        it = generate_itinerary(profile, np.random.default_rng(seed), days=3)
+        edges = [t for tr in it.trips for t in (tr.depart_s, tr.arrive_s)]
+        grid = np.concatenate([np.arange(-60.0, 3 * DAY_S + 60.0, 60.0),
+                               edges, np.nextafter(edges, -np.inf)])
+        for t in grid.tolist():
+            where = reference_location(it, t)
+            assert it.location(t) == where
+            assert it.at_home(t) == (where == HOME)
 
 
 def test_unknown_profile_rejected():
@@ -155,6 +179,24 @@ def test_soc_clamped_and_clamp_counted():
     out = step_battery(state, HOME_ALL_DAY, _model(), 0.0, H)
     assert out.soc == 1.0
     assert out.clamp_events == 1
+
+
+@pytest.mark.parametrize("soc, load_w, itinerary, clamps", [
+    (0.5, 7000.0, HOME_ALL_DAY, 2),
+    (0.5, -7000.0, HOME_ALL_DAY, 2),
+    (0.999, 7000.0, HOME_ALL_DAY, 3),
+    (0.8, 7000.0, Itinerary("unemployed", [Trip(0.0, H, 20.0, "other")]), 2),
+], ids=["charge", "discharge", "clamp", "driving"])
+def test_step_battery_returns_a_new_state_and_leaves_its_input(
+        soc, load_w, itinerary, clamps):
+    state = EvState(soc=soc, commanded_load_w=load_w, clamp_events=2)
+    before = dataclasses.asdict(state)
+    out = step_battery(state, itinerary, _model(), 0.0, H)
+    assert out is not state
+    assert dataclasses.asdict(state) == before
+    assert out.soc != state.soc
+    assert out.commanded_load_w == load_w
+    assert out.clamp_events == clamps
 
 
 def test_soc_validation():

@@ -1,14 +1,18 @@
 """House thermal model, HVAC hysteresis, unresponsive loads and PV."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from petgrid.household import (HouseThermalState, PvArray, UnresponsiveProfile,
-                               build_houses, hvac_demand, pv_potential,
-                               setpoint, step_thermal, unresponsive_curve)
-from petgrid.runner import ScenarioConfig
+from petgrid.household import (HouseholdFederate, HouseThermalState, PvArray,
+                               UnresponsiveProfile, build_houses, hvac_demand,
+                               pv_potential, setpoint, step_thermal,
+                               unresponsive_curve)
+from petgrid.kernel import Federation
+from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.weather import DAY_S, SyntheticWeather
 
 H = 3600.0
@@ -49,6 +53,17 @@ def test_subdivided_steps_match_single_step():
     for _ in range(60):
         stepped = step_thermal(stepped, temp_out=35.0, dt=60.0)
     assert stepped.t_air == pytest.approx(single.t_air, abs=1e-9)
+
+
+@pytest.mark.parametrize("hvac_on", [False, True])
+def test_step_thermal_returns_a_new_state_and_leaves_its_input(hvac_on):
+    state = make_state(t_air=27.0, q_internal=900.0, hvac_on=hvac_on)
+    before = dataclasses.asdict(state)
+    out = step_thermal(state, temp_out=33.0, dt=60.0)
+    assert out is not state
+    assert dataclasses.asdict(state) == before
+    assert out.t_air != state.t_air
+    assert dataclasses.asdict(out) == dict(before, t_air=out.t_air)
 
 
 def test_invalid_parameters_rejected():
@@ -174,3 +189,65 @@ def test_pv_sizing_does_not_perturb_thermal_fleet():
         assert a.setpoint_jitter_s == b.setpoint_jitter_s
         assert a.unresponsive.value_for_round(100) == \
             b.unresponsive.value_for_round(100)
+
+
+class RecordingContext:
+    """One step's bus for a lone federate: default reads, kept publishes."""
+
+    def __init__(self, t, published):
+        self.t = t
+        self.published = published
+
+    def read(self, key, default=0.0):
+        return default
+
+    def publish(self, key, value):
+        self.published.setdefault(key, []).append((self.t, value))
+
+
+@pytest.mark.parametrize("t_market_s", [60.0, 120.0, 300.0])
+def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
+        t_market_s):
+    cfg = _cfg(n_houses=4, t_market_s=t_market_s)
+    weather = SyntheticWeather()
+    houses = build_houses(cfg, np.random.default_rng(3), weather)
+    fed = HouseholdFederate(houses, weather, 60.0, t_market_s)
+    spr = int(t_market_s // 60.0)
+    published, held = {}, []
+    for k in range(13 * spr + 1):
+        fed(RecordingContext(k * 60.0, published))
+        held.append(tuple(h.state.q_internal for h in houses))
+    # round r's loads are published at step spr*r - 1 and drive its
+    # dispatch window, steps spr*r + 1 .. spr*r + spr
+    rounds = published["houses/unresponsive_w"][:12]
+    assert len(rounds) == 12
+    for t, loads in rounds:
+        r = int(round(t / 60.0)) // spr + 1
+        window = held[spr * r + 1:spr * r + spr + 1]
+        assert len(window) == spr and all(q == loads for q in window)
+        assert loads == tuple(h.unresponsive.value_for_round(r)
+                              for h in houses)
+
+
+def test_unresponsive_loads_are_evaluated_once_per_house_per_round(
+        monkeypatch):
+    cfg = builtin_config("s1", n_houses=3, days=2, discard_days=1)
+    calls, stepping = Counter(), []
+    value_for_round, run = UnresponsiveProfile.value_for_round, Federation.run
+
+    def counting(profile, index):
+        if stepping:
+            calls[index] += 1
+        return value_for_round(profile, index)
+
+    def flagged_run(fed, until_s):
+        stepping.append(True)
+        return run(fed, until_s)
+
+    monkeypatch.setattr(UnresponsiveProfile, "value_for_round", counting)
+    monkeypatch.setattr(Federation, "run", flagged_run)
+    run_scenario(cfg)
+    n_rounds = 2 * 288
+    # rounds 0 .. n_rounds: the last publication is for the round after
+    assert sorted(calls) == list(range(n_rounds + 1))
+    assert set(calls.values()) == {cfg.n_houses}

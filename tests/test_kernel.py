@@ -13,10 +13,13 @@ def test_first_registration_gets_id_zero():
 
 
 def test_ids_are_dense_in_registration_order():
-    fed = Federation()
-    ids = [fed.register_federate(f"f{i}", lambda ctx: None) for i in range(5)]
+    fed = Federation(step_s=60.0)
+    seen = []
+    ids = [fed.register_federate(f"f{i}", lambda ctx: seen.append(ctx.fed_id))
+           for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
-    assert fed.federate_name(3) == "f3"
+    fed.run(60.0)
+    assert seen == ids
 
 
 def test_duplicate_name_rejected():
@@ -89,9 +92,17 @@ def test_publish_visible_from_next_step_only():
     assert seen == [-1.0, 1.0, 61.0]
 
 
+def reader(key, default, seen):
+    """A federate handler appending what it reads from `key` each step."""
+    return lambda ctx: seen.append(ctx.read(key, default))
+
+
 def test_read_before_any_publish_returns_default():
-    fed = Federation()
-    assert fed.read("nope", 7.5) == 7.5
+    seen = []
+    fed = Federation(step_s=60.0)
+    fed.register_federate("r", reader("nope", 7.5, seen))
+    fed.run(120.0)
+    assert seen == [7.5, 7.5]
 
 
 def test_last_write_wins_within_a_step():
@@ -99,10 +110,12 @@ def test_last_write_wins_within_a_step():
         ctx.publish("x", 1.0)
         ctx.publish("x", 2.0)
 
+    seen = []
     fed = Federation(step_s=60.0)
     fed.register_federate("w", writer)
-    fed.run(60.0)
-    assert fed.read("x") == 2.0
+    fed.register_federate("r", reader("x", 0.0, seen))
+    fed.run(120.0)
+    assert seen == [0.0, 2.0]
 
 
 def test_topic_ownership_enforced():
@@ -130,7 +143,21 @@ def test_mutable_published_value_rejected(value):
     fed.register_federate("w", writer)
     with pytest.raises(FederationError, match="mutable"):
         fed.run(60.0)
-    assert fed.read("x", None) is None
+
+    # a rejected value is never committed to the bus
+    errors, seen = [], []
+
+    def catching_writer(ctx):
+        try:
+            ctx.publish("x", value)
+        except FederationError as exc:
+            errors.append(exc)
+
+    fed = Federation(step_s=60.0)
+    fed.register_federate("w", catching_writer)
+    fed.register_federate("r", reader("x", None, seen))
+    fed.run(120.0)
+    assert len(errors) == 2 and seen == [None, None]
 
 
 def test_causality_value_never_observable_same_step():

@@ -294,7 +294,7 @@ def test_scarce_supply_goes_to_the_most_urgent_ev():
     sub, ctx = ev_round(11.0, evs)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(EV_BASE + 2, GRID_TRADER, 11000)]
-    assert ctx.published["dispatch/ev_load_w"] == (0.0, 0.0, 11000.0)
+    assert ctx.published["dispatch/ev_load_w"] == (11000.0, 11000.0, 11000.0)
     assert sub.ev_unfilled_must_charge == 2
 
 
@@ -308,3 +308,16 @@ def test_scarce_demand_is_served_by_the_fullest_ev():
         == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
     assert ctx.published["dispatch/ev_load_w"] == (0.0, -4000.0, 0.0)
     assert ctx.published["dispatch/hvac_w"] == (4000.0,)
+
+
+def test_unfilled_forced_charge_is_served_through_slack():
+    # the two forced charges the grid cannot cover still charge at their
+    # range minimum, counted as EV charge and as out-of-market supply
+    evs = [(11000.0, 11000.0, 0.15, float("inf")),
+           (11000.0, 11000.0, 0.10, 50_000.0),
+           (11000.0, 11000.0, 0.18, 3_600.0)]
+    sub, _ = ev_round(11.0, evs)
+    sample = sub.samples[-1]
+    assert sample.ev_charge_w == 33000.0
+    assert sample.grid_supplied_w == 11000.0
+    assert sub.max_imbalance_w == 0.0
