@@ -224,30 +224,22 @@ class EvFederate:
         self.fleet = fleet
         self.step_s = step_s
         self.t_market_s = t_market_s
-        self.steps_per_round = int(round(t_market_s / step_s))
         self.eta_c = eta_c
         self.eta_d = eta_d
         self.range_violations = 0
         self.soc_min_seen = 1.0
         self.soc_max_seen = 0.0
-        # range active for the current dispatch window vs the one just
-        # published for the next round
-        self._active = ((0.0, 0.0),) * len(fleet)
-        self._pending = self._active
+        # bus defaults before the first dispatch and the first cleared round
         self._no_dispatch = (0.0,) * len(fleet)
-        self._window = 0
+        self._no_range = ((0.0, 0.0),) * len(fleet)
 
     def __call__(self, ctx) -> None:
-        k = int(round(ctx.t / self.step_s))
-        window = max((k - 1) // self.steps_per_round, 0)
-        if window != self._window:
-            self._window = window
-            self._active = self._pending
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
+        # the ranges the dispatch in force was cleared against
+        ranges = ctx.read_cleared("evs/load_range_w", self._no_range)
         t, step_s, eta_c, eta_d = ctx.t, self.step_s, self.eta_c, self.eta_d
         soc_min, soc_max = self.soc_min_seen, self.soc_max_seen
-        for ev, cmd, (lo, hi) in zip(self.fleet, loads, self._active,
-                                     strict=True):
+        for ev, cmd, (lo, hi) in zip(self.fleet, loads, ranges, strict=True):
             if cmd < lo - 0.5 or cmd > hi + 0.5:
                 self.range_violations += 1
                 cmd = min(max(cmd, lo), hi)
@@ -262,14 +254,12 @@ class EvFederate:
                 soc_max = soc
         self.soc_min_seen, self.soc_max_seen = soc_min, soc_max
 
-        if (k + 1) % self.steps_per_round == 0:
-            next_round = (k + 1) // self.steps_per_round
-            window_start = next_round * self.t_market_s + self.step_s
+        if ctx.next_round is not None:
+            window_start = ctx.next_round * self.t_market_s + self.step_s
             fleet = self.fleet
-            self._pending = tuple(
+            ctx.publish("evs/load_range_w", tuple(
                 load_range(ev.state, ev.itinerary, ev.model, window_start,
-                           self.t_market_s) for ev in fleet)
-            ctx.publish("evs/load_range_w", self._pending)
+                           self.t_market_s) for ev in fleet))
             ctx.publish("evs/soc", tuple(ev.state.soc for ev in fleet))
             ctx.publish("evs/next_depart_s", tuple(
                 ev.itinerary.next_departure(window_start) for ev in fleet))

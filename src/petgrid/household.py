@@ -229,39 +229,22 @@ class HouseholdFederate:
         self.houses = houses
         self.weather = weather
         self.step_s = step_s
-        self.steps_per_round = int(round(t_market_s / step_s))
         self.t_market_s = t_market_s
-        # bus defaults before the first weather step and the first dispatch
+        # bus defaults before the first weather step, the first dispatch
+        # and the first cleared round (whose loads build_houses set)
         self._temp0 = weather.sample(0.0).temp_c
         self._no_dispatch = (0.0,) * len(houses)
-        # unresponsive loads, evaluated once per round when it is
-        # published and held for that round's dispatch window
-        self._window = -1
-        self._loads = ()
-        self._published = (-1, ())
-
-    def _round_loads(self, index: int) -> tuple[float, ...]:
-        return tuple(h.unresponsive.value_for_round(index)
-                     for h in self.houses)
+        self._loads0 = tuple(h.state.q_internal for h in houses)
 
     def __call__(self, ctx) -> None:
-        # The dispatch cleared for round r becomes visible one physics
-        # step after the round barrier, so round r's window covers steps
-        # 5r+1 .. 5r+5. Unresponsive loads are held constant per window
-        # so the cleared quantity equals the power actually consumed.
+        # Unresponsive loads are held at the values their round cleared
+        # against, so the cleared quantity equals the power consumed.
         temp_out = ctx.read("weather/temp_c", self._temp0)
         hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
+        loads = ctx.read_cleared("houses/unresponsive_w", self._loads0)
         step_s = self.step_s
         t_next = ctx.t + step_s
-        k = int(round(ctx.t / step_s))
-        window = max((k - 1) // self.steps_per_round, 0)
-        if window != self._window:
-            self._window = window
-            published_round, loads = self._published
-            self._loads = (loads if published_round == window
-                           else self._round_loads(window))
-        for h, granted, q in zip(self.houses, hvac_w, self._loads,
-                                 strict=True):
+        for h, granted, q in zip(self.houses, hvac_w, loads, strict=True):
             state = h.state
             state.hvac_on = granted > 0.0
             state.q_internal = q
@@ -269,8 +252,8 @@ class HouseholdFederate:
             state.t_setpoint = setpoint(t_next, h.setpoint_offset_c,
                                         h.setpoint_jitter_s)
 
-        if (k + 1) % self.steps_per_round == 0:
-            self._publish_round_inputs(ctx, (k + 1) // self.steps_per_round)
+        if ctx.next_round is not None:
+            self._publish_round_inputs(ctx, ctx.next_round)
 
     def _publish_round_inputs(self, ctx, next_round: int) -> None:
         # irradiance is a forecast for the coming window, which the bus
@@ -282,9 +265,8 @@ class HouseholdFederate:
         ctx.publish("houses/hvac_demand_w", tuple(
             hvac_demand(h.state.t_air, h.state.t_setpoint, h.state.hvac_on,
                         h.deadband_c, h.hvac_w) for h in houses))
-        loads = self._round_loads(next_round)
-        self._published = (next_round, loads)
-        ctx.publish("houses/unresponsive_w", loads)
+        ctx.publish("houses/unresponsive_w", tuple(
+            h.unresponsive.value_for_round(next_round) for h in houses))
         ctx.publish("houses/pv_potential_w", tuple(
             pv_potential(h.pv, frac) if h.pv is not None else 0.0
             for h in houses))

@@ -6,16 +6,19 @@ federate at step k+1; no federate can observe a value from its own step
 (barrier semantics). A published value must be hashable, such as a
 scalar or a tuple of scalars, so no federate can change what another
 one reads. Execution is single-threaded and deterministic: federates are
-stepped in registration order with one private RNG stream each, so the
-same seed and configuration always produce the same published values.
+stepped in registration order, and the kernel draws no random numbers.
+
+The kernel also owns the market-round schedule. With n steps per round,
+round r clears at step n*r against the inputs published at step n*r - 1,
+and its dispatch is in force over steps n*r + 1 .. n*r + n. At each
+clearing barrier the kernel keeps the values visible during that step,
+which `read_cleared` serves until the next clearing barrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 class FederationError(Exception):
@@ -30,17 +33,16 @@ class FederateFailure(FederationError):
 class SimClock:
     """Simulation clock: physics step and market period, both in seconds."""
 
-    t: float
     step: float
     t_market: float
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.t_market % self.step != 0:
+        if self.t_market <= 0 or self.t_market % self.step != 0:
             raise ValueError(
-                f"t_market ({self.t_market}) must be an integer multiple "
-                f"of step ({self.step})"
+                f"t_market ({self.t_market}) must be a positive integer "
+                f"multiple of step ({self.step})"
             )
 
 
@@ -48,17 +50,25 @@ class StepContext:
     """View of the bus handed to a federate during one step.
 
     Reads see values committed up to the previous barrier; writes are
-    buffered and become visible only after this step's barrier.
+    buffered and become visible only after this step's barrier. The
+    round that clears at this step and the round whose inputs are
+    published at it are `clearing_round` and `next_round`, else None.
     """
 
-    def __init__(self, federation: "Federation", fed_id: int, t: float):
+    def __init__(self, federation: "Federation", fed_id: int, t: float,
+                 clearing_round: int | None, next_round: int | None):
         self._federation = federation
         self.fed_id = fed_id
         self.t = t
-        self.rng = federation._rngs[fed_id]
+        self.clearing_round = clearing_round
+        self.next_round = next_round
 
     def read(self, key: str, default: float = 0.0):
         return self._federation._visible.get(key, default)
+
+    def read_cleared(self, key: str, default):
+        """The value of `key` the latest cleared round saw, or `default`."""
+        return self._federation._cleared.get(key, default)
 
     def publish(self, key: str, value) -> None:
         self._federation._publish(self.fed_id, key, value)
@@ -67,18 +77,16 @@ class StepContext:
 class Federation:
     """Lock-step scheduler playing the broker role for all federates."""
 
-    def __init__(self, step_s: float = 60.0, t_market_s: float = 300.0,
-                 seed: int = 0):
-        self.clock = SimClock(t=0.0, step=step_s, t_market=t_market_s)
+    def __init__(self, step_s: float = 60.0, t_market_s: float = 300.0):
+        self.clock = SimClock(step=step_s, t_market=t_market_s)
         self._names: list[str] = []
         self._handlers: list[Callable[[StepContext], None]] = []
-        self._rngs: list[np.random.Generator] = []
-        self._seed_seq = np.random.SeedSequence(seed)
         self._visible: dict[str, object] = {}
         self._pending: dict[str, object] = {}
+        self._cleared: dict[str, object] = {}
         self._owners: dict[str, int] = {}
         self._running = False
-        self._t = 0.0
+        self._k = 0
 
     # -- registration -----------------------------------------------------
 
@@ -88,11 +96,9 @@ class Federation:
             raise FederationError("cannot register federates after run() starts")
         if name in self._names:
             raise FederationError(f"duplicate federate name: {name!r}")
-        fed_id = len(self._names)
         self._names.append(name)
         self._handlers.append(handler)
-        self._rngs.append(np.random.default_rng(self._seed_seq.spawn(1)[0]))
-        return fed_id
+        return len(self._names) - 1
 
     # -- bus --------------------------------------------------------------
 
@@ -115,14 +121,18 @@ class Federation:
     # -- execution --------------------------------------------------------
 
     def run(self, until_s: float) -> None:
-        if until_s % self.clock.step != 0:
+        step = self.clock.step
+        if until_s % step != 0:
             raise ValueError("run horizon must be a multiple of the step")
         self._running = True
-        n_steps = int(round(until_s / self.clock.step))
-        for k in range(n_steps):
-            t = self._t
+        per_round = int(round(self.clock.t_market / step))
+        start = self._k
+        for k in range(start, start + int(round(until_s / step))):
+            t = k * step
+            clearing = k // per_round if k % per_round == 0 else None
+            upcoming = (k + 1) // per_round if (k + 1) % per_round == 0 else None
             for fed_id, handler in enumerate(self._handlers):
-                ctx = StepContext(self, fed_id, t)
+                ctx = StepContext(self, fed_id, t, clearing, upcoming)
                 try:
                     handler(ctx)
                 except FederationError:
@@ -132,7 +142,10 @@ class Federation:
                         f"federate {self._names[fed_id]!r} failed at "
                         f"t={t:.0f}s: {exc}"
                     ) from exc
-            # barrier: commit this step's publications
+            # barrier: keep what a clearing round saw, then commit this
+            # step's publications
+            if clearing is not None:
+                self._cleared = dict(self._visible)
             self._visible.update(self._pending)
             self._pending.clear()
-            self._t = t + self.clock.step
+            self._k = k + 1

@@ -31,7 +31,6 @@ class Order:
     side: Side
     quantity: int          # W, committed for the coming round
     price: float           # $/kWh
-    responsive: bool = True
     priority: int | None = None    # tie-break among equal prices; None: trader
 
     def __post_init__(self):

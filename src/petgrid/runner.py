@@ -93,8 +93,9 @@ class ScenarioConfig:
             raise ValueError("pv_panels_range must be whole numbers >= 1")
         if soc[0] < 0 or soc[1] > 1:
             raise ValueError("ev_initial_soc_range must lie within [0, 1]")
-        if self.n_houses < 1:
-            raise ValueError("n_houses must be at least 1")
+        if not 1 <= self.n_houses <= substation.MAX_HOUSES:
+            raise ValueError("n_houses must be within "
+                             f"[1, {substation.MAX_HOUSES}]")
         if not (0 <= self.n_ev <= self.n_houses):
             raise ValueError("n_ev must be within [0, n_houses]")
         if not (0 <= self.n_pv <= self.n_houses):
@@ -226,7 +227,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     """Execute one scenario and optionally write the output files."""
     cfg.validate()
     root = np.random.SeedSequence(cfg.seed)
-    houses_ss, pv_ss, ev_ss, kernel_ss = root.spawn(4)
+    houses_ss, pv_ss, ev_ss = root.spawn(3)
     if cfg.ev_seed is not None:
         ev_ss = np.random.SeedSequence(cfg.ev_seed)
 
@@ -244,7 +245,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     prices = substation.PriceBook(cfg.prices_unresponsive, cfg.prices_hvac,
                                   cfg.prices_pv_sell, cfg.prices_ev_floor)
 
-    fed = Federation(cfg.step_s, cfg.t_market_s, seed=cfg.seed)
+    fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("weather", weather.WeatherFederate(profile))
     house_fed = household.HouseholdFederate(houses, profile, cfg.step_s,
                                             cfg.t_market_s)

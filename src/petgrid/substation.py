@@ -26,6 +26,8 @@ HVAC_BASE = 2000
 PV_BASE = 3000
 EV_BASE = 4000
 EV_SELL_BASE = 5000
+# one id per house or EV in each block caps the fleet size
+MAX_HOUSES = HVAC_BASE - UNRESP_BASE
 
 
 @dataclass
@@ -102,16 +104,17 @@ def formulate_house_bids(house_index: int, unresponsive_w: float,
                          hvac_demand_w: float, pv_potential_w: float,
                          prices: PriceBook) -> list[Order]:
     orders = []
-    if round(unresponsive_w) > 0:
-        orders.append(Order(UNRESP_BASE + house_index, Side.BUY,
-                            int(round(unresponsive_w)), prices.unresponsive,
-                            responsive=False))
-    if round(hvac_demand_w) > 0:
-        orders.append(Order(HVAC_BASE + house_index, Side.BUY,
-                            int(round(hvac_demand_w)), prices.hvac))
-    if round(pv_potential_w) > 0:
-        orders.append(Order(PV_BASE + house_index, Side.SELL,
-                            int(round(pv_potential_w)), prices.pv_sell))
+    q = int(round(unresponsive_w))
+    if q > 0:
+        orders.append(Order(UNRESP_BASE + house_index, Side.BUY, q,
+                            prices.unresponsive))
+    q = int(round(hvac_demand_w))
+    if q > 0:
+        orders.append(Order(HVAC_BASE + house_index, Side.BUY, q, prices.hvac))
+    q = int(round(pv_potential_w))
+    if q > 0:
+        orders.append(Order(PV_BASE + house_index, Side.SELL, q,
+                            prices.pv_sell))
     return orders
 
 
@@ -182,9 +185,9 @@ class SubstationFederate:
         self.max_imbalance_w = 0.0
 
     def __call__(self, ctx) -> None:
-        if ctx.t % self.cfg.t_market_s != 0:
+        round_index = ctx.clearing_round
+        if round_index is None:
             return
-        round_index = int(round(ctx.t / self.cfg.t_market_s))
         lmp = compute_lmp(self.prev_demand_w, self.lmp_capacity_w, ctx.t,
                           self.cfg.lmp_p_base, self.cfg.lmp_alpha,
                           self.cfg.lmp_diurnal_amplitude)

@@ -49,6 +49,7 @@ def _probe(setting, *extra):
     _probe("kernel.step_s=0"),
     _probe("market.t_market_s=420"),    # a multiple of step_s, not of a day
     _probe("houses.count=0"),
+    _probe("houses.count=1001"),        # trader ids would collide
     _probe("grid.capacity_kw=-5"),
     _probe("lmp.reference_capacity_kw=0"),
     _probe("metrics.vwap_mode=bogus"),

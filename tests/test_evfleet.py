@@ -249,9 +249,13 @@ def test_federate_counts_out_of_range_commands():
 
     class Ctx:
         t = 60.0
+        next_round = None
 
         def read(self, key, default=0.0):
             return (5000.0,) if key == "dispatch/ev_load_w" else default
+
+        def read_cleared(self, key, default):
+            return default
 
         def publish(self, key, value):
             pass

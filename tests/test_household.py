@@ -191,61 +191,50 @@ def test_pv_sizing_does_not_perturb_thermal_fleet():
             b.unresponsive.value_for_round(100)
 
 
-class RecordingContext:
-    """One step's bus for a lone federate: default reads, kept publishes."""
-
-    def __init__(self, t, published):
-        self.t = t
-        self.published = published
-
-    def read(self, key, default=0.0):
-        return default
-
-    def publish(self, key, value):
-        self.published.setdefault(key, []).append((self.t, value))
-
-
 @pytest.mark.parametrize("t_market_s", [60.0, 120.0, 300.0])
 def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         t_market_s):
     cfg = _cfg(n_houses=4, t_market_s=t_market_s)
     weather = SyntheticWeather()
     houses = build_houses(cfg, np.random.default_rng(3), weather)
-    fed = HouseholdFederate(houses, weather, 60.0, t_market_s)
     spr = int(t_market_s // 60.0)
-    published, held = {}, []
-    for k in range(13 * spr + 1):
-        fed(RecordingContext(k * 60.0, published))
+    visible, held = [], []
+
+    def recorder(ctx):
+        # stepped after the households: the loads they held this step,
+        # and the latest loads they published before it
         held.append(tuple(h.state.q_internal for h in houses))
-    # round r's loads are published at step spr*r - 1 and drive its
-    # dispatch window, steps spr*r + 1 .. spr*r + spr
-    rounds = published["houses/unresponsive_w"][:12]
-    assert len(rounds) == 12
-    for t, loads in rounds:
-        r = int(round(t / 60.0)) // spr + 1
-        window = held[spr * r + 1:spr * r + spr + 1]
-        assert len(window) == spr and all(q == loads for q in window)
+        visible.append(ctx.read("houses/unresponsive_w", None))
+
+    fed = Federation(60.0, t_market_s)
+    fed.register_federate("households",
+                          HouseholdFederate(houses, weather, 60.0, t_market_s))
+    fed.register_federate("recorder", recorder)
+    fed.run((14 * spr + 1) * 60.0)
+    round0 = tuple(h.unresponsive.value_for_round(0) for h in houses)
+    assert held[:spr + 1] == [round0] * (spr + 1)
+    for r in range(1, 14):
+        # round r's loads become visible at step spr*r, when it clears,
+        # and drive its dispatch window, steps spr*r + 1 .. spr*r + spr
+        k = spr * r
+        loads = visible[k]
+        assert visible[k - 1] != loads
         assert loads == tuple(h.unresponsive.value_for_round(r)
                               for h in houses)
+        assert held[k + 1:k + spr + 1] == [loads] * spr
 
 
 def test_unresponsive_loads_are_evaluated_once_per_house_per_round(
         monkeypatch):
     cfg = builtin_config("s1", n_houses=3, days=2, discard_days=1)
-    calls, stepping = Counter(), []
-    value_for_round, run = UnresponsiveProfile.value_for_round, Federation.run
+    calls = Counter()
+    value_for_round = UnresponsiveProfile.value_for_round
 
     def counting(profile, index):
-        if stepping:
-            calls[index] += 1
+        calls[index] += 1
         return value_for_round(profile, index)
 
-    def flagged_run(fed, until_s):
-        stepping.append(True)
-        return run(fed, until_s)
-
     monkeypatch.setattr(UnresponsiveProfile, "value_for_round", counting)
-    monkeypatch.setattr(Federation, "run", flagged_run)
     run_scenario(cfg)
     n_rounds = 2 * 288
     # rounds 0 .. n_rounds: the last publication is for the round after

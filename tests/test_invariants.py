@@ -27,7 +27,8 @@ def small_configs(draw):
         n_pv=draw(st.integers(0, n_houses)),
         days=2, discard_days=1,
         seed=draw(st.integers(0, 2**32 - 1)),
-        t_market_s=draw(st.sampled_from([120.0, 180.0, 300.0, 600.0, 900.0])),
+        t_market_s=draw(st.sampled_from([60.0, 120.0, 180.0, 300.0, 600.0,
+                                         900.0])),
     )
     # low initial charge reaches the forced-charge gate below 20% SoC
     soc_lo = draw(st.floats(0.05, 0.9))
@@ -43,6 +44,9 @@ def small_configs(draw):
 # an EV below 20% SoC whose forced-charge buy does not clear
 @example(dict(n_houses=3, n_ev=1, n_pv=0, days=2, discard_days=1,
               seed=478825, t_market_s=900.0, grid_capacity_kw=10.0))
+# one step per round: EV ranges must be those the round cleared against
+@example(dict(n_houses=4, n_ev=4, n_pv=4, days=2, discard_days=1,
+              t_market_s=60.0))
 def test_invariants_hold_on_random_small_configs(overrides):
     result = run_scenario(builtin_config("s5", **overrides))
     assert result.max_imbalance_w <= 1.0

@@ -39,12 +39,14 @@ def test_registration_after_run_rejected():
 
 def test_clock_rejects_market_period_not_multiple_of_step():
     with pytest.raises(ValueError):
-        SimClock(t=0.0, step=60.0, t_market=250.0)
+        SimClock(step=60.0, t_market=250.0)
+    with pytest.raises(ValueError):
+        SimClock(step=60.0, t_market=0.0)
 
 
 def test_clock_rejects_nonpositive_step():
     with pytest.raises(ValueError):
-        SimClock(t=0.0, step=0.0, t_market=300.0)
+        SimClock(step=0.0, t_market=300.0)
 
 
 def test_handler_invocation_count():
@@ -190,41 +192,75 @@ def test_failing_federate_aborts_with_diagnostic():
         fed.run(600.0)
 
 
-def test_per_federate_rng_streams_are_deterministic_and_distinct():
-    def run_once():
-        draws = {}
-
-        def make(name):
-            def handler(ctx):
-                draws.setdefault(name, []).append(ctx.rng.random())
-            return handler
-
-        fed = Federation(step_s=60.0, seed=42)
-        fed.register_federate("a", make("a"))
-        fed.register_federate("b", make("b"))
-        fed.run(300.0)
-        return draws
-
-    first, second = run_once(), run_once()
-    assert first == second
-    assert first["a"] != first["b"]
+@pytest.mark.parametrize("per_round", [1, 2, 5])
+def test_round_schedule_at_every_step(per_round):
+    seen = []
+    fed = Federation(step_s=60.0, t_market_s=60.0 * per_round)
+    fed.register_federate(
+        "r", lambda ctx: seen.append((ctx.clearing_round, ctx.next_round)))
+    fed.run(60.0 * 4 * per_round)
+    # round r clears at step n*r; its inputs are published one step
+    # earlier, so they are visible when it clears
+    clearing = {per_round * r: r for r in range(4)}
+    upcoming = {per_round * r - 1: r for r in range(1, 5)}
+    assert seen == [(clearing.get(k), upcoming.get(k))
+                    for k in range(4 * per_round)]
 
 
-def test_published_values_identical_across_runs():
-    def run_once():
-        fed = Federation(step_s=60.0, seed=7)
+def test_round_schedule_continues_across_runs():
+    seen = []
+    fed = Federation(step_s=60.0, t_market_s=180.0)
+    fed.register_federate(
+        "r", lambda ctx: seen.append((ctx.t, ctx.clearing_round,
+                                      ctx.next_round)))
+    fed.run(120.0)
+    fed.run(240.0)
+    assert seen == [(0.0, 0, None), (60.0, None, None), (120.0, None, 1),
+                    (180.0, 1, None), (240.0, None, None), (300.0, None, 2)]
 
-        def noisy(ctx):
-            ctx.publish("noise", ctx.rng.normal())
 
-        fed.register_federate("n", noisy)
-        trace = []
+@pytest.mark.parametrize("per_round", [1, 2, 5])
+def test_read_cleared_returns_what_the_last_clearing_step_saw(per_round):
+    def writer(ctx):
+        ctx.publish("x", ctx.t)
 
-        def recorder(ctx):
-            trace.append(ctx.read("noise", 0.0))
+    seen, at_clearing = [], {}
 
-        fed.register_federate("r", recorder)
-        fed.run(600.0)
-        return trace
+    def recorder(ctx):
+        if ctx.clearing_round is not None:
+            at_clearing[ctx.clearing_round] = ctx.read("x", None)
+        seen.append((ctx.clearing_round, ctx.read_cleared("x", None)))
 
-    assert run_once() == run_once()
+    fed = Federation(step_s=60.0, t_market_s=60.0 * per_round)
+    fed.register_federate("w", writer)
+    fed.register_federate("r", recorder)
+    n_steps = 6 * per_round
+    fed.run(60.0 * n_steps)
+    cleared = None
+    for k, (clearing, value) in enumerate(seen):
+        # served from the step after a clearing step up to and
+        # including the next clearing step, never a later publication
+        assert value == cleared, k
+        if clearing is not None:
+            cleared = at_clearing[clearing]
+    # round 0 clears on an empty bus, so the default holds through its
+    # window; round r saw the publication of step n*r - 1
+    assert [v for _, v in seen[:per_round + 1]] == [None] * (per_round + 1)
+    assert at_clearing == {r: 60.0 * (per_round * r - 1) if r else None
+                           for r in range(6)}
+
+
+def test_read_cleared_default_for_a_key_the_round_did_not_see():
+    seen = []
+
+    def late_writer(ctx):
+        if ctx.t >= 120.0:
+            ctx.publish("x", 1.0)
+
+    fed = Federation(step_s=60.0, t_market_s=120.0)
+    fed.register_federate("w", late_writer)
+    fed.register_federate("r", lambda ctx: seen.append(
+        ctx.read_cleared("x", "default")))
+    fed.run(360.0)
+    # published at step 2, visible from step 3, first cleared at step 4
+    assert seen == ["default"] * 5 + [1.0]

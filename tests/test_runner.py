@@ -44,7 +44,7 @@ def test_validation_errors():
         ScenarioConfig(step_s=70.0, t_market_s=300.0).validate()
     # configs that would fail only once stepping (or the whole run) is done
     for bad in (dict(step_s=0.0), dict(step_s=-60.0), dict(t_market_s=420.0),
-                dict(t_market_s=0.0), dict(n_houses=0),
+                dict(t_market_s=0.0), dict(n_houses=0), dict(n_houses=1001),
                 dict(grid_capacity_kw=0.0), dict(lmp_reference_capacity_kw=-1.0),
                 dict(vwap_mode="bogus"), dict(weather_mode="bogus"),
                 dict(weather_mode="csv"), dict(lmp_alpha=float("nan")),

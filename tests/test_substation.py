@@ -69,7 +69,6 @@ def test_house_bids_unresponsive_hvac_pv():
     unresp = by_trader[UNRESP_BASE + 3]
     assert (unresp.side, unresp.quantity, unresp.price) == \
         (Side.BUY, 1200, 1.00)
-    assert unresp.responsive is False
     hvac = by_trader[HVAC_BASE + 3]
     assert (hvac.side, hvac.quantity, hvac.price) == (Side.BUY, 4000, 0.50)
     pv = by_trader[PV_BASE + 3]
@@ -262,6 +261,7 @@ class StubContext:
 
     def __init__(self, values, t=0.0):
         self.t = t
+        self.clearing_round = 0
         self.values = values
         self.published = {}
 
