@@ -31,7 +31,8 @@ header = (f"{'scenario':<9}{'T_excess2':>10}{'VWAP $/kWh':>12}"
 print(header)
 print("-" * len(header))
 for name in ("s1", "s2", "s3", "s4", "s5"):
-    cfg = builtin_config(name, seed=args.seed, days=args.days)
+    cfg = builtin_config(name, seed=args.seed, days=args.days,
+                         discard_days=args.days // 2)
     res = run_scenario(cfg)
     s = res.summary
     grid_kw = max(x.grid_supplied_w for x in res.samples) / 1000.0

@@ -13,8 +13,6 @@ import numpy as np
 
 from .weather import DAY_S
 
-VWAP_MODES = ("volume", "round_mean")
-
 
 def t_excess2(t_air: float, t_setpoint: float) -> float:
     """Squared positive deviation of air temperature above the setpoint."""
@@ -66,12 +64,10 @@ def _trapz_mean(ts: np.ndarray, vs: np.ndarray) -> float:
 def summarize(samples: list[MetricsSample], transactions,
               window_start_s: float, window_end_s: float,
               t_market_s: float = 300.0,
-              violations: dict | None = None,
-              vwap_mode: str = "volume") -> ScenarioSummary:
+              violations: dict | None = None) -> ScenarioSummary:
     """Aggregate round samples and transactions over the analysis window.
 
-    vwap_mode "volume" weights every window transaction by quantity;
-    "round_mean" instead averages the per-round VWAPs.
+    The VWAP weights every window transaction by its quantity.
     """
     window = [s for s in samples if window_start_s <= s.t <= window_end_s]
     if not window:
@@ -81,17 +77,11 @@ def summarize(samples: list[MetricsSample], transactions,
     def bar(getter):
         return _trapz_mean(ts, np.array([getter(s) for s in window]))
 
-    if vwap_mode == "volume":
-        txs = [tx for tx in transactions
-               if window_start_s <= tx.round_index * t_market_s <= window_end_s]
-        total_q = sum(tx.quantity for tx in txs)
-        vwap_bar = (sum(tx.quantity * tx.price for tx in txs) / total_q
-                    if total_q else None)
-    elif vwap_mode == "round_mean":
-        vals = [s.round_vwap for s in window if s.round_vwap is not None]
-        vwap_bar = float(np.mean(vals)) if vals else None
-    else:
-        raise ValueError(f"unknown vwap_mode {vwap_mode!r}")
+    txs = [tx for tx in transactions
+           if window_start_s <= tx.round_index * t_market_s <= window_end_s]
+    total_q = sum(tx.quantity for tx in txs)
+    vwap_bar = (sum(tx.quantity * tx.price for tx in txs) / total_q
+                if total_q else None)
 
     violations = dict(violations or {})
     return ScenarioSummary(

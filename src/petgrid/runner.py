@@ -72,8 +72,6 @@ class ScenarioConfig:
     prices_pv_sell: float = 0.0148
     prices_ev_floor: float = 0.001
 
-    vwap_mode: str = "volume"
-
     def validate(self) -> None:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -117,8 +115,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown weather mode {self.weather_mode!r}")
         if self.weather_mode == "csv" and not self.weather_csv_path:
             raise ValueError("weather mode 'csv' needs weather.csv_path")
-        if self.vwap_mode not in metrics.VWAP_MODES:
-            raise ValueError(f"unknown vwap_mode {self.vwap_mode!r}")
 
 
 # Uncapped grid is approximated by a sentinel capacity that never binds.
@@ -148,7 +144,7 @@ _KEY_MAP = {
      else f"scenario.{f.name}"): f.name
     for f in dataclasses.fields(ScenarioConfig)
 } | {"houses.count": "n_houses", "ev.count": "n_ev", "kernel.step_s": "step_s",
-     "market.t_market_s": "t_market_s", "metrics.vwap_mode": "vwap_mode"}
+     "market.t_market_s": "t_market_s"}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
@@ -220,7 +216,6 @@ class RunResult:
     max_imbalance_w: float = 0.0
     soc_min: float = 1.0
     soc_max: float = 0.0
-    fleet: list = field(default_factory=list)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
@@ -242,8 +237,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
                                     profile,
                                     pv_rng=np.random.default_rng(pv_ss))
     fleet = evfleet.build_fleet(cfg, np.random.default_rng(ev_ss))
-    prices = substation.PriceBook(cfg.prices_unresponsive, cfg.prices_hvac,
-                                  cfg.prices_pv_sell, cfg.prices_ev_floor)
 
     fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("weather", weather.WeatherFederate(profile))
@@ -253,7 +246,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     ev_fed = evfleet.EvFederate(fleet, cfg.step_s, cfg.t_market_s,
                                 cfg.ev_efficiency, cfg.ev_efficiency)
     fed.register_federate("ev-fleet", ev_fed)
-    sub = substation.SubstationFederate(cfg, cfg.n_houses, cfg.n_ev, prices)
+    sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)
 
     fed.run(cfg.days * DAY_S)
@@ -267,12 +260,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     }
     summary = metrics.summarize(sub.samples, sub.transactions, *window,
                                 t_market_s=cfg.t_market_s,
-                                violations=violations,
-                                vwap_mode=cfg.vwap_mode)
+                                violations=violations)
     avg_day = metrics.average_day(sub.samples, cfg.t_market_s, *window)
     result = RunResult(cfg, summary, sub.samples, sub.transactions, avg_day,
                        violations, sub.max_imbalance_w,
-                       ev_fed.soc_min_seen, ev_fed.soc_max_seen, fleet)
+                       ev_fed.soc_min_seen, ev_fed.soc_max_seen)
 
     if out_dir is not None:
         write_outputs(result, Path(out_dir))

@@ -11,7 +11,6 @@ to supply ratio on top of a diurnal base curve.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,6 @@ EV_SELL_BASE = 5000
 MAX_HOUSES = HVAC_BASE - UNRESP_BASE
 
 
-@dataclass
-class PriceBook:
-    unresponsive: float = 1.00     # $/kWh, must-serve
-    hvac: float = 0.50             # high, but below unresponsive
-    pv_sell: float = 0.0148
-    ev_floor: float = 0.001        # must-discharge floor
-
-
 class LmpHistory:
     """Rolling grid-price series with the statistics the EV strategy needs,
     all read from one array built on first use after each append."""
@@ -49,7 +40,7 @@ class LmpHistory:
         self._values: deque[float] = deque(maxlen=self._n_long)
         self._array: np.ndarray | None = None
 
-    def append(self, t: float, lmp: float) -> None:
+    def append(self, lmp: float) -> None:
         self._values.append(lmp)
         self._array = None
 
@@ -100,21 +91,22 @@ def formulate_grid_bid(capacity_w: float, lmp: float,
     return Order(trader, Side.SELL, int(round(capacity_w)), lmp)
 
 
-def formulate_house_bids(house_index: int, unresponsive_w: float,
-                         hvac_demand_w: float, pv_potential_w: float,
-                         prices: PriceBook) -> list[Order]:
+def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
+                         pv_w: list[int], cfg) -> list[Order]:
+    """Orders of every house in house order: its appliance buy, HVAC buy
+    and PV sell, each one only when its quantity is positive."""
     orders = []
-    q = int(round(unresponsive_w))
-    if q > 0:
-        orders.append(Order(UNRESP_BASE + house_index, Side.BUY, q,
-                            prices.unresponsive))
-    q = int(round(hvac_demand_w))
-    if q > 0:
-        orders.append(Order(HVAC_BASE + house_index, Side.BUY, q, prices.hvac))
-    q = int(round(pv_potential_w))
-    if q > 0:
-        orders.append(Order(PV_BASE + house_index, Side.SELL, q,
-                            prices.pv_sell))
+    for i, (unresp, hvac, pv) in enumerate(zip(unresp_w, hvac_w, pv_w,
+                                               strict=True)):
+        if unresp > 0:
+            orders.append(Order(UNRESP_BASE + i, Side.BUY, unresp,
+                                cfg.prices_unresponsive))
+        if hvac > 0:
+            orders.append(Order(HVAC_BASE + i, Side.BUY, hvac,
+                                cfg.prices_hvac))
+        if pv > 0:
+            orders.append(Order(PV_BASE + i, Side.SELL, pv,
+                                cfg.prices_pv_sell))
     return orders
 
 
@@ -131,29 +123,27 @@ def ev_strategy_prices(hist: LmpHistory) -> tuple[float, float]:
     return buy, sell
 
 
-def ev_bids_two_sided(load_min_w: float, load_max_w: float) -> bool:
+def ev_bids_two_sided(lo: int, hi: int) -> bool:
     """True when the EV bids at the strategy prices (range straddles 0)."""
-    lo, hi = int(round(load_min_w)), int(round(load_max_w))
     return lo <= 0 <= hi and lo != hi
 
 
-def formulate_ev_bids(load_min_w: float, load_max_w: float,
-                      strategy: tuple[float, float] | None, ev_index: int,
-                      prices: PriceBook, buy_rank: int,
+def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
+                      ev_index: int, cfg, buy_rank: int,
                       sell_rank: int) -> list[Order]:
-    """Orders of EV `ev_index`; `strategy` is the `ev_strategy_prices`
-    pair, read only for a two-sided range. The ranks set the orders'
-    priority among EVs (lower fills first); trader ids stay stable."""
+    """Orders of EV `ev_index` for its load range `lo`..`hi` in W;
+    `strategy` is the `ev_strategy_prices` pair, read only for a two-sided
+    range. The ranks set the orders' priority among EVs (lower fills
+    first); trader ids stay stable."""
     buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
     sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
-    lo, hi = int(round(load_min_w)), int(round(load_max_w))
     if lo == 0 and hi == 0:
         return []
     if lo > 0:
-        return [Order(buy_trader, Side.BUY, lo, prices.unresponsive,
+        return [Order(buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
                       priority=buy_prio)]
     if hi < 0:
-        return [Order(sell_trader, Side.SELL, abs(hi), prices.ev_floor,
+        return [Order(sell_trader, Side.SELL, abs(hi), cfg.prices_ev_floor,
                       priority=sell_prio)]
     buy_price, sell_price = strategy
     orders = []
@@ -167,13 +157,16 @@ def formulate_ev_bids(load_min_w: float, load_max_w: float,
 
 
 class SubstationFederate:
-    """Runs one clearing round at every market period boundary."""
+    """Runs one clearing round at every market period boundary.
 
-    def __init__(self, cfg, n_houses: int, n_ev: int, prices: PriceBook):
+    At the top of each round the households' and EVs' bus values become
+    whole-watt packets, once: bids, dispatch, slack and every sample sum
+    read those integers, so the round trades, dispatches and accounts in
+    the same watts.
+    """
+
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.n_houses = n_houses
-        self.n_ev = n_ev
-        self.prices = prices
         self.capacity_w = cfg.grid_capacity_kw * 1000.0
         self.lmp_capacity_w = cfg.lmp_reference_capacity_kw * 1000.0
         self.hist = LmpHistory(cfg.t_market_s)
@@ -191,41 +184,41 @@ class SubstationFederate:
         lmp = compute_lmp(self.prev_demand_w, self.lmp_capacity_w, ctx.t,
                           self.cfg.lmp_p_base, self.cfg.lmp_alpha,
                           self.cfg.lmp_diurnal_amplitude)
-        self.hist.append(ctx.t, lmp)
+        self.hist.append(lmp)
+
+        n_ev = self.cfg.n_ev
+        no_houses = (0.0,) * self.cfg.n_houses
+        unresp, hvac, pv = ([round(w) for w in ctx.read(key, no_houses)]
+                            for key in ("houses/unresponsive_w",
+                                        "houses/hvac_demand_w",
+                                        "houses/pv_potential_w"))
+        ranges = [(round(lo), round(hi)) for lo, hi in
+                  ctx.read("evs/load_range_w", ((0.0, 0.0),) * n_ev)]
+        socs = ctx.read("evs/soc", (0.0,) * n_ev)
+        departs = ctx.read("evs/next_depart_s", (float("inf"),) * n_ev)
 
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
-        no_houses = (0.0,) * self.n_houses
-        unresp = ctx.read("houses/unresponsive_w", no_houses)
-        hvac_demand = ctx.read("houses/hvac_demand_w", no_houses)
-        pv_pot = ctx.read("houses/pv_potential_w", no_houses)
-        for i in range(self.n_houses):
-            orders.extend(formulate_house_bids(
-                i, unresp[i], hvac_demand[i], pv_pot[i], self.prices))
-        ranges = ctx.read("evs/load_range_w", ((0.0, 0.0),) * self.n_ev)
-        socs = ctx.read("evs/soc", (0.0,) * self.n_ev)
-        departs = ctx.read("evs/next_depart_s", (float("inf"),) * self.n_ev)
+        orders.extend(formulate_house_bids(unresp, hvac, pv, self.cfg))
         # EVs all bid the same strategy prices, so a tie-break on trader
         # id would ration scarce supply/demand to the same EVs every
         # round. Instead each EV order carries a priority rank: buys by
         # urgency (soonest next departure, then lowest SoC) so commuters
         # refill before idle vehicles, sells by fullness (descending SoC)
         # so the emptiest EVs keep their reserve.
-        by_urgency = sorted(range(self.n_ev),
+        by_urgency = sorted(range(n_ev),
                             key=lambda j: (departs[j], socs[j], j))
-        by_fullness = sorted(range(self.n_ev), key=lambda j: (-socs[j], j))
+        by_fullness = sorted(range(n_ev), key=lambda j: (-socs[j], j))
         buy_rank = {j: r for r, j in enumerate(by_urgency)}
         sell_rank = {j: r for r, j in enumerate(by_fullness)}
         strategy = (ev_strategy_prices(self.hist)
                     if any(ev_bids_two_sided(*r) for r in ranges) else None)
-        for j in range(self.n_ev):
-            orders.extend(formulate_ev_bids(*ranges[j], strategy, j,
-                                            self.prices, buy_rank[j],
-                                            sell_rank[j]))
+        for j, (lo, hi) in enumerate(ranges):
+            orders.extend(formulate_ev_bids(lo, hi, strategy, j, self.cfg,
+                                            buy_rank[j], sell_rank[j]))
 
         result = match_orders(orders, round_index)
         self.transactions.extend(result.transactions)
-        self._dispatch(ctx, result, unresp, hvac_demand, pv_pot, ranges,
-                       lmp, round_index)
+        self._dispatch(ctx, result, unresp, hvac, pv, ranges, lmp)
         # demand seen at the grid connection point: next round's LMP
         # tracks the import actually drawn from the wider grid, smoothed
         # so the grid/local-supply split settles instead of flip-flopping
@@ -233,8 +226,7 @@ class SubstationFederate:
         grid_import = float(result.sold.get(GRID_TRADER, 0))
         self.prev_demand_w = ema * grid_import + (1 - ema) * self.prev_demand_w
 
-    def _dispatch(self, ctx, result, unresp, hvac_demand, pv_pot, ranges,
-                  lmp, round_index) -> None:
+    def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> None:
         grid_supplied = result.sold.get(GRID_TRADER, 0)
         hvac_total = 0.0
         hvac_granted = []
@@ -243,22 +235,20 @@ class SubstationFederate:
         pv_supplied = 0.0
         pv_potential_total = 0.0
         pv_surplus = 0.0
-        for i in range(self.n_houses):
-            q_unresp = int(round(unresp[i]))
-            unresp_total += q_unresp
-            if q_unresp > 0 and result.bought.get(UNRESP_BASE + i, 0) == 0:
+        for i in range(self.cfg.n_houses):
+            unresp_total += unresp[i]
+            if unresp[i] > 0 and result.bought.get(UNRESP_BASE + i, 0) == 0:
                 # must-serve load left unfilled: serve it anyway via
                 # out-of-market slack and record the violation
                 self.unserved_unresponsive += 1
-                slack_w += q_unresp
+                slack_w += unresp[i]
             granted = result.bought.get(HVAC_BASE + i, 0)
             hvac_granted.append(float(granted))
             hvac_total += granted
             sold = result.sold.get(PV_BASE + i, 0)
-            pot = int(round(pv_pot[i]))
             pv_supplied += sold
-            pv_potential_total += pot
-            pv_surplus += max(pot - sold, 0)
+            pv_potential_total += pv[i]
+            pv_surplus += max(pv[i] - sold, 0)
         ctx.publish("dispatch/hvac_w", tuple(hvac_granted))
 
         ev_charge = 0.0
@@ -266,8 +256,7 @@ class SubstationFederate:
         ev_surplus = 0.0
         must_charge_w = 0.0
         ev_loads = []
-        for j in range(self.n_ev):
-            lo, hi = ranges[j]
+        for j, (lo, hi) in enumerate(ranges):
             bought = result.bought.get(EV_BASE + j, 0)
             sold = result.sold.get(EV_SELL_BASE + j, 0)
             if lo > 0:
@@ -276,8 +265,8 @@ class SubstationFederate:
                     # forced charge left unfilled: the EV charges at its
                     # range minimum anyway, served via out-of-market slack
                     self.ev_unfilled_must_charge += 1
-                    bought = int(round(lo))
-                    slack_w += bought
+                    bought = lo
+                    slack_w += lo
             net = float(bought - sold)
             ev_loads.append(net)
             if net > 0:
@@ -292,7 +281,7 @@ class SubstationFederate:
         load = unresp_total + hvac_total + ev_charge
         self.max_imbalance_w = max(self.max_imbalance_w, abs(supply - load))
 
-        p_target = unresp_total + sum(hvac_demand) + must_charge_w
+        p_target = unresp_total + sum(hvac) + must_charge_w
         self.samples.append(MetricsSample(
             t=ctx.t,
             mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0),

@@ -71,15 +71,15 @@ def test_c2_ev_strategy_invariants():
         n = int(rng.integers(1, 289))
         series = rng.uniform(0.001, 0.5, size=n)
         hist = LmpHistory(300.0)
-        for k, v in enumerate(series):
-            hist.append(k * 300.0, float(v))
+        for v in series:
+            hist.append(float(v))
         buy_p, sell_p = ev_strategy_prices(hist)
         ok &= sell_p >= buy_p
         ok &= buy_p == float(np.mean(series))
     # zero-IQR degenerate case collapses to equality
     hist = LmpHistory(300.0)
-    for k in range(288):
-        hist.append(k * 300.0, 0.0123)
+    for _ in range(288):
+        hist.append(0.0123)
     buy_p, sell_p = ev_strategy_prices(hist)
     ok &= buy_p == pytest.approx(0.0123) and sell_p == pytest.approx(0.0123)
     report("C2 EV bid-price invariants (10k histories)", bool(ok))

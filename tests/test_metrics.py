@@ -66,15 +66,11 @@ def test_vwap_bounded_by_window_prices():
     assert min(prices) <= out.vwap_bar <= max(prices)
 
 
-def test_vwap_round_mean_mode_and_no_trade_marker():
+def test_vwap_no_trade_marker():
     samples = [sample(0.0, vwap=0.010), sample(300.0, vwap=None),
                sample(600.0, vwap=0.020)]
-    out = summarize(samples, [], 0.0, 600.0, vwap_mode="round_mean")
-    assert out.vwap_bar == pytest.approx(0.015)
     out = summarize(samples, [], 0.0, 600.0)
-    assert out.vwap_bar is None  # volume mode with no transactions
-    with pytest.raises(ValueError):
-        summarize(samples, [], 0.0, 600.0, vwap_mode="median")
+    assert out.vwap_bar is None  # no transactions in the window
 
 
 def test_violation_count_totalled():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from petgrid import kernel
+from petgrid import evfleet, kernel
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             apply_settings, builtin_config, list_scenarios,
                             load_config_file, run_scenario)
@@ -46,7 +46,7 @@ def test_validation_errors():
     for bad in (dict(step_s=0.0), dict(step_s=-60.0), dict(t_market_s=420.0),
                 dict(t_market_s=0.0), dict(n_houses=0), dict(n_houses=1001),
                 dict(grid_capacity_kw=0.0), dict(lmp_reference_capacity_kw=-1.0),
-                dict(vwap_mode="bogus"), dict(weather_mode="bogus"),
+                dict(weather_mode="bogus"),
                 dict(weather_mode="csv"), dict(lmp_alpha=float("nan")),
                 dict(houses_cop=float("inf")), dict(discard_days=-1),
                 dict(houses_rc_hours_range=(float("nan"), 2.0)),
@@ -90,15 +90,24 @@ def test_apply_settings_coerces_by_declared_type():
         apply_settings(cfg, {"ev.seed": "five"})
 
 
-def test_ev_seed_setting_runs():
+def test_ev_seed_setting_runs(monkeypatch):
+    fleets = []
+    build_fleet = evfleet.build_fleet
+
+    def recording_build_fleet(*args):
+        fleets.append(build_fleet(*args))
+        return fleets[-1]
+
+    monkeypatch.setattr(evfleet, "build_fleet", recording_build_fleet)
     cfg = ScenarioConfig(n_houses=2, n_ev=2, days=2, discard_days=1)
     apply_settings(cfg, {"ev.seed": "5"})
-    a = run_scenario(cfg)
+    run_scenario(cfg)
     apply_settings(cfg, {"scenario.seed": "6"})
-    b = run_scenario(cfg)
+    run_scenario(cfg)
     # the EV fleet follows ev.seed, not the scenario seed
-    assert [ev.itinerary.trips for ev in a.fleet] == \
-        [ev.itinerary.trips for ev in b.fleet]
+    a, b = fleets
+    assert [ev.itinerary.trips for ev in a] == \
+        [ev.itinerary.trips for ev in b]
 
 
 def test_apply_settings_unknown_key():

@@ -11,14 +11,14 @@ from petgrid import substation
 from petgrid.market import Side, match_orders
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
-                                HVAC_BASE, LmpHistory, PV_BASE, PriceBook,
+                                HVAC_BASE, LmpHistory, PV_BASE,
                                 SubstationFederate, UNRESP_BASE, base_price,
                                 compute_lmp, ev_bids_two_sided,
                                 ev_strategy_prices, formulate_ev_bids,
                                 formulate_grid_bid, formulate_house_bids)
 
 H = 3600.0
-PRICES = PriceBook()
+CFG = ScenarioConfig()
 
 
 def test_base_price_trough_and_peak_hours():
@@ -64,8 +64,10 @@ def test_grid_bid_is_capacity_at_lmp():
 
 
 def test_house_bids_unresponsive_hvac_pv():
-    orders = formulate_house_bids(3, 1200.0, 4000.0, 4800.0, PRICES)
+    orders = formulate_house_bids([0, 0, 0, 1200], [0, 0, 0, 4000],
+                                  [0, 0, 0, 4800], CFG)
     by_trader = {o.trader: o for o in orders}
+    assert len(orders) == 3
     unresp = by_trader[UNRESP_BASE + 3]
     assert (unresp.side, unresp.quantity, unresp.price) == \
         (Side.BUY, 1200, 1.00)
@@ -76,8 +78,8 @@ def test_house_bids_unresponsive_hvac_pv():
 
 
 def test_house_bids_zero_quantities_omitted():
-    assert formulate_house_bids(0, 0.0, 0.0, 0.0, PRICES) == []
-    assert len(formulate_house_bids(0, 900.0, 0.0, 0.0, PRICES)) == 1
+    assert formulate_house_bids([0], [0], [0], CFG) == []
+    assert len(formulate_house_bids([900], [0], [0], CFG)) == 1
 
 
 class StubHistory:
@@ -89,8 +91,8 @@ class StubHistory:
 
 def test_ev_strategy_constant_history_degenerates_to_equality():
     hist = LmpHistory(300.0)
-    for k in range(300):
-        hist.append(k * 300.0, 0.017)
+    for _ in range(300):
+        hist.append(0.017)
     buy_p, sell_p = ev_strategy_prices(hist)
     assert buy_p == pytest.approx(0.017)
     assert sell_p == pytest.approx(0.017)
@@ -106,15 +108,15 @@ def test_ev_strategy_worked_examples():
 def test_history_windows_and_statistics():
     hist = LmpHistory(t_market_s=300.0)
     values = list(np.linspace(0.01, 0.03, 288))  # exactly 24 h of rounds
-    for k, v in enumerate(values):
-        hist.append(k * 300.0, v)
+    for v in values:
+        hist.append(v)
     assert hist.ma_long == pytest.approx(np.mean(values))
     assert hist.ma_short == pytest.approx(np.mean(values[-6:]))  # last 30 min
     assert hist.iqr_long == pytest.approx(
         np.percentile(values, 75) - np.percentile(values, 25))
     # ring buffer: a day later the early values must have fallen out
-    for k, v in enumerate(values):
-        hist.append((288 + k) * 300.0, v + 0.1)
+    for v in values:
+        hist.append(v + 0.1)
     assert hist.ma_long == pytest.approx(np.mean(values) + 0.1)
 
 
@@ -128,8 +130,8 @@ def test_history_empty_raises():
 @given(st.lists(st.floats(0.001, 0.5), min_size=1, max_size=288))
 def test_sell_price_never_below_buy_price(series):
     hist = LmpHistory(300.0)
-    for k, v in enumerate(series):
-        hist.append(k * 300.0, v)
+    for v in series:
+        hist.append(v)
     buy_p, sell_p = ev_strategy_prices(hist)
     assert sell_p >= buy_p
     assert buy_p == float(np.mean(series))
@@ -142,8 +144,8 @@ def test_history_statistics_match_separate_computations():
     for n in (1, 2, 5, 287, 288, 400):
         series = np.round(rng.uniform(0.01, 0.03, size=n), 4)
         hist = LmpHistory(300.0)
-        for k, v in enumerate(series):
-            hist.append(k * 300.0, float(v))
+        for v in series:
+            hist.append(float(v))
         window = series[-288:]
         assert hist.ma_long == float(np.mean(window))
         assert hist.ma_short == float(np.mean(window[-6:]))
@@ -152,24 +154,24 @@ def test_history_statistics_match_separate_computations():
 
 
 def test_ev_bids_forced_charge():
-    orders = formulate_ev_bids(11000.0, 11000.0, None, 4, PRICES, 4, 4)
+    orders = formulate_ev_bids(11000, 11000, None, 4, CFG, 4, 4)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price) == \
-        (EV_BASE + 4, Side.BUY, 11000, PRICES.unresponsive)
+        (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive)
 
 
 def test_ev_bids_must_discharge_at_floor():
-    orders = formulate_ev_bids(-11000.0, -11000.0, None, 4, PRICES, 4, 4)
+    orders = formulate_ev_bids(-11000, -11000, None, 4, CFG, 4, 4)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price) == \
-        (EV_SELL_BASE + 4, Side.SELL, 11000, PRICES.ev_floor)
+        (EV_SELL_BASE + 4, Side.SELL, 11000, CFG.prices_ev_floor)
 
 
 def test_ev_bids_two_sided_with_strategy_prices():
     strategy = ev_strategy_prices(StubHistory(0.020, 0.030, 0.010))
-    orders = formulate_ev_bids(-11000.0, 11000.0, strategy, 2, PRICES,
+    orders = formulate_ev_bids(-11000, 11000, strategy, 2, CFG,
                                buy_rank=5, sell_rank=7)
     by_side = {o.side: o for o in orders}
     assert by_side[Side.BUY].trader == EV_BASE + 2
@@ -183,23 +185,23 @@ def test_ev_bids_two_sided_with_strategy_prices():
 
 
 def test_ev_bids_idle_range_produces_no_orders():
-    assert formulate_ev_bids(0.0, 0.0, None, 0, PRICES, 0, 0) == []
+    assert formulate_ev_bids(0, 0, None, 0, CFG, 0, 0) == []
 
 
 def test_two_sided_classification():
-    assert ev_bids_two_sided(-11000.0, 11000.0)
-    assert ev_bids_two_sided(0.0, 11000.0)
-    assert ev_bids_two_sided(-11000.0, 0.2)
-    assert not ev_bids_two_sided(0.0, 0.4)       # idle after rounding
-    assert not ev_bids_two_sided(500.0, 11000.0)  # forced charge
-    assert not ev_bids_two_sided(-11000.0, -500.0)  # forced discharge
+    assert ev_bids_two_sided(-11000, 11000)
+    assert ev_bids_two_sided(0, 11000)
+    assert ev_bids_two_sided(-11000, 0)
+    assert not ev_bids_two_sided(0, 0)            # idle
+    assert not ev_bids_two_sided(500, 11000)      # forced charge
+    assert not ev_bids_two_sided(-11000, -500)    # forced discharge
 
 
 def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
     """With any price spread the sell sits strictly above the buy, so an
     EV's own ask is never eligible against its own bid."""
     strategy = ev_strategy_prices(StubHistory(0.020, 0.020, 0.004))
-    orders = formulate_ev_bids(-11000.0, 11000.0, strategy, 0, PRICES, 0, 0)
+    orders = formulate_ev_bids(-11000, 11000, strategy, 0, CFG, 0, 0)
     assert match_orders(orders).transactions == []
 
 
@@ -272,15 +274,17 @@ class StubContext:
         self.published[key] = value
 
 
-def ev_round(grid_kw, evs, hvac_w=0.0):
+def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0):
     """Clear one round of a one-house substation with the given EVs,
     each a (load_min_w, load_max_w, soc, next_depart_s) tuple."""
     values = {"houses/hvac_demand_w": (hvac_w,),
+              "houses/unresponsive_w": (unresp_w,),
+              "houses/pv_potential_w": (pv_w,),
               "evs/load_range_w": tuple((lo, hi) for lo, hi, _, _ in evs),
               "evs/soc": tuple(soc for _, _, soc, _ in evs),
               "evs/next_depart_s": tuple(depart for *_, depart in evs)}
-    sub = SubstationFederate(ScenarioConfig(grid_capacity_kw=grid_kw), 1,
-                             len(evs), PRICES)
+    sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=len(evs),
+                                            grid_capacity_kw=grid_kw))
     ctx = StubContext(values)
     sub(ctx)
     return sub, ctx
@@ -321,3 +325,41 @@ def test_unfilled_forced_charge_is_served_through_slack():
     assert sample.ev_charge_w == 33000.0
     assert sample.grid_supplied_w == 11000.0
     assert sub.max_imbalance_w == 0.0
+
+
+def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
+        monkeypatch):
+    books, strategy_calls = [], []
+    match, strategy = substation.match_orders, substation.ev_strategy_prices
+
+    def recording_match(orders, *args):
+        books.append(orders)
+        return match(orders, *args)
+
+    def counting_strategy(hist):
+        strategy_calls.append(hist)
+        return strategy(hist)
+
+    monkeypatch.setattr(substation, "match_orders", recording_match)
+    monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
+    # the grid covers the 1200 W appliance packet but not the forced charge
+    evs = [(10999.6, 10999.6, 0.10, float("inf")),
+           (-0.4, 0.4, 0.50, float("inf"))]
+    sub, ctx = ev_round(1.2, evs, unresp_w=1199.6, pv_w=0.4)
+    assert [(o.trader, o.quantity) for o in books[-1]] == \
+        [(GRID_TRADER, 1200), (UNRESP_BASE, 1200), (EV_BASE, 11000)]
+    assert strategy_calls == []     # (-0.4, 0.4) is idle once whole
+    assert ctx.published["dispatch/ev_load_w"] == (11000.0, 0.0)
+    sample = sub.samples[-1]
+    assert sample.p_target_w == 1200 + 11000
+    assert (sample.unresponsive_load_w, sample.ev_charge_w) == (1200, 11000)
+    assert (sample.pv_potential_w, sample.p_surplus_pv_w) == (0, 0)
+    assert sub.ev_unfilled_must_charge == 1
+    assert sub.max_imbalance_w == 0.0
+
+    # (-11000, 0.2) is whole as (-11000, 0): a two-sided range that only
+    # sells, at the strategy price
+    sub, _ = ev_round(100.0, [(-11000.0, 0.2, 0.50, float("inf"))])
+    assert len(strategy_calls) == 1
+    assert [(o.trader, o.side) for o in books[-1]] == \
+        [(GRID_TRADER, Side.SELL), (EV_SELL_BASE, Side.SELL)]
