@@ -11,7 +11,7 @@ can always drive.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +21,9 @@ HOME = "home"
 WORK = "work"
 OTHER = "other"
 
-
-@dataclass(frozen=True)
-class EvModel:
-    name: str
-    battery_capacity_kwh: float
-    max_charge_w: float
-    max_discharge_w: float
-    drive_consumption_kwh_per_km: float
-
-
-def default_models(charger_kw: float = 11.0,
-                   drive_kwh_per_km: float = 0.16) -> list[EvModel]:
-    charger_w = charger_kw * 1000.0
-    return [
-        EvModel("tesla_model_y_lr", 75.0, charger_w, charger_w,
-                drive_kwh_per_km),
-        EvModel("vw_id3", 58.0, charger_w, charger_w, drive_kwh_per_km),
-    ]
+# Pack sizes of the two car models, which alternate through the fleet:
+# a Tesla Model Y Long Range and a VW ID.3.
+PACK_KWH = (75.0, 58.0)
 
 
 @dataclass(frozen=True)
@@ -51,8 +36,7 @@ class Trip:
 
 @dataclass
 class Itinerary:
-    profile: str  # "worker" or "unemployed"
-    trips: list[Trip] = field(default_factory=list)
+    trips: list[Trip]
 
     def __post_init__(self):
         self._departs = [tr.depart_s for tr in self.trips]
@@ -93,7 +77,7 @@ class Itinerary:
 
 
 def generate_itinerary(profile: str, rng: np.random.Generator,
-                       days: int, speed_kmh: float = 30.0) -> Itinerary:
+                       days: int, speed_kmh: float) -> Itinerary:
     """Deterministic synthetic mobility trace for one EV."""
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -126,52 +110,33 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
         if cleaned and tr.depart_s < cleaned[-1].arrive_s:
             continue
         cleaned.append(tr)
-    return Itinerary(profile, cleaned)
+    return Itinerary(cleaned)
 
 
-@dataclass
-class EvState:
-    soc: float
-    commanded_load_w: float = 0.0
-    clamp_events: int = 0
+def step_battery(soc: float, command_w: float, itinerary: Itinerary,
+                 capacity_kwh: float, kwh_per_km: float, t: float, dt: float,
+                 eta: float) -> float:
+    """SoC after [t, t+dt) under driving and the commanded load.
 
-    def __post_init__(self):
-        if not 0.0 <= self.soc <= 1.0:
-            raise ValueError("soc must be within [0, 1]")
-
-
-def step_battery(state: EvState, itinerary: Itinerary, model: EvModel,
-                 t: float, dt: float, eta_c: float = 0.95,
-                 eta_d: float = 0.95) -> EvState:
-    """Advance SoC over [t, t+dt) under driving and the commanded load.
-
-    Charging delivers eta_c of the metered energy into the pack;
-    discharging draws 1/eta_d of the metered energy from the pack.
-    Excess commands that would push SoC outside [0, 1] are discarded
-    and counted as clamp events. Returns a new state and never mutates
-    `state`.
+    Charging delivers eta of the metered energy into the pack;
+    discharging draws 1/eta of the metered energy from the pack.
+    Excess commands that would push SoC outside [0, 1] are discarded.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    cap = model.battery_capacity_kwh
-    energy = state.soc * cap
-    energy -= itinerary.driving_kwh(t, dt, model.drive_consumption_kwh_per_km)
-    clamps = state.clamp_events
-    command = state.commanded_load_w
-    if command != 0.0 and itinerary.at_home(t):
-        load_kw = command / 1000.0
+    energy = soc * capacity_kwh
+    energy -= itinerary.driving_kwh(t, dt, kwh_per_km)
+    if command_w != 0.0 and itinerary.at_home(t):
+        load_kw = command_w / 1000.0
         hours = dt / 3600.0
         if load_kw > 0:
-            energy += load_kw * hours * eta_c
+            energy += load_kw * hours * eta
         else:
-            energy -= (-load_kw) * hours / eta_d
-    clamped = min(max(energy, 0.0), cap)
-    if abs(clamped - energy) > 1e-12:
-        clamps += 1
-    return EvState(clamped / cap, command, clamps)
+            energy -= (-load_kw) * hours / eta
+    return min(max(energy, 0.0), capacity_kwh) / capacity_kwh
 
 
-def load_range(state: EvState, itinerary: Itinerary, model: EvModel,
+def load_range(soc: float, itinerary: Itinerary, charger_w: float,
                t: float, t_market: float) -> tuple[float, float]:
     """Admissible (load_min, load_max) in W for the round starting at t.
 
@@ -181,37 +146,36 @@ def load_range(state: EvState, itinerary: Itinerary, model: EvModel,
     """
     if not itinerary.at_home(t) or itinerary.next_departure(t) < t + t_market:
         return (0.0, 0.0)
-    soc = state.soc
     if soc > 0.90:
-        return (-model.max_discharge_w, 0.0)
+        return (-charger_w, 0.0)
     if soc >= 0.30:
-        return (-model.max_discharge_w, model.max_charge_w)
+        return (-charger_w, charger_w)
     if soc >= 0.20:
-        return (0.0, model.max_charge_w)
-    return (model.max_charge_w, model.max_charge_w)
+        return (0.0, charger_w)
+    return (charger_w, charger_w)
 
 
-class Ev:
-    def __init__(self, model: EvModel, itinerary: Itinerary, state: EvState):
-        self.model = model
-        self.itinerary = itinerary
-        self.state = state
+@dataclass
+class EvFleet:
+    """Per-EV columns in EV order; only `soc` changes in a run."""
+
+    soc: list[float]
+    capacity_kwh: list[float]
+    itineraries: list[Itinerary]
 
 
-def build_fleet(cfg, rng: np.random.Generator) -> list[Ev]:
+def build_fleet(cfg, rng: np.random.Generator) -> EvFleet:
     """Assemble the EV fleet per the config: worker/unemployed mix and
     alternating car models."""
-    models = default_models(cfg.ev_charger_kw, cfg.ev_drive_kwh_per_km)
     n_workers = int(round(cfg.n_ev * cfg.ev_worker_ratio))
-    fleet = []
     lo, hi = cfg.ev_initial_soc_range
+    fleet = EvFleet([], [], [])
     for j in range(cfg.n_ev):
         profile = "worker" if j < n_workers else "unemployed"
-        itinerary = generate_itinerary(profile, rng, cfg.days,
-                                       cfg.ev_speed_kmh)
-        model = models[j % len(models)]
-        state = EvState(soc=rng.uniform(lo, hi))
-        fleet.append(Ev(model, itinerary, state))
+        fleet.itineraries.append(generate_itinerary(profile, rng, cfg.days,
+                                                    cfg.ev_speed_kmh))
+        fleet.capacity_kwh.append(PACK_KWH[j % len(PACK_KWH)])
+        fleet.soc.append(rng.uniform(lo, hi))
     return fleet
 
 
@@ -219,47 +183,44 @@ class EvFederate:
     """Steps every EV battery and publishes the fleet's admissible load
     ranges, SoCs and next departures, one tuple each in EV order."""
 
-    def __init__(self, fleet: list[Ev], step_s: float, t_market_s: float,
-                 eta_c: float = 0.95, eta_d: float = 0.95):
+    def __init__(self, fleet: EvFleet, cfg):
         self.fleet = fleet
-        self.step_s = step_s
-        self.t_market_s = t_market_s
-        self.eta_c = eta_c
-        self.eta_d = eta_d
+        self.cfg = cfg
         self.range_violations = 0
         self.soc_min_seen = 1.0
         self.soc_max_seen = 0.0
         # bus defaults before the first dispatch and the first cleared round
-        self._no_dispatch = (0.0,) * len(fleet)
-        self._no_range = ((0.0, 0.0),) * len(fleet)
+        self._no_dispatch = (0.0,) * len(fleet.soc)
+        self._no_range = ((0.0, 0.0),) * len(fleet.soc)
 
     def __call__(self, ctx) -> None:
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
         # the ranges the dispatch in force was cleared against
         ranges = ctx.read_cleared("evs/load_range_w", self._no_range)
-        t, step_s, eta_c, eta_d = ctx.t, self.step_s, self.eta_c, self.eta_d
-        soc_min, soc_max = self.soc_min_seen, self.soc_max_seen
-        for ev, cmd, (lo, hi) in zip(self.fleet, loads, ranges, strict=True):
+        cfg, fleet = self.cfg, self.fleet
+        t, step_s = ctx.t, cfg.step_s
+        kwh_per_km, eta = cfg.ev_drive_kwh_per_km, cfg.ev_efficiency
+        socs = []
+        for soc, cmd, (lo, hi), itinerary, cap in zip(
+                fleet.soc, loads, ranges, fleet.itineraries,
+                fleet.capacity_kwh, strict=True):
             if cmd < lo - 0.5 or cmd > hi + 0.5:
                 self.range_violations += 1
                 cmd = min(max(cmd, lo), hi)
-            state = ev.state
-            state.commanded_load_w = cmd
-            state = ev.state = step_battery(state, ev.itinerary, ev.model, t,
-                                            step_s, eta_c, eta_d)
-            soc = state.soc
-            if soc < soc_min:
-                soc_min = soc
-            if soc > soc_max:
-                soc_max = soc
-        self.soc_min_seen, self.soc_max_seen = soc_min, soc_max
+            socs.append(step_battery(soc, cmd, itinerary, cap, kwh_per_km,
+                                     t, step_s, eta))
+        fleet.soc = socs
+        self.soc_min_seen = min([self.soc_min_seen, *socs])
+        self.soc_max_seen = max([self.soc_max_seen, *socs])
 
         if ctx.next_round is not None:
-            window_start = ctx.next_round * self.t_market_s + self.step_s
-            fleet = self.fleet
+            t_market = cfg.t_market_s
+            window_start = ctx.next_round * t_market + step_s
+            charger_w = cfg.ev_charger_kw * 1000.0
             ctx.publish("evs/load_range_w", tuple(
-                load_range(ev.state, ev.itinerary, ev.model, window_start,
-                           self.t_market_s) for ev in fleet))
-            ctx.publish("evs/soc", tuple(ev.state.soc for ev in fleet))
+                load_range(soc, itinerary, charger_w, window_start, t_market)
+                for soc, itinerary in zip(socs, fleet.itineraries)))
+            ctx.publish("evs/soc", tuple(socs))
             ctx.publish("evs/next_depart_s", tuple(
-                ev.itinerary.next_departure(window_start) for ev in fleet))
+                itinerary.next_departure(window_start)
+                for itinerary in fleet.itineraries))

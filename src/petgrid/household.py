@@ -3,7 +3,9 @@
 Each house is a first-order RC zone integrated with an exact exponential
 update, a cooling-only HVAC with hysteresis around a scheduled setpoint,
 a diurnal unresponsive appliance profile, and an optional PV array whose
-potential output scales with the irradiance fraction.
+potential output scales with the irradiance fraction. A house's only
+state is its air temperature; the rest is fixed at build or read from
+the bus in the step that uses it.
 """
 
 from __future__ import annotations
@@ -16,40 +18,20 @@ import numpy as np
 from .metrics import t_excess2
 from .weather import DAY_S
 
-HVAC_W_DEFAULT = 4000.0
 
+def step_thermal(t_air: float, temp_out: float, q_net: float, r: float,
+                 c: float, dt: float) -> float:
+    """Zone temperature after dt seconds with the inputs held constant.
 
-@dataclass
-class HouseThermalState:
-    t_air: float            # °C
-    t_setpoint: float       # °C
-    hvac_on: bool
-    r: float                # thermal resistance, °C/W
-    c: float                # thermal capacitance, J/°C
-    q_internal: float       # appliance/occupant heat gain, W
-    q_cool: float           # heat removal rate while HVAC runs, W
-
-    def __post_init__(self):
-        if self.r <= 0 or self.c <= 0 or self.q_cool <= 0:
-            raise ValueError("R, C and Q_cool must all be positive")
-
-
-def step_thermal(state: HouseThermalState, temp_out: float,
-                 dt: float) -> HouseThermalState:
-    """Advance the zone temperature by dt seconds (inputs held constant).
-
-    Exact solution of dT/dt = (temp_out - T)/(RC) + (Q_int - on*Q_cool)/C,
-    so any subdivision of dt gives the same result. Returns a new state
-    and never mutates `state`.
+    Exact solution of dT/dt = (temp_out - T)/(RC) + q_net/C, where q_net
+    is the internal heat gain less the HVAC's heat removal while it
+    runs, so any subdivision of dt gives the same result.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q_net = state.q_internal - (state.q_cool if state.hvac_on else 0.0)
-    t_inf = temp_out + state.r * q_net
-    decay = math.exp(-dt / (state.r * state.c))
-    t_new = t_inf + (state.t_air - t_inf) * decay
-    return HouseThermalState(t_new, state.t_setpoint, state.hvac_on, state.r,
-                             state.c, state.q_internal, state.q_cool)
+    t_inf = temp_out + r * q_net
+    decay = math.exp(-dt / (r * c))
+    return t_inf + (t_air - t_inf) * decay
 
 
 def setpoint(t: float, offset_c: float = 0.0, jitter_s: float = 0.0) -> float:
@@ -74,8 +56,7 @@ def setpoint(t: float, offset_c: float = 0.0, jitter_s: float = 0.0) -> float:
 
 
 def hvac_demand(t_air: float, t_setpoint: float, hvac_on: bool,
-                deadband_c: float = 1.0,
-                hvac_w: float = HVAC_W_DEFAULT) -> float:
+                deadband_c: float, hvac_w: float) -> float:
     """Predicted HVAC power for the next round: the fixed rating or zero.
 
     Hysteresis: turn on above setpoint + deadband/2, stay on until the
@@ -113,107 +94,70 @@ _UNRESP_SHAPE_MEAN = sum(
 ) / 24.0
 
 
-def unresponsive_curve(t: float, mean_w: float = 1150.0) -> float:
+def unresponsive_curve(t: float, mean_w: float) -> float:
     """Noise-free diurnal unresponsive load with the given daily mean."""
     hour = (t % DAY_S) / 3600.0
     return mean_w * _unresp_shape(hour) / _UNRESP_SHAPE_MEAN
 
 
-class UnresponsiveProfile:
-    """Per-house unresponsive load: diurnal curve plus bounded seeded noise.
+@dataclass
+class HouseFleet:
+    """Per-house columns in house order; only `t_air` changes in a run."""
 
-    Noise is precomputed per market round so values are deterministic
-    regardless of evaluation order.
+    t_air: list[float]              # °C
+    r: list[float]                  # thermal resistance, °C/W
+    c: list[float]                  # thermal capacitance, J/°C
+    setpoint_offset_c: list[float]
+    setpoint_jitter_s: list[float]
+    pv_panels: list[int]            # 0: no PV
+    noise: np.ndarray               # houses x rounds, unresponsive-load noise
+    q_cool: float                   # heat removal rate while HVAC runs, W
+
+
+def unresponsive_loads(fleet: HouseFleet, index: int,
+                       cfg) -> tuple[float, ...]:
+    """Every house's unresponsive load for market round `index`.
+
+    The diurnal curve at the round's midpoint is scaled by one plus each
+    house's noise for that round, drawn at build, so values are
+    deterministic regardless of evaluation order.
     """
-
-    def __init__(self, mean_w: float, rng: np.random.Generator | None = None,
-                 noise_frac: float = 0.10, round_s: float = 300.0,
-                 days: int = 8):
-        self.mean_w = mean_w
-        self.round_s = round_s
-        n_rounds = int(days * DAY_S / round_s) + 2
-        if rng is None or noise_frac == 0.0:
-            self._noise = np.zeros(n_rounds)
-        else:
-            self._noise = rng.uniform(-noise_frac, noise_frac, size=n_rounds)
-
-    def value_for_round(self, index: int) -> float:
-        i = max(index, 0) % len(self._noise)
-        mid = (i + 0.5) * self.round_s
-        v = unresponsive_curve(mid, self.mean_w) * (1.0 + self._noise[i])
-        return max(v, 0.0)
-
-
-@dataclass(frozen=True)
-class PvArray:
-    n_panels: int
-    panel_rating_w: float = 480.0
-
-    def __post_init__(self):
-        if not (1 <= self.n_panels):
-            raise ValueError("n_panels must be positive")
-
-
-def pv_potential(array: PvArray, irradiance_frac: float) -> float:
-    return array.n_panels * array.panel_rating_w * irradiance_frac
-
-
-class House:
-    """One simulated house: thermal zone, HVAC, unresponsive load, PV."""
-
-    def __init__(self, state: HouseThermalState,
-                 unresponsive: UnresponsiveProfile, pv: PvArray | None,
-                 setpoint_offset_c: float, setpoint_jitter_s: float,
-                 deadband_c: float, hvac_w: float):
-        self.state = state
-        self.unresponsive = unresponsive
-        self.pv = pv
-        self.setpoint_offset_c = setpoint_offset_c
-        self.setpoint_jitter_s = setpoint_jitter_s
-        self.deadband_c = deadband_c
-        self.hvac_w = hvac_w
+    base = unresponsive_curve((index + 0.5) * cfg.t_market_s,
+                              cfg.houses_unresponsive_mean_kw * 1000.0)
+    return tuple(max(base * (1.0 + x), 0.0)
+                 for x in fleet.noise[:, index].tolist())
 
 
 def build_houses(cfg, rng: np.random.Generator, weather,
-                 pv_rng: np.random.Generator | None = None) -> list[House]:
+                 pv_rng: np.random.Generator) -> HouseFleet:
     """Draw per-house parameters from the config ranges.
 
     PV sizes come from their own stream so scenarios with and without
     PV share an identical thermal fleet.
     """
-    if pv_rng is None:
-        pv_rng = rng
-    houses = []
-    rc_lo, rc_hi = cfg.houses_rc_hours_range
-    ua_lo, ua_hi = cfg.houses_ua_w_per_k_range
     pv_lo, pv_hi = cfg.pv_panels_range
-    q_cool = cfg.houses_hvac_kw * 1000.0 * cfg.houses_cop
+    noise_frac = cfg.houses_unresponsive_noise_frac
+    n_rounds = int(cfg.days * DAY_S / cfg.t_market_s) + 2
     t0 = weather.sample(0.0).temp_c
+    fleet = HouseFleet([], [], [], [], [], [],
+                       np.zeros((cfg.n_houses, n_rounds)),
+                       cfg.houses_hvac_kw * 1000.0 * cfg.houses_cop)
     for i in range(cfg.n_houses):
-        rc_s = rng.uniform(rc_lo, rc_hi) * 3600.0
-        ua = rng.uniform(ua_lo, ua_hi)
-        r = 1.0 / ua
-        c = rc_s * ua
+        rc_s = rng.uniform(*cfg.houses_rc_hours_range) * 3600.0
+        ua = rng.uniform(*cfg.houses_ua_w_per_k_range)
         offset = rng.uniform(-1.0, 1.0)
         jitter = rng.uniform(-1800.0, 1800.0)
-        profile = UnresponsiveProfile(
-            cfg.houses_unresponsive_mean_kw * 1000.0,
-            rng=rng, noise_frac=cfg.houses_unresponsive_noise_frac,
-            round_s=cfg.t_market_s, days=cfg.days,
-        )
-        pv = None
-        if i < cfg.n_pv:
-            pv = PvArray(int(pv_rng.integers(pv_lo, pv_hi + 1)),
-                         cfg.pv_panel_w)
-        t_set0 = setpoint(0.0, offset, jitter)
-        state = HouseThermalState(
-            t_air=min(t0, t_set0), t_setpoint=t_set0, hvac_on=False,
-            r=r, c=c, q_internal=profile.value_for_round(0),
-            q_cool=q_cool,
-        )
-        houses.append(House(state, profile, pv, offset, jitter,
-                            cfg.houses_deadband_c, cfg.houses_hvac_kw * 1000.0))
-    return houses
+        if noise_frac != 0.0:
+            fleet.noise[i] = rng.uniform(-noise_frac, noise_frac,
+                                         size=n_rounds)
+        fleet.pv_panels.append(int(pv_rng.integers(pv_lo, pv_hi + 1))
+                               if i < cfg.n_pv else 0)
+        fleet.t_air.append(min(t0, setpoint(0.0, offset, jitter)))
+        fleet.r.append(1.0 / ua)
+        fleet.c.append(rc_s * ua)
+        fleet.setpoint_offset_c.append(offset)
+        fleet.setpoint_jitter_s.append(jitter)
+    return fleet
 
 
 class HouseholdFederate:
@@ -224,58 +168,57 @@ class HouseholdFederate:
     barrier: one tuple per quantity, in house order.
     """
 
-    def __init__(self, houses: list[House], weather, step_s: float,
-                 t_market_s: float):
-        self.houses = houses
+    def __init__(self, fleet: HouseFleet, weather, cfg):
+        self.fleet = fleet
         self.weather = weather
-        self.step_s = step_s
-        self.t_market_s = t_market_s
+        self.cfg = cfg
         # bus defaults before the first weather step, the first dispatch
-        # and the first cleared round (whose loads build_houses set)
+        # and the first cleared round
         self._temp0 = weather.sample(0.0).temp_c
-        self._no_dispatch = (0.0,) * len(houses)
-        self._loads0 = tuple(h.state.q_internal for h in houses)
+        self._no_dispatch = (0.0,) * len(fleet.t_air)
+        self._loads0 = unresponsive_loads(fleet, 0, cfg)
 
     def __call__(self, ctx) -> None:
         # Unresponsive loads are held at the values their round cleared
-        # against, so the cleared quantity equals the power consumed.
+        # against, so the cleared quantity equals the power consumed;
+        # HVAC runs while its latest dispatch is positive.
         temp_out = ctx.read("weather/temp_c", self._temp0)
         hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
         loads = ctx.read_cleared("houses/unresponsive_w", self._loads0)
-        step_s = self.step_s
-        t_next = ctx.t + step_s
-        for h, granted, q in zip(self.houses, hvac_w, loads, strict=True):
-            state = h.state
-            state.hvac_on = granted > 0.0
-            state.q_internal = q
-            state = h.state = step_thermal(state, temp_out, step_s)
-            state.t_setpoint = setpoint(t_next, h.setpoint_offset_c,
-                                        h.setpoint_jitter_s)
-
-        if ctx.next_round is not None:
-            self._publish_round_inputs(ctx, ctx.next_round)
-
-    def _publish_round_inputs(self, ctx, next_round: int) -> None:
+        cfg, fleet = self.cfg, self.fleet
+        q_cool, step_s = fleet.q_cool, cfg.step_s
+        fleet.t_air = [
+            step_thermal(t_air, temp_out,
+                         q - (q_cool if granted > 0.0 else 0.0), r, c, step_s)
+            for t_air, granted, q, r, c in zip(fleet.t_air, hvac_w, loads,
+                                               fleet.r, fleet.c, strict=True)]
+        next_round = ctx.next_round
+        if next_round is None:
+            return
         # irradiance is a forecast for the coming window, which the bus
         # (latest values only) cannot carry, so it is sampled directly
-        window_start = next_round * self.t_market_s + self.step_s
-        window_mid = window_start + self.t_market_s / 2.0
+        window_start = next_round * cfg.t_market_s + step_s
+        window_mid = window_start + cfg.t_market_s / 2.0
         frac = self.weather.sample(window_mid).irradiance_frac
-        houses = self.houses
+        # the setpoint each house will hold through the next step
+        t_next = ctx.t + step_s
+        t_set = [setpoint(t_next, offset, jitter) for offset, jitter
+                 in zip(fleet.setpoint_offset_c, fleet.setpoint_jitter_s)]
+        deadband, rating = cfg.houses_deadband_c, cfg.houses_hvac_kw * 1000.0
         ctx.publish("houses/hvac_demand_w", tuple(
-            hvac_demand(h.state.t_air, h.state.t_setpoint, h.state.hvac_on,
-                        h.deadband_c, h.hvac_w) for h in houses))
-        ctx.publish("houses/unresponsive_w", tuple(
-            h.unresponsive.value_for_round(next_round) for h in houses))
+            hvac_demand(t_air, t_sp, granted > 0.0, deadband, rating)
+            for t_air, t_sp, granted in zip(fleet.t_air, t_set, hvac_w)))
+        ctx.publish("houses/unresponsive_w",
+                    unresponsive_loads(fleet, next_round, cfg))
+        panel_w = cfg.pv_panel_w
         ctx.publish("houses/pv_potential_w", tuple(
-            pv_potential(h.pv, frac) if h.pv is not None else 0.0
-            for h in houses))
+            n * panel_w * frac if n else 0.0 for n in fleet.pv_panels))
         sum_air = sum_set = sum_ex2 = 0.0
-        for h in houses:
-            sum_air += h.state.t_air
-            sum_set += h.state.t_setpoint
-            sum_ex2 += t_excess2(h.state.t_air, h.state.t_setpoint)
-        n = len(houses)
+        for t_air, t_sp in zip(fleet.t_air, t_set):
+            sum_air += t_air
+            sum_set += t_sp
+            sum_ex2 += t_excess2(t_air, t_sp)
+        n = len(t_set)
         ctx.publish("houses/mean_t_air_c", sum_air / n)
         ctx.publish("houses/mean_t_set_c", sum_set / n)
         ctx.publish("houses/mean_t_excess2", sum_ex2 / n)

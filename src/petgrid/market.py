@@ -108,8 +108,16 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
 
 
 def vwap(transactions) -> float | None:
-    """Volume-weighted average price; None marks a no-trade window."""
-    total_q = sum(tx.quantity for tx in transactions)
+    """Volume-weighted average price; None marks a no-trade window.
+
+    The spend is summed left to right: builtin sum() of floats is
+    compensated from Python 3.12 on, which changes the last bits.
+    """
+    total_q = 0
+    spend = 0.0
+    for tx in transactions:
+        total_q += tx.quantity
+        spend += tx.quantity * tx.price
     if total_q == 0:
         return None
-    return sum(tx.quantity * tx.price for tx in transactions) / total_q
+    return spend / total_q

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .market import vwap
 from .weather import DAY_S
 
 
@@ -79,14 +80,10 @@ def summarize(samples: list[MetricsSample], transactions,
 
     txs = [tx for tx in transactions
            if window_start_s <= tx.round_index * t_market_s <= window_end_s]
-    total_q = sum(tx.quantity for tx in txs)
-    vwap_bar = (sum(tx.quantity * tx.price for tx in txs) / total_q
-                if total_q else None)
-
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar(lambda s: s.mean_t_excess2),
-        vwap_bar=vwap_bar,
+        vwap_bar=vwap(txs),
         p_target_bar_w=bar(lambda s: s.p_target_w),
         p_supplied_bar_w=bar(lambda s: s.p_supplied_w),
         p_surplus_pv_bar_w=bar(lambda s: s.p_surplus_pv_w),

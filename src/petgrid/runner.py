@@ -20,6 +20,13 @@ from .weather import DAY_S
 WEATHER_MODES = ("synthetic", "csv")
 RANGE_FIELDS = ("houses_rc_hours_range", "houses_ua_w_per_k_range",
                 "pv_panels_range", "ev_initial_soc_range")
+POSITIVE_FIELDS = ("step_s", "grid_capacity_kw", "lmp_reference_capacity_kw",
+                   "houses_hvac_kw", "houses_cop", "ev_efficiency",
+                   "ev_charger_kw", "ev_speed_kmh")
+# order prices are built from the LMP and the prices_* fields
+NON_NEGATIVE_FIELDS = ("lmp_p_base", "lmp_alpha", "lmp_diurnal_amplitude",
+                       "prices_unresponsive", "prices_hvac", "prices_pv_sell",
+                       "prices_ev_floor", "ev_drive_kwh_per_km")
 
 
 @dataclass
@@ -83,6 +90,15 @@ class ScenarioConfig:
                             for v in value)
                     and value[0] <= value[1]):
                 raise ValueError(f"{key} must be two finite numbers lo <= hi")
+        for key in POSITIVE_FIELDS:
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
+        for key in NON_NEGATIVE_FIELDS:
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must not be negative")
+        if self.ev_efficiency > 1 or self.lmp_diurnal_amplitude > 1:
+            raise ValueError("ev_efficiency and lmp_diurnal_amplitude "
+                             "must not exceed 1")
         rc, ua, pv, soc = (getattr(self, key) for key in RANGE_FIELDS)
         if rc[0] <= 0 or ua[0] <= 0:
             raise ValueError("houses rc_hours_range and ua_w_per_k_range "
@@ -102,15 +118,10 @@ class ScenarioConfig:
             raise ValueError("discard_days must not be negative")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
-        if self.step_s <= 0:
-            raise ValueError("step_s must be positive")
         if self.t_market_s % self.step_s != 0:
             raise ValueError("t_market_s must be a multiple of step_s")
         if self.t_market_s <= 0 or DAY_S % self.t_market_s != 0:
             raise ValueError("t_market_s must be positive and divide a day")
-        if self.grid_capacity_kw <= 0 or self.lmp_reference_capacity_kw <= 0:
-            raise ValueError("grid capacity and LMP reference capacity "
-                             "must be positive")
         if self.weather_mode not in WEATHER_MODES:
             raise ValueError(f"unknown weather mode {self.weather_mode!r}")
         if self.weather_mode == "csv" and not self.weather_csv_path:
@@ -240,11 +251,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
 
     fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("weather", weather.WeatherFederate(profile))
-    house_fed = household.HouseholdFederate(houses, profile, cfg.step_s,
-                                            cfg.t_market_s)
-    fed.register_federate("households", house_fed)
-    ev_fed = evfleet.EvFederate(fleet, cfg.step_s, cfg.t_market_s,
-                                cfg.ev_efficiency, cfg.ev_efficiency)
+    fed.register_federate("households",
+                          household.HouseholdFederate(houses, profile, cfg))
+    ev_fed = evfleet.EvFederate(fleet, cfg)
     fed.register_federate("ev-fleet", ev_fed)
     sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)

@@ -64,6 +64,20 @@ def _probe(setting, *extra):
     _probe("pv.panels_range=8"),
     _probe("ev.initial_soc_range=0.5,1.5"),
     _probe("scenario.discard_days=-1", "--days", "1"),
+    _probe("houses.hvac_kw=0"),
+    _probe("houses.cop=0"),
+    _probe("prices.unresponsive=-1"),
+    _probe("prices.hvac=-0.5"),
+    _probe("prices.pv_sell=-0.01"),
+    _probe("prices.ev_floor=-0.001"),
+    _probe("lmp.p_base=-0.01"),
+    _probe("lmp.alpha=-5"),
+    _probe("lmp.diurnal_amplitude=3"),
+    _probe("ev.efficiency=0"),
+    _probe("ev.efficiency=1.5"),
+    _probe("ev.speed_kmh=0"),
+    _probe("ev.charger_kw=-5"),
+    _probe("ev.drive_kwh_per_km=-0.1"),
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):

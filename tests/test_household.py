@@ -1,76 +1,56 @@
 """House thermal model, HVAC hysteresis, unresponsive loads and PV."""
 
-import dataclasses
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from petgrid.household import (HouseholdFederate, HouseThermalState, PvArray,
-                               UnresponsiveProfile, build_houses, hvac_demand,
-                               pv_potential, setpoint, step_thermal,
-                               unresponsive_curve)
+from petgrid import household
+from petgrid.household import (HouseFleet, HouseholdFederate, build_houses,
+                               hvac_demand, setpoint, step_thermal,
+                               unresponsive_curve, unresponsive_loads)
 from petgrid.kernel import Federation
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
-from petgrid.weather import DAY_S, SyntheticWeather
+from petgrid.weather import DAY_S, SyntheticWeather, WeatherFederate
 
 H = 3600.0
-
-
-def make_state(**kw):
-    defaults = dict(t_air=25.0, t_setpoint=24.0, hvac_on=False,
-                    r=1.0 / 650.0, c=2.0 * H * 650.0, q_internal=0.0,
-                    q_cool=12000.0)
-    defaults.update(kw)
-    return HouseThermalState(**defaults)
+R, C = 1.0 / 650.0, 2.0 * H * 650.0
+Q_COOL = 12000.0
 
 
 def test_equilibrium_temperature_unchanged():
-    state = make_state(t_air=30.0, q_internal=0.0)
-    out = step_thermal(state, temp_out=30.0, dt=600.0)
-    assert out.t_air == pytest.approx(30.0, abs=1e-12)
+    out = step_thermal(30.0, temp_out=30.0, q_net=0.0, r=R, c=C, dt=600.0)
+    assert out == pytest.approx(30.0, abs=1e-12)
 
 
 def test_exponential_relaxation_worked_example():
     # Closed-form oracle: RC = 2 h, start 25 degC, outdoor 35 degC, no
     # gains, 1 h horizon: 35 - 10*exp(-0.5) = 28.9347 degC.
-    state = make_state(t_air=25.0, r=1.0 / 500.0, c=2 * H * 500.0)
-    out = step_thermal(state, temp_out=35.0, dt=H)
-    assert out.t_air == pytest.approx(35.0 - 10.0 * math.exp(-0.5), abs=1e-3)
+    out = step_thermal(25.0, temp_out=35.0, q_net=0.0, r=1.0 / 500.0,
+                       c=2 * H * 500.0, dt=H)
+    assert out == pytest.approx(35.0 - 10.0 * math.exp(-0.5), abs=1e-3)
 
 
 def test_cooling_decreases_temperature_at_equal_outdoor():
-    state = make_state(t_air=30.0, hvac_on=True, q_cool=12000.0)
-    out = step_thermal(state, temp_out=30.0, dt=60.0)
-    assert out.t_air < 30.0
+    out = step_thermal(30.0, temp_out=30.0, q_net=-Q_COOL, r=R, c=C, dt=60.0)
+    assert out < 30.0
 
 
 def test_subdivided_steps_match_single_step():
-    state = make_state(t_air=25.0, q_internal=800.0, hvac_on=True)
-    single = step_thermal(state, temp_out=35.0, dt=H)
-    stepped = state
+    q_net = 800.0 - Q_COOL
+    single = step_thermal(25.0, 35.0, q_net, R, C, H)
+    stepped = 25.0
     for _ in range(60):
-        stepped = step_thermal(stepped, temp_out=35.0, dt=60.0)
-    assert stepped.t_air == pytest.approx(single.t_air, abs=1e-9)
-
-
-@pytest.mark.parametrize("hvac_on", [False, True])
-def test_step_thermal_returns_a_new_state_and_leaves_its_input(hvac_on):
-    state = make_state(t_air=27.0, q_internal=900.0, hvac_on=hvac_on)
-    before = dataclasses.asdict(state)
-    out = step_thermal(state, temp_out=33.0, dt=60.0)
-    assert out is not state
-    assert dataclasses.asdict(state) == before
-    assert out.t_air != state.t_air
-    assert dataclasses.asdict(out) == dict(before, t_air=out.t_air)
+        stepped = step_thermal(stepped, 35.0, q_net, R, C, 60.0)
+    assert stepped == pytest.approx(single, abs=1e-9)
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        make_state(r=0.0)
-    with pytest.raises(ValueError):
-        step_thermal(make_state(), temp_out=30.0, dt=0.0)
+    for dt in (0.0, -60.0):
+        with pytest.raises(ValueError):
+            step_thermal(25.0, 30.0, 0.0, R, C, dt)
 
 
 def test_setpoint_schedule_oracle():
@@ -92,67 +72,36 @@ def test_setpoint_jitter_and_offset_bounds():
 
 
 def test_hvac_demand_above_setpoint():
-    assert hvac_demand(27.0, 24.0, hvac_on=False) == 4000.0
+    assert hvac_demand(27.0, 24.0, False, 1.0, 4000.0) == 4000.0
 
 
 def test_hvac_demand_below_setpoint():
-    assert hvac_demand(23.0, 24.0, hvac_on=False) == 0.0
+    assert hvac_demand(23.0, 24.0, False, 1.0, 4000.0) == 0.0
 
 
 def test_hvac_hysteresis_keeps_running_until_lower_band():
-    assert hvac_demand(23.8, 24.0, hvac_on=True, deadband_c=1.0) == 4000.0
-    assert hvac_demand(23.4, 24.0, hvac_on=True, deadband_c=1.0) == 0.0
+    assert hvac_demand(23.8, 24.0, True, 1.0, 4000.0) == 4000.0
+    assert hvac_demand(23.4, 24.0, True, 1.0, 4000.0) == 0.0
     # off unit does not start inside the deadband
-    assert hvac_demand(24.4, 24.0, hvac_on=False, deadband_c=1.0) == 0.0
+    assert hvac_demand(24.4, 24.0, False, 1.0, 4000.0) == 0.0
 
 
 def test_unresponsive_curve_mean_and_shape():
     ts = np.arange(0, DAY_S, 60.0)
-    values = np.array([unresponsive_curve(t, mean_w=1150.0) for t in ts])
+    values = np.array([unresponsive_curve(t, 1150.0) for t in ts])
     assert values.mean() == pytest.approx(1150.0, rel=0.01)
-    assert unresponsive_curve(6 * H) < unresponsive_curve(20 * H)
+    assert unresponsive_curve(6 * H, 1150.0) < unresponsive_curve(20 * H,
+                                                                  1150.0)
     assert np.all(values >= 0.0)
-    assert unresponsive_curve(5 * H) == pytest.approx(
-        unresponsive_curve(5 * H + DAY_S))
+    assert unresponsive_curve(5 * H, 1150.0) == pytest.approx(
+        unresponsive_curve(5 * H + DAY_S, 1150.0))
 
 
 def test_trough_is_daily_minimum_peak_at_evening():
     hours = np.arange(0, 24, 0.25)
-    vals = [unresponsive_curve(h * H) for h in hours]
+    vals = [unresponsive_curve(h * H, 1150.0) for h in hours]
     assert hours[int(np.argmin(vals))] == 6.0
     assert hours[int(np.argmax(vals))] == 20.0
-
-
-def test_unresponsive_profile_noise_bounded_and_deterministic():
-    p1 = UnresponsiveProfile(1150.0, np.random.default_rng(3), 0.10)
-    p2 = UnresponsiveProfile(1150.0, np.random.default_rng(3), 0.10)
-    base = UnresponsiveProfile(1150.0, None, 0.0)
-    for i in range(0, 2000, 37):
-        v1, v2, v0 = (p.value_for_round(i) for p in (p1, p2, base))
-        assert v1 == v2
-        assert abs(v1 - v0) <= 0.10 * v0 + 1e-9
-        assert v1 >= 0.0
-
-
-def test_fleet_daily_mean_close_to_target():
-    rng = np.random.default_rng(11)
-    profiles = [UnresponsiveProfile(1150.0, rng, 0.10) for _ in range(30)]
-    rounds = int(DAY_S / 300.0)
-    fleet = np.mean([[p.value_for_round(i) for i in range(rounds)]
-                     for p in profiles]) * 30
-    assert fleet == pytest.approx(34500.0, rel=0.10)
-
-
-def test_pv_potential_examples():
-    assert pv_potential(PvArray(10), 1.0) == 4800.0
-    assert pv_potential(PvArray(17), 0.0) == 0.0
-    assert pv_potential(PvArray(8), 0.5) == 1920.0
-    assert pv_potential(PvArray(20), 0.5) == 4800.0
-
-
-def test_pv_array_validation():
-    with pytest.raises(ValueError):
-        PvArray(0)
 
 
 def _cfg(**kw):
@@ -161,57 +110,127 @@ def _cfg(**kw):
     return cfg
 
 
+def _houses(cfg, seed=1):
+    return build_houses(cfg, np.random.default_rng(seed), SyntheticWeather(),
+                        pv_rng=np.random.default_rng(seed + 1))
+
+
+def test_unresponsive_profile_noise_bounded_and_deterministic():
+    cfg = _cfg(n_houses=6)
+    a, b = _houses(cfg, seed=3), _houses(cfg, seed=3)
+    quiet = _cfg(n_houses=6, houses_unresponsive_noise_frac=0.0)
+    base = _houses(quiet, seed=3)
+    assert not base.noise.any()
+    for i in range(0, 1400, 37):
+        v1, v2 = unresponsive_loads(a, i, cfg), unresponsive_loads(b, i, cfg)
+        v0 = unresponsive_loads(base, i, quiet)
+        curve = unresponsive_curve((i + 0.5) * 300.0, 1150.0)
+        assert v1 == v2
+        assert v0 == (curve,) * 6
+        assert all(abs(x - curve) <= 0.10 * curve + 1e-9 for x in v1)
+        assert all(x >= 0.0 for x in v1)
+
+
+def test_fleet_daily_mean_close_to_target():
+    cfg = _cfg(n_houses=30)
+    fleet = _houses(cfg, seed=11)
+    rounds = int(DAY_S / 300.0)
+    total = np.mean([unresponsive_loads(fleet, i, cfg)
+                     for i in range(rounds)]) * 30
+    assert total == pytest.approx(34500.0, rel=0.10)
+
+
+class Ctx:
+    """One publishing step of a household handler, outside a federation."""
+
+    def __init__(self, t, next_round):
+        self.t, self.next_round = t, next_round
+        self.published = {}
+
+    def read(self, key, default=0.0):
+        return default
+
+    def read_cleared(self, key, default):
+        return default
+
+    def publish(self, key, value):
+        self.published[key] = value
+
+
+def test_pv_potential_examples():
+    panels = [10, 17, 8, 20, 0]
+    fleet = HouseFleet([25.0] * 5, [R] * 5, [C] * 5, [0.0] * 5, [0.0] * 5,
+                       panels, np.zeros((5, 10)), Q_COOL)
+    cfg = _cfg(n_houses=5, n_pv=4)
+    for frac, expected in ((1.0, (4800.0, 8160.0, 3840.0, 9600.0, 0.0)),
+                           (0.5, (2400.0, 4080.0, 1920.0, 4800.0, 0.0)),
+                           (0.0, (0.0,) * 5)):
+        weather = SimpleNamespace(sample=lambda t, f=frac: SimpleNamespace(
+            temp_c=30.0, irradiance_frac=f))
+        ctx = Ctx(240.0, 1)
+        HouseholdFederate(fleet, weather, cfg)(ctx)
+        assert ctx.published["houses/pv_potential_w"] == expected
+
+
+def test_pv_array_validation():
+    for panels in ((0, 20), (8.5, 9.5)):
+        with pytest.raises(ValueError):
+            _cfg(n_pv=1, pv_panels_range=panels)
+
+
 def test_build_houses_respects_pv_count_and_panel_range():
-    cfg = _cfg(n_houses=12, n_pv=5)
-    profile = SyntheticWeather()
-    houses = build_houses(cfg, np.random.default_rng(1), profile,
-                          pv_rng=np.random.default_rng(2))
-    assert sum(1 for h in houses if h.pv is not None) == 5
-    for h in houses:
-        if h.pv is not None:
-            assert 8 <= h.pv.n_panels <= 20
-            assert h.pv.panel_rating_w == 480.0
+    fleet = _houses(_cfg(n_houses=12, n_pv=5))
+    assert fleet.pv_panels[5:] == [0] * 7
+    assert all(8 <= n <= 20 for n in fleet.pv_panels[:5])
 
 
 def test_pv_sizing_does_not_perturb_thermal_fleet():
     """Scenarios with and without PV must share identical houses."""
-    profile = SyntheticWeather()
-    with_pv = build_houses(_cfg(n_houses=10, n_pv=10),
-                           np.random.default_rng(5), profile,
-                           pv_rng=np.random.default_rng(6))
-    without = build_houses(_cfg(n_houses=10, n_pv=0),
-                           np.random.default_rng(5), profile,
-                           pv_rng=np.random.default_rng(6))
-    for a, b in zip(with_pv, without):
-        assert a.state.r == b.state.r
-        assert a.state.c == b.state.c
-        assert a.setpoint_offset_c == b.setpoint_offset_c
-        assert a.setpoint_jitter_s == b.setpoint_jitter_s
-        assert a.unresponsive.value_for_round(100) == \
-            b.unresponsive.value_for_round(100)
+    with_pv = _houses(_cfg(n_houses=10, n_pv=10), seed=5)
+    without = _houses(_cfg(n_houses=10, n_pv=0), seed=5)
+    assert with_pv.pv_panels != without.pv_panels
+    for column in ("t_air", "r", "c", "setpoint_offset_c",
+                   "setpoint_jitter_s", "q_cool"):
+        assert getattr(with_pv, column) == getattr(without, column)
+    assert np.array_equal(with_pv.noise, without.noise)
+
+
+def _recording_step_thermal(monkeypatch):
+    """Record every step_thermal call's q_net argument."""
+    q_nets = []
+    step = household.step_thermal
+
+    def recording(t_air, temp_out, q_net, r, c, dt):
+        q_nets.append(q_net)
+        return step(t_air, temp_out, q_net, r, c, dt)
+
+    monkeypatch.setattr(household, "step_thermal", recording)
+    return q_nets
 
 
 @pytest.mark.parametrize("t_market_s", [60.0, 120.0, 300.0])
 def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
-        t_market_s):
+        t_market_s, monkeypatch):
     cfg = _cfg(n_houses=4, t_market_s=t_market_s)
-    weather = SyntheticWeather()
-    houses = build_houses(cfg, np.random.default_rng(3), weather)
+    houses = _houses(cfg, seed=3)
+    q_nets = _recording_step_thermal(monkeypatch)
     spr = int(t_market_s // 60.0)
-    visible, held = [], []
+    visible = []
 
     def recorder(ctx):
-        # stepped after the households: the loads they held this step,
-        # and the latest loads they published before it
-        held.append(tuple(h.state.q_internal for h in houses))
+        # stepped after the households: the latest loads they published
+        # before this step
         visible.append(ctx.read("houses/unresponsive_w", None))
 
     fed = Federation(60.0, t_market_s)
     fed.register_federate("households",
-                          HouseholdFederate(houses, weather, 60.0, t_market_s))
+                          HouseholdFederate(houses, SyntheticWeather(), cfg))
     fed.register_federate("recorder", recorder)
     fed.run((14 * spr + 1) * 60.0)
-    round0 = tuple(h.unresponsive.value_for_round(0) for h in houses)
+    # no HVAC is dispatched, so q_net is the load each house held
+    n = cfg.n_houses
+    held = [tuple(q_nets[k:k + n]) for k in range(0, len(q_nets), n)]
+    round0 = unresponsive_loads(houses, 0, cfg)
     assert held[:spr + 1] == [round0] * (spr + 1)
     for r in range(1, 14):
         # round r's loads become visible at step spr*r, when it clears,
@@ -219,8 +238,7 @@ def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         k = spr * r
         loads = visible[k]
         assert visible[k - 1] != loads
-        assert loads == tuple(h.unresponsive.value_for_round(r)
-                              for h in houses)
+        assert loads == unresponsive_loads(houses, r, cfg)
         assert held[k + 1:k + spr + 1] == [loads] * spr
 
 
@@ -228,15 +246,126 @@ def test_unresponsive_loads_are_evaluated_once_per_house_per_round(
         monkeypatch):
     cfg = builtin_config("s1", n_houses=3, days=2, discard_days=1)
     calls = Counter()
-    value_for_round = UnresponsiveProfile.value_for_round
+    loads = household.unresponsive_loads
 
-    def counting(profile, index):
+    def counting(fleet, index, cfg):
         calls[index] += 1
-        return value_for_round(profile, index)
+        return loads(fleet, index, cfg)
 
-    monkeypatch.setattr(UnresponsiveProfile, "value_for_round", counting)
+    monkeypatch.setattr(household, "unresponsive_loads", counting)
     run_scenario(cfg)
     n_rounds = 2 * 288
-    # rounds 0 .. n_rounds: the last publication is for the round after
+    # one fleet evaluation, a value per house, for each of rounds
+    # 0 .. n_rounds: the last publication is for the round after
     assert sorted(calls) == list(range(n_rounds + 1))
-    assert set(calls.values()) == {cfg.n_houses}
+    assert set(calls.values()) == {1}
+
+
+class RecordingContext:
+    """Passes a step context through, recording what the households read
+    and publish."""
+
+    def __init__(self, ctx, inputs, published):
+        self._ctx, self._inputs, self._published = ctx, inputs, published
+        self.t, self.next_round = ctx.t, ctx.next_round
+
+    def read(self, key, default=0.0):
+        value = self._ctx.read(key, default)
+        self._inputs[key] = value
+        return value
+
+    def read_cleared(self, key, default):
+        value = self._ctx.read_cleared(key, default)
+        self._inputs[key] = value
+        return value
+
+    def publish(self, key, value):
+        self._published.append((self._ctx.t, key, value))
+        self._ctx.publish(key, value)
+
+
+def reference_publications(fleet, cfg, steps):
+    """Per-house scalar replay of the household model from the recorded
+    step inputs: each house keeps its air temperature, whether its HVAC
+    runs (the latest dispatch is positive), its heat gain and the
+    setpoint at the end of the step."""
+    n = len(fleet.t_air)
+    t_air = list(fleet.t_air)
+    hvac_on = [False] * n
+    t_set = [0.0] * n
+    rating = cfg.houses_hvac_kw * 1000.0
+    q_cool = rating * cfg.houses_cop
+    half = cfg.houses_deadband_c / 2.0
+    out = []
+    for t, next_round, inputs in steps:
+        temp_out = inputs["weather/temp_c"]
+        for i in range(n):
+            hvac_on[i] = inputs["dispatch/hvac_w"][i] > 0.0
+            q_net = (inputs["houses/unresponsive_w"][i]
+                     - (q_cool if hvac_on[i] else 0.0))
+            t_inf = temp_out + fleet.r[i] * q_net
+            decay = math.exp(-cfg.step_s / (fleet.r[i] * fleet.c[i]))
+            t_air[i] = t_inf + (t_air[i] - t_inf) * decay
+            t_set[i] = setpoint(t + cfg.step_s, fleet.setpoint_offset_c[i],
+                                fleet.setpoint_jitter_s[i])
+        if next_round is None:
+            continue
+        demand = []
+        for i in range(n):
+            bound = t_set[i] - half if hvac_on[i] else t_set[i] + half
+            demand.append(rating if t_air[i] > bound else 0.0)
+        mid = next_round * cfg.t_market_s + cfg.step_s + cfg.t_market_s / 2.0
+        frac = SyntheticWeather().sample(mid).irradiance_frac
+        curve = unresponsive_curve((next_round + 0.5) * cfg.t_market_s,
+                                   cfg.houses_unresponsive_mean_kw * 1000.0)
+        sum_air = sum_set = sum_ex2 = 0.0
+        for i in range(n):
+            sum_air += t_air[i]
+            sum_set += t_set[i]
+            sum_ex2 += max(t_air[i] - t_set[i], 0.0) ** 2
+        out += [
+            (t, "houses/hvac_demand_w", tuple(demand)),
+            (t, "houses/unresponsive_w", tuple(
+                max(curve * (1.0 + float(fleet.noise[i, next_round])), 0.0)
+                for i in range(n))),
+            (t, "houses/pv_potential_w", tuple(
+                panels * cfg.pv_panel_w * frac if panels else 0.0
+                for panels in fleet.pv_panels)),
+            (t, "houses/mean_t_air_c", sum_air / n),
+            (t, "houses/mean_t_set_c", sum_set / n),
+            (t, "houses/mean_t_excess2", sum_ex2 / n),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("t_market_s", [60.0, 300.0])
+def test_household_step_matches_a_scalar_reference(t_market_s):
+    cfg = _cfg(n_houses=5, n_pv=3, t_market_s=t_market_s, pv_panel_w=400.0)
+    weather = SyntheticWeather()
+    fleet = _houses(cfg, seed=7)
+    start = build_houses(cfg, np.random.default_rng(7), weather,
+                         pv_rng=np.random.default_rng(8))
+    houses = HouseholdFederate(fleet, weather, cfg)
+    steps, published = [], []
+
+    def dispatcher(ctx):
+        # scripted on/off HVAC dispatch, toggling at a different period
+        # for each house so both hysteresis bands are crossed
+        k = int(ctx.t // 60.0)
+        ctx.publish("dispatch/hvac_w", tuple(
+            4000.0 if (k // (3 + 4 * i)) % 2 else 0.0 for i in range(5)))
+
+    def stepping(ctx):
+        inputs = {}
+        houses(RecordingContext(ctx, inputs, published))
+        steps.append((ctx.t, ctx.next_round, inputs))
+
+    fed = Federation(60.0, t_market_s)
+    fed.register_federate("weather", WeatherFederate(weather))
+    fed.register_federate("dispatcher", dispatcher)
+    fed.register_federate("households", stepping)
+    fed.run(DAY_S)
+    assert len(published) == 6 * int(DAY_S / t_market_s)
+    assert any(any(d) for _, key, d in published
+               if key == "houses/hvac_demand_w")
+    assert published == reference_publications(start, cfg, steps)

@@ -126,6 +126,14 @@ def test_vwap_examples():
     assert MarketResult().round_vwap is None
 
 
+def test_vwap_sums_left_to_right():
+    # products 1e16, 1, 1: a compensated sum (builtin sum() of floats
+    # from Python 3.12 on) gives 1e16 + 2, a left-to-right sum 1e16
+    txs = [Transaction(1, 2, 1, 1e16), Transaction(1, 3, 1, 1.0),
+           Transaction(1, 4, 1, 1.0)]
+    assert vwap(txs) == ((1e16 + 1.0) + 1.0) / 3
+
+
 # ---------------------------------------------------------------------------
 # Property-based checks against a brute-force oracle
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from petgrid.market import Transaction
+from petgrid.market import Transaction, vwap
 from petgrid.metrics import MetricsSample, average_day, summarize, t_excess2
 
 
@@ -53,6 +53,15 @@ def test_vwap_volume_weighted_over_window_transactions():
     samples = [sample(t) for t in np.arange(3000.0, 3700.0, 300.0)]
     out = summarize(samples, txs, 3000.0, 3600.0)
     assert out.vwap_bar == pytest.approx(0.012)
+
+
+def test_vwap_bar_is_the_market_vwap_of_the_window():
+    txs = [Transaction(1, 2, 1, 1e16, round_index=1),
+           Transaction(1, 3, 1, 1.0, round_index=2),
+           Transaction(1, 4, 1, 1.0, round_index=3)]
+    samples = [sample(t) for t in np.arange(0.0, 1200.0, 300.0)]
+    out = summarize(samples, txs, 0.0, 900.0)
+    assert out.vwap_bar == vwap(txs) == ((1e16 + 1.0) + 1.0) / 3
 
 
 def test_vwap_bounded_by_window_prices():

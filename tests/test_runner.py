@@ -59,7 +59,18 @@ def test_validation_errors():
                 dict(pv_panels_range=(8, 20, 30)),
                 dict(pv_panels_range=("8", "20")),
                 dict(ev_initial_soc_range=(0.5, 1.5)),
-                dict(ev_initial_soc_range=(-0.1, 0.5))):
+                dict(ev_initial_soc_range=(-0.1, 0.5)),
+                # zero heat removal, and order prices that would go
+                # negative: each fails mid-run or breaks the physics
+                dict(houses_hvac_kw=0.0), dict(houses_cop=-3.0),
+                dict(prices_unresponsive=-1.0), dict(prices_hvac=-0.5),
+                dict(prices_pv_sell=-0.01), dict(prices_ev_floor=-0.001),
+                dict(lmp_p_base=-0.01), dict(lmp_alpha=-5.0),
+                dict(lmp_diurnal_amplitude=3.0),
+                dict(lmp_diurnal_amplitude=-0.1),
+                dict(ev_efficiency=0.0), dict(ev_efficiency=1.5),
+                dict(ev_speed_kmh=0.0), dict(ev_charger_kw=-5.0),
+                dict(ev_charger_kw=0.0), dict(ev_drive_kwh_per_km=-0.1)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
 
@@ -106,8 +117,8 @@ def test_ev_seed_setting_runs(monkeypatch):
     run_scenario(cfg)
     # the EV fleet follows ev.seed, not the scenario seed
     a, b = fleets
-    assert [ev.itinerary.trips for ev in a] == \
-        [ev.itinerary.trips for ev in b]
+    assert [it.trips for it in a.itineraries] == \
+        [it.trips for it in b.itineraries]
 
 
 def test_apply_settings_unknown_key():
