@@ -68,7 +68,8 @@ def summarize(samples: list[MetricsSample], transactions,
               violations: dict | None = None) -> ScenarioSummary:
     """Aggregate round samples and transactions over the analysis window.
 
-    The VWAP weights every window transaction by its quantity.
+    The VWAP weights every window transaction by its quantity; the
+    transactions are streamed, so a run's fills are never copied.
     """
     window = [s for s in samples if window_start_s <= s.t <= window_end_s]
     if not window:
@@ -78,12 +79,11 @@ def summarize(samples: list[MetricsSample], transactions,
     def bar(getter):
         return _trapz_mean(ts, np.array([getter(s) for s in window]))
 
-    txs = [tx for tx in transactions
-           if window_start_s <= tx.round_index * t_market_s <= window_end_s]
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar(lambda s: s.mean_t_excess2),
-        vwap_bar=vwap(txs),
+        vwap_bar=vwap(tx for tx in transactions if window_start_s
+                      <= tx.round_index * t_market_s <= window_end_s),
         p_target_bar_w=bar(lambda s: s.p_target_w),
         p_supplied_bar_w=bar(lambda s: s.p_supplied_w),
         p_surplus_pv_bar_w=bar(lambda s: s.p_surplus_pv_w),

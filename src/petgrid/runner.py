@@ -14,6 +14,7 @@ import yaml
 
 from . import evfleet, household, metrics, substation, weather
 from .kernel import Federation
+from .market import TransactionLog
 from .weather import DAY_S
 
 
@@ -21,12 +22,16 @@ WEATHER_MODES = ("synthetic", "csv")
 RANGE_FIELDS = ("houses_rc_hours_range", "houses_ua_w_per_k_range",
                 "pv_panels_range", "ev_initial_soc_range")
 POSITIVE_FIELDS = ("step_s", "grid_capacity_kw", "lmp_reference_capacity_kw",
-                   "houses_hvac_kw", "houses_cop", "ev_efficiency",
-                   "ev_charger_kw", "ev_speed_kmh")
-# order prices are built from the LMP and the prices_* fields
+                   "weather_rated_irradiance_wm2", "houses_hvac_kw",
+                   "houses_cop", "ev_efficiency", "ev_charger_kw",
+                   "ev_speed_kmh")
+# order prices are built from the LMP and the prices_* fields; negative
+# loads, panels or deadbands would run but break the physics silently
 NON_NEGATIVE_FIELDS = ("lmp_p_base", "lmp_alpha", "lmp_diurnal_amplitude",
                        "prices_unresponsive", "prices_hvac", "prices_pv_sell",
-                       "prices_ev_floor", "ev_drive_kwh_per_km")
+                       "prices_ev_floor", "ev_drive_kwh_per_km",
+                       "houses_deadband_c", "houses_unresponsive_mean_kw",
+                       "pv_panel_w")
 
 
 @dataclass
@@ -221,7 +226,7 @@ class RunResult:
     config: ScenarioConfig
     summary: metrics.ScenarioSummary
     samples: list
-    transactions: list
+    transactions: TransactionLog
     average_day: tuple
     violations: dict = field(default_factory=dict)
     max_imbalance_w: float = 0.0
@@ -307,11 +312,11 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
                    s.mean_t_air_c, s.mean_setpoint_c, s.mean_t_excess2]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
+    txs = result.transactions
     with open(out_dir / "transactions.csv", "w") as fh:
         fh.write("round,buyer,seller,quantity_w,price_usd_per_kwh\n")
-        for tx in result.transactions:
-            fh.write(f"{tx.round_index},{tx.buyer},{tx.seller},"
-                     f"{tx.quantity},{_fmt(tx.price)}\n")
+        fh.writelines(map("{},{},{},{},{:.6f}\n".format, txs.round_index,
+                          txs.buyer, txs.seller, txs.quantity, txs.price))
 
     tod, cols = result.average_day
     with open(out_dir / "average_day.csv", "w") as fh:

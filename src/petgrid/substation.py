@@ -10,11 +10,13 @@ to supply ratio on top of a diurnal base curve.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections import deque
 
 import numpy as np
 
-from .market import Order, Side, match_orders
+from .market import Order, Side, TransactionLog, match_orders
 from .metrics import MetricsSample
 from .weather import DAY_S, diurnal_wave
 
@@ -30,18 +32,28 @@ MAX_HOUSES = HVAC_BASE - UNRESP_BASE
 
 
 class LmpHistory:
-    """Rolling grid-price series with the statistics the EV strategy needs,
-    all read from one array built on first use after each append."""
+    """Rolling grid-price series with the statistics the EV strategy needs.
+
+    The means are read from one array built on first use after each
+    append, because numpy's pairwise summation sets their last bits. The
+    quartiles are read from a sorted copy of the window that each append
+    keeps in order, with the interpolation `np.percentile` uses by
+    default, so no call sorts the window again.
+    """
 
     def __init__(self, t_market_s: float = 300.0, long_window_s: float = DAY_S,
                  short_window_s: float = 1800.0):
         self._n_long = max(int(round(long_window_s / t_market_s)), 1)
         self._n_short = max(int(round(short_window_s / t_market_s)), 1)
         self._values: deque[float] = deque(maxlen=self._n_long)
+        self._sorted: list[float] = []
         self._array: np.ndarray | None = None
 
     def append(self, lmp: float) -> None:
+        if len(self._values) == self._n_long:
+            del self._sorted[bisect_left(self._sorted, self._values[0])]
         self._values.append(lmp)
+        insort(self._sorted, lmp)
         self._array = None
 
     def __len__(self) -> int:
@@ -63,10 +75,22 @@ class LmpHistory:
     def ma_short(self) -> float:
         return float(np.mean(self._series()[-self._n_short:]))
 
+    def _quantile(self, q: float) -> float:
+        # numpy's default ("linear") rule, in its operation order
+        s = self._sorted
+        n = len(s)
+        v = (n - 1) * q
+        lo = math.floor(v)
+        g = v - lo
+        a, b = s[lo], s[min(lo + 1, n - 1)]
+        d = b - a
+        return b - d * (1 - g) if g >= 0.5 else a + d * g
+
     @property
     def iqr_long(self) -> float:
-        q25, q75 = np.percentile(self._series(), [25, 75])
-        return float(q75 - q25)
+        if not self._sorted:
+            raise ValueError("empty LMP history")
+        return self._quantile(0.75) - self._quantile(0.25)
 
 
 def base_price(t: float, p_base: float = 0.012,
@@ -172,7 +196,7 @@ class SubstationFederate:
         self.hist = LmpHistory(cfg.t_market_s)
         self.prev_demand_w = 0.0
         self.samples: list[MetricsSample] = []
-        self.transactions = []
+        self.transactions = TransactionLog()
         self.unserved_unresponsive = 0
         self.ev_unfilled_must_charge = 0
         self.max_imbalance_w = 0.0

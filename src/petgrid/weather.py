@@ -116,6 +116,11 @@ class CsvWeather:
                     wm2 = float(row["irradiance_wm2"])
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"weather CSV row {i}: {exc}") from exc
+                for name, value in (("timestamp", t), ("temp_c", temp),
+                                    ("irradiance_wm2", wm2)):
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"weather CSV row {i}: {name} must be finite")
                 if times and t <= times[-1]:
                     raise ValueError(
                         f"weather CSV row {i}: non-monotonic timestamp {t}"

@@ -78,6 +78,11 @@ def _probe(setting, *extra):
     _probe("ev.speed_kmh=0"),
     _probe("ev.charger_kw=-5"),
     _probe("ev.drive_kwh_per_km=-0.1"),
+    _probe("weather.rated_irradiance_wm2=0", "--set", "weather.mode=csv",
+           "--set", "weather.csv_path=weather.csv"),
+    _probe("houses.unresponsive_mean_kw=-1"),
+    _probe("pv.panel_w=-480"),
+    _probe("houses.deadband_c=-2"),
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):
@@ -92,6 +97,32 @@ def test_invalid_config_fails_before_any_step(setting, extra, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, extra", [
+    (["0,20,0", "3600,nan,0"], []),
+    (["0,20,nan", "3600,21,0"], []),
+    (["0,20,0", "3600,21,inf"], []),
+    (["0,20,0", "3600,21,500"], ["--set", "weather.rated_irradiance_wm2=0"]),
+], ids=["nan-temp", "nan-irradiance", "inf-irradiance", "zero-rating"])
+def test_bad_weather_csv_fails_before_any_step(rows, extra, capsys,
+                                               monkeypatch, tmp_path):
+    def no_stepping(*args):
+        raise AssertionError("the federation must not run")
+
+    csv_path = tmp_path / "weather.csv"
+    csv_path.write_text("timestamp,temp_c,irradiance_wm2\n"
+                        + "\n".join(rows) + "\n")
+    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
+    code = main(["run", "--scenario", "s5", "--days", "2",
+                 "--set", "scenario.discard_days=1", "--set", "houses.count=3",
+                 "--set", "ev.count=3", "--set", "scenario.n_pv=3",
+                 "--set", "weather.mode=csv",
+                 "--set", f"weather.csv_path={csv_path}", *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_run_with_ev_seed_override(tmp_path, capsys):

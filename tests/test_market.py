@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petgrid.market import MarketResult, Order, Side, Transaction, \
-    match_orders, vwap
+    TransactionLog, match_orders, vwap
 
 
 def buy(trader, q, p, priority=None):
@@ -116,6 +116,35 @@ def test_order_validation():
         Order(1, Side.BUY, 0, 0.01)
     with pytest.raises(ValueError):
         Order(1, Side.SELL, 100, -0.01)
+    with pytest.raises(ValueError):
+        Order(trader=1, side=Side.BUY, quantity=-5, price=0.01, priority=3)
+
+
+def test_orders_and_fills_are_tuples():
+    order = Order(trader=7, side=Side.SELL, quantity=100, price=0.02)
+    assert order == (7, Side.SELL, 100, 0.02, 7)
+    assert order._fields == ("trader", "side", "quantity", "price",
+                             "priority")
+    assert Transaction(1, 2, 3, 0.5) == (1, 2, 3, 0.5, 0)
+    with pytest.raises(AttributeError):
+        order.price = 0.0
+
+
+def test_transaction_log_iterates_its_fills_in_order():
+    log = TransactionLog()
+    log.extend([])
+    assert len(log) == 0 and list(log) == []
+    first = [Transaction(1, 2, 300, 0.0155, 7),
+             Transaction(1, 3, 200, 0.5, 7)]
+    second = match_orders([buy(4, 100, 0.02), sell(5, 150, 0.01)],
+                          round_index=8).transactions
+    log.extend(first)
+    log.extend(second)
+    assert len(log) == 3
+    assert list(log) == first + second
+    assert list(log) == list(log)   # iterating does not consume the log
+    assert list(log.round_index) == [7, 7, 8]
+    assert list(log.price) == [0.0155, 0.5, 0.01]
 
 
 def test_vwap_examples():

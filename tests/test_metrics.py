@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from petgrid.market import Transaction, vwap
+from petgrid.market import Transaction, TransactionLog, vwap
 from petgrid.metrics import MetricsSample, average_day, summarize, t_excess2
 
 
@@ -73,6 +73,24 @@ def test_vwap_bounded_by_window_prices():
     out = summarize(samples, txs, 0.0, 6000.0)
     prices = [tx.price for tx in txs]
     assert min(prices) <= out.vwap_bar <= max(prices)
+
+
+def test_vwap_bar_from_a_log_equals_the_materialised_window():
+    rng = np.random.default_rng(3)
+    log, txs = TransactionLog(), []
+    for k in range(40):
+        fills = [Transaction(int(rng.integers(1000, 6000)),
+                             int(rng.integers(0, 6000)),
+                             int(rng.integers(1, 12_000)),
+                             float(rng.uniform(0.001, 1.0)), k)
+                 for _ in range(int(rng.integers(0, 6)))]
+        log.extend(fills)
+        txs.extend(fills)
+    samples = [sample(t) for t in np.arange(0.0, 12_000.0, 300.0)]
+    for start, end in ((0.0, 11_700.0), (3000.0, 9000.0), (3100.0, 3500.0)):
+        window = [tx for tx in txs if start <= tx.round_index * 300.0 <= end]
+        assert summarize(samples, log, start, end).vwap_bar == vwap(window)
+        assert summarize(samples, txs, start, end).vwap_bar == vwap(window)
 
 
 def test_vwap_no_trade_marker():

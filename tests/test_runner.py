@@ -1,14 +1,18 @@
 """Scenario configuration, end-to-end runs and output files."""
 
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 from petgrid import evfleet, kernel
+from petgrid.market import Transaction, TransactionLog
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
-                            apply_settings, builtin_config, list_scenarios,
-                            load_config_file, run_scenario)
+                            _fmt, apply_settings, builtin_config,
+                            list_scenarios, load_config_file, run_scenario,
+                            write_outputs)
 from petgrid.weather import DAY_S
 
 
@@ -70,7 +74,13 @@ def test_validation_errors():
                 dict(lmp_diurnal_amplitude=-0.1),
                 dict(ev_efficiency=0.0), dict(ev_efficiency=1.5),
                 dict(ev_speed_kmh=0.0), dict(ev_charger_kw=-5.0),
-                dict(ev_charger_kw=0.0), dict(ev_drive_kwh_per_km=-0.1)):
+                dict(ev_charger_kw=0.0), dict(ev_drive_kwh_per_km=-0.1),
+                # a division by zero in the CSV reader, or loads, panels
+                # and deadbands that run to exit 0 with broken physics
+                dict(weather_rated_irradiance_wm2=0.0, weather_mode="csv",
+                     weather_csv_path="weather.csv"),
+                dict(houses_unresponsive_mean_kw=-1.0),
+                dict(pv_panel_w=-480.0), dict(houses_deadband_c=-2.0)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
 
@@ -206,6 +216,33 @@ def test_run_scenario_balances_and_safety_small():
     assert result.max_imbalance_w <= 1.0
     assert 0.0 <= result.soc_min <= result.soc_max <= 1.0
     assert result.violations["ev_range"] == 0
+
+
+def per_row_transactions_csv(transactions) -> str:
+    """transactions.csv as the per-fill writer formatted it."""
+    lines = ["round,buyer,seller,quantity_w,price_usd_per_kwh\n"]
+    for tx in transactions:
+        lines.append(f"{tx.round_index},{tx.buyer},{tx.seller},"
+                     f"{tx.quantity},{_fmt(tx.price)}\n")
+    return "".join(lines)
+
+
+def test_transactions_csv_matches_the_per_row_writer(tmp_path):
+    rng = random.Random(8)
+    edge_prices = [0.0, 5e-7, 1.5e-6, 2.5e-6, 0.0155, 0.0000125, 1.0,
+                   123.4567895, 1e16, 2.0 ** -30]
+    log = TransactionLog()
+    for k in range(300):
+        log.extend([Transaction(rng.randrange(5000), rng.randrange(6000),
+                                rng.randrange(1, 2 ** 40),
+                                rng.choice(edge_prices + [rng.random()]), k)
+                    for _ in range(rng.randrange(4))])
+    result = run_scenario(builtin_config("s1", n_houses=2, days=2,
+                                         discard_days=1))
+    write_outputs(dataclasses.replace(result, transactions=log), tmp_path)
+    assert len(log) > 300
+    assert (tmp_path / "transactions.csv").read_text() == \
+        per_row_transactions_csv(log)
 
 
 def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petgrid import substation
-from petgrid.market import Side, match_orders
+from petgrid.market import Side, Transaction, TransactionLog, match_orders
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
                                 HVAC_BASE, LmpHistory, PV_BASE,
@@ -138,8 +138,8 @@ def test_sell_price_never_below_buy_price(series):
 
 
 def test_history_statistics_match_separate_computations():
-    """One shared array and one two-quantile percentile call give the
-    same bits as computing each statistic on its own."""
+    """The shared array and the sorted window give the same bits as
+    computing each statistic on its own with numpy."""
     rng = np.random.default_rng(5)
     for n in (1, 2, 5, 287, 288, 400):
         series = np.round(rng.uniform(0.01, 0.03, size=n), 4)
@@ -151,6 +151,48 @@ def test_history_statistics_match_separate_computations():
         assert hist.ma_short == float(np.mean(window[-6:]))
         assert hist.iqr_long == float(np.percentile(window, 75)
                                       - np.percentile(window, 25))
+
+
+# few distinct values, so windows hold long runs of ties and evictions
+# remove values that also sit elsewhere in the window
+TIED_LMPS = st.sampled_from([0.0, 0.0101, 0.0155, 0.0155, 0.02, 0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIED_LMPS | st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.integers(1, 8), st.integers(1, 4))
+def test_history_matches_numpy_bit_for_bit(series, n_long, n_short):
+    hist = LmpHistory(300.0, long_window_s=300.0 * n_long,
+                      short_window_s=300.0 * n_short)
+    for k, lmp in enumerate(series):
+        hist.append(lmp)
+        window = np.array(series[max(k + 1 - n_long, 0):k + 1])
+        q25, q75 = np.percentile(window, [25, 75])
+        assert len(hist) == len(window)
+        assert hist.iqr_long == float(q75 - q25)
+        assert hist.ma_long == float(np.mean(window))
+        assert hist.ma_short == float(np.mean(window[-n_short:]))
+
+
+def test_transaction_log_is_every_round_in_order(monkeypatch):
+    rounds = []
+
+    def recording(orders, round_index=0):
+        result = match_orders(orders, round_index)
+        rounds.append(result.transactions)
+        return result
+
+    monkeypatch.setattr(substation, "match_orders", recording)
+    result = run_scenario(builtin_config("s5", n_houses=4, n_ev=3, n_pv=2,
+                                         days=2, discard_days=1))
+    assert isinstance(result.transactions, TransactionLog)
+    expected = [tx for txs in rounds for tx in txs]
+    logged = list(result.transactions)
+    assert len(result.transactions) == len(expected) > 0
+    assert logged == expected
+    assert all(type(tx) is Transaction for tx in logged)
+    assert [tuple(map(type, tx)) for tx in logged] == \
+        [tuple(map(type, tx)) for tx in expected]
 
 
 def test_ev_bids_forced_charge():

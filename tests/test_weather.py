@@ -112,6 +112,14 @@ def test_csv_bad_value_names_row(tmp_path):
         CsvWeather.from_csv(path)
 
 
+@pytest.mark.parametrize("row", ["3600,nan,0", "3600,21,nan", "3600,21,inf",
+                                 "nan,21,0"])
+def test_csv_non_finite_value_names_row(tmp_path, row):
+    path = _write_csv(tmp_path, ["0,20,0", row])
+    with pytest.raises(ValueError, match="row 3: .* must be finite"):
+        CsvWeather.from_csv(path)
+
+
 def test_csv_empty_file_rejected(tmp_path):
     path = _write_csv(tmp_path, [])
     with pytest.raises(ValueError, match="no samples"):
