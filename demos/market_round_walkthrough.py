@@ -6,7 +6,7 @@ sell orders are divisible, and every transaction prices at the seller's
 ask — so each filled buyer pays the minimum possible for its packet.
 """
 
-from petgrid.market import Order, Side, match_orders, vwap
+from petgrid.market import Order, Side, match_orders
 
 orders = [
     # a house's must-serve appliance load: tiny quantity, very high price
@@ -34,7 +34,7 @@ for tx in result.transactions:
     print(f"  {tx.buyer:>5} <- {tx.seller:>5}  {tx.quantity:>7} W @ "
           f"{tx.price:.4f}")
 
-print(f"\nround VWAP: {vwap(result.transactions):.5f} $/kWh")
+print(f"\nround VWAP: {result.round_vwap:.5f} $/kWh")
 print("note: the EV's 11 kW packet cleared entirely because cheap PV")
 print("plus grid headroom covered it in full; had supply fallen short,")
 print("the indivisible packet would have been dropped, not trimmed.")

@@ -41,13 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.scenario in runner.BUILTIN_SCENARIOS:
         cfg = runner.builtin_config(args.scenario)
+    elif Path(args.scenario).exists():
+        cfg = runner.load_config_file(args.scenario)
     else:
-        path = Path(args.scenario)
-        if not path.exists():
-            print(f"error: unknown scenario {args.scenario!r}",
-                  file=sys.stderr)
-            return 1
-        cfg = runner.load_config_file(path)
+        raise ValueError(f"unknown scenario {args.scenario!r}")
     if args.days is not None:
         cfg.days = args.days
     if args.seed is not None:
@@ -55,17 +52,11 @@ def _cmd_run(args) -> int:
     settings = {}
     for item in args.settings:
         if "=" not in item:
-            print(f"error: --set expects KEY=VALUE, got {item!r}",
-                  file=sys.stderr)
-            return 1
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         settings[key] = value
-    try:
-        runner.apply_settings(cfg, settings)
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # run_scenario validates the final config before its first step
+    runner.apply_settings(cfg, settings)
 
     result = runner.run_scenario(cfg, out_dir=args.out)
     s = result.summary

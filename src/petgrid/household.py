@@ -11,6 +11,7 @@ the bus in the step that uses it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,10 @@ _UNRESP_ANCHORS_V = [1.10, 0.55, 1.00, 0.95, 1.25, 1.60, 1.20, 1.10]
 def _unresp_shape(hour: float) -> float:
     h = hour % 24.0
     xs, vs = _UNRESP_ANCHORS_H, _UNRESP_ANCHORS_V
-    for i in range(len(xs) - 1):
-        if xs[i] <= h <= xs[i + 1]:
-            w = (h - xs[i]) / (xs[i + 1] - xs[i])
-            return vs[i] * (1 - w) + vs[i + 1] * w
-    return vs[-1]
+    # the first segment whose right anchor is >= h; the anchors span a day
+    i = bisect_left(xs, h, 1) - 1
+    w = (h - xs[i]) / (xs[i + 1] - xs[i])
+    return vs[i] * (1 - w) + vs[i + 1] * w
 
 
 # Daily mean of the piecewise-linear shape (trapezoid over the anchors).

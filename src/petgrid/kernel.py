@@ -77,7 +77,7 @@ class StepContext:
 class Federation:
     """Lock-step scheduler playing the broker role for all federates."""
 
-    def __init__(self, step_s: float = 60.0, t_market_s: float = 300.0):
+    def __init__(self, step_s: float, t_market_s: float):
         self.clock = SimClock(step=step_s, t_market=t_market_s)
         self._names: list[str] = []
         self._handlers: list[Callable[[StepContext], None]] = []

@@ -99,7 +99,8 @@ class MarketResult:
 
     @property
     def round_vwap(self) -> float | None:
-        return vwap(self.transactions)
+        txs = self.transactions
+        return vwap((tx.quantity for tx in txs), (tx.price for tx in txs))
 
 
 def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
@@ -147,17 +148,18 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     return result
 
 
-def vwap(transactions) -> float | None:
-    """Volume-weighted average price; None marks a no-trade window.
+def vwap(quantities, prices) -> float | None:
+    """Volume-weighted average price of fills given as parallel quantity
+    and price iterables; None marks a no-trade window.
 
     The spend is summed left to right: builtin sum() of floats is
     compensated from Python 3.12 on, which changes the last bits.
     """
     total_q = 0
     spend = 0.0
-    for tx in transactions:
-        total_q += tx.quantity
-        spend += tx.quantity * tx.price
+    for quantity, price in zip(quantities, prices, strict=True):
+        total_q += quantity
+        spend += quantity * price
     if total_q == 0:
         return None
     return spend / total_q

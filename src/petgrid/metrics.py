@@ -7,11 +7,12 @@ average transaction price.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import vwap
+from .market import TransactionLog, vwap
 from .weather import DAY_S
 
 
@@ -32,15 +33,15 @@ class MetricsSample:
     p_surplus_ev_w: float
     round_vwap: float | None
     lmp: float
-    grid_supplied_w: float = 0.0
-    pv_potential_w: float = 0.0
-    pv_supplied_w: float = 0.0
-    ev_charge_w: float = 0.0
-    ev_discharge_w: float = 0.0
-    hvac_load_w: float = 0.0
-    unresponsive_load_w: float = 0.0
-    mean_t_air_c: float = 0.0
-    mean_setpoint_c: float = 0.0
+    grid_supplied_w: float
+    pv_potential_w: float
+    pv_supplied_w: float
+    ev_charge_w: float
+    ev_discharge_w: float
+    hvac_load_w: float
+    unresponsive_load_w: float
+    mean_t_air_c: float
+    mean_setpoint_c: float
 
 
 @dataclass
@@ -62,14 +63,14 @@ def _trapz_mean(ts: np.ndarray, vs: np.ndarray) -> float:
     return float(np.trapezoid(vs, ts) / span)
 
 
-def summarize(samples: list[MetricsSample], transactions,
-              window_start_s: float, window_end_s: float,
-              t_market_s: float = 300.0,
+def summarize(samples: list[MetricsSample], transactions: TransactionLog,
+              window_start_s: float, window_end_s: float, t_market_s: float,
               violations: dict | None = None) -> ScenarioSummary:
     """Aggregate round samples and transactions over the analysis window.
 
-    The VWAP weights every window transaction by its quantity; the
-    transactions are streamed, so a run's fills are never copied.
+    The VWAP weights every window transaction by its quantity. The log's
+    rounds are in clearing order, so the window's fills are one slice,
+    found by bisection and read through memoryviews without a copy.
     """
     window = [s for s in samples if window_start_s <= s.t <= window_end_s]
     if not window:
@@ -79,11 +80,14 @@ def summarize(samples: list[MetricsSample], transactions,
     def bar(getter):
         return _trapz_mean(ts, np.array([getter(s) for s in window]))
 
+    rounds = transactions.round_index
+    lo = bisect_left(rounds, window_start_s, key=lambda r: r * t_market_s)
+    hi = bisect_right(rounds, window_end_s, key=lambda r: r * t_market_s)
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar(lambda s: s.mean_t_excess2),
-        vwap_bar=vwap(tx for tx in transactions if window_start_s
-                      <= tx.round_index * t_market_s <= window_end_s),
+        vwap_bar=vwap(memoryview(transactions.quantity)[lo:hi],
+                      memoryview(transactions.price)[lo:hi]),
         p_target_bar_w=bar(lambda s: s.p_target_w),
         p_supplied_bar_w=bar(lambda s: s.p_supplied_w),
         p_surplus_pv_bar_w=bar(lambda s: s.p_surplus_pv_w),

@@ -29,7 +29,7 @@ POSITIVE_FIELDS = ("step_s", "grid_capacity_kw", "lmp_reference_capacity_kw",
 # loads, panels or deadbands would run but break the physics silently
 NON_NEGATIVE_FIELDS = ("lmp_p_base", "lmp_alpha", "lmp_diurnal_amplitude",
                        "prices_unresponsive", "prices_hvac", "prices_pv_sell",
-                       "prices_ev_floor", "ev_drive_kwh_per_km",
+                       "ev_drive_kwh_per_km",
                        "houses_deadband_c", "houses_unresponsive_mean_kw",
                        "pv_panel_w")
 
@@ -82,7 +82,6 @@ class ScenarioConfig:
     prices_unresponsive: float = 1.00
     prices_hvac: float = 0.50
     prices_pv_sell: float = 0.0148
-    prices_ev_floor: float = 0.001
 
     def validate(self) -> None:
         for key, value in vars(self).items():
@@ -104,6 +103,10 @@ class ScenarioConfig:
         if self.ev_efficiency > 1 or self.lmp_diurnal_amplitude > 1:
             raise ValueError("ev_efficiency and lmp_diurnal_amplitude "
                              "must not exceed 1")
+        # above 1 the noise drives loads below 0 W, where they are clipped
+        if not 0 <= self.houses_unresponsive_noise_frac <= 1:
+            raise ValueError("houses_unresponsive_noise_frac must lie "
+                             "within [0, 1]")
         rc, ua, pv, soc = (getattr(self, key) for key in RANGE_FIELDS)
         if rc[0] <= 0 or ua[0] <= 0:
             raise ValueError("houses rc_hours_range and ua_w_per_k_range "
@@ -217,7 +220,6 @@ def load_config_file(path) -> ScenarioConfig:
         raise ValueError("config file must contain a mapping")
     cfg = ScenarioConfig(name=Path(path).stem)
     apply_settings(cfg, _flatten(raw))
-    cfg.validate()
     return cfg
 
 
@@ -273,8 +275,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
         "power_imbalance": int(sub.max_imbalance_w > 1.0),
     }
     summary = metrics.summarize(sub.samples, sub.transactions, *window,
-                                t_market_s=cfg.t_market_s,
-                                violations=violations)
+                                cfg.t_market_s, violations=violations)
     avg_day = metrics.average_day(sub.samples, cfg.t_market_s, *window)
     result = RunResult(cfg, summary, sub.samples, sub.transactions, avg_day,
                        violations, sub.max_imbalance_w,
@@ -325,25 +326,17 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
             fh.write(_fmt(float(t)) + ","
                      + ",".join(_fmt(float(cols[c][i])) for c in cols) + "\n")
 
-    summary = result.summary
+    cfg = result.config
     payload = {
-        "scenario": result.config.name,
-        "seed": result.config.seed,
-        "n_houses": result.config.n_houses,
-        "n_ev": result.config.n_ev,
-        "n_pv": result.config.n_pv,
-        "grid_capacity_kw": result.config.grid_capacity_kw,
-        "days": result.config.days,
-        "discard_days": result.config.discard_days,
-        "t_excess2_bar": summary.t_excess2_bar,
-        "vwap_bar": summary.vwap_bar,
-        "p_target_bar_w": summary.p_target_bar_w,
-        "p_supplied_bar_w": summary.p_supplied_bar_w,
-        "p_surplus_pv_bar_w": summary.p_surplus_pv_bar_w,
-        "p_surplus_ev_bar_w": summary.p_surplus_ev_bar_w,
-        "violation_count": summary.violation_count,
-        "violations": summary.violations,
-    }
+        "scenario": cfg.name,
+        "seed": cfg.seed,
+        "n_houses": cfg.n_houses,
+        "n_ev": cfg.n_ev,
+        "n_pv": cfg.n_pv,
+        "grid_capacity_kw": cfg.grid_capacity_kw,
+        "days": cfg.days,
+        "discard_days": cfg.discard_days,
+    } | dataclasses.asdict(result.summary)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -41,7 +41,7 @@ class LmpHistory:
     default, so no call sorts the window again.
     """
 
-    def __init__(self, t_market_s: float = 300.0, long_window_s: float = DAY_S,
+    def __init__(self, t_market_s: float, long_window_s: float = DAY_S,
                  short_window_s: float = 1800.0):
         self._n_long = max(int(round(long_window_s / t_market_s)), 1)
         self._n_short = max(int(round(short_window_s / t_market_s)), 1)
@@ -93,16 +93,14 @@ class LmpHistory:
         return self._quantile(0.75) - self._quantile(0.25)
 
 
-def base_price(t: float, p_base: float = 0.012,
-               amplitude: float = 0.25) -> float:
+def base_price(t: float, p_base: float, amplitude: float) -> float:
     """Diurnal grid base price, trough at 04:00 and peak at 18:00."""
     hour = (t % DAY_S) / 3600.0
     return p_base * (1.0 + amplitude * diurnal_wave(hour, 4.0, 18.0, -1.0, 1.0))
 
 
 def compute_lmp(prev_round_demand_w: float, capacity_w: float, t: float,
-                p_base: float = 0.012, alpha: float = 0.75,
-                amplitude: float = 0.25) -> float:
+                p_base: float, alpha: float, amplitude: float) -> float:
     """LMP rises quadratically with the demand to supply ratio."""
     if capacity_w <= 0:
         raise ValueError("capacity must be positive")
@@ -110,9 +108,8 @@ def compute_lmp(prev_round_demand_w: float, capacity_w: float, t: float,
     return base_price(t, p_base, amplitude) * (1.0 + alpha * u * u)
 
 
-def formulate_grid_bid(capacity_w: float, lmp: float,
-                       trader: int = GRID_TRADER) -> Order:
-    return Order(trader, Side.SELL, int(round(capacity_w)), lmp)
+def formulate_grid_bid(capacity_w: float, lmp: float) -> Order:
+    return Order(GRID_TRADER, Side.SELL, int(round(capacity_w)), lmp)
 
 
 def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
@@ -155,10 +152,11 @@ def ev_bids_two_sided(lo: int, hi: int) -> bool:
 def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
                       ev_index: int, cfg, buy_rank: int,
                       sell_rank: int) -> list[Order]:
-    """Orders of EV `ev_index` for its load range `lo`..`hi` in W;
-    `strategy` is the `ev_strategy_prices` pair, read only for a two-sided
-    range. The ranks set the orders' priority among EVs (lower fills
-    first); trader ids stay stable."""
+    """Orders of EV `ev_index` for its load range `lo`..`hi` in W, where
+    `hi` is 0 or the charger rating: nothing for an idle range, a buy at
+    the unresponsive price for a forced charge, else buys and sells at
+    `strategy`, the `ev_strategy_prices` pair. The ranks set the orders'
+    priority among EVs (lower fills first); trader ids stay stable."""
     buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
     sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
     if lo == 0 and hi == 0:
@@ -166,9 +164,6 @@ def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
     if lo > 0:
         return [Order(buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
                       priority=buy_prio)]
-    if hi < 0:
-        return [Order(sell_trader, Side.SELL, abs(hi), cfg.prices_ev_floor,
-                      priority=sell_prio)]
     buy_price, sell_price = strategy
     orders = []
     if hi > 0:

@@ -47,33 +47,25 @@ def diurnal_wave(hour: float, trough_h: float, peak_h: float,
 
 
 class SyntheticWeather:
-    """Deterministic synthetic weather profile."""
+    """Deterministic synthetic weather: the shape the module docstring
+    states, between the given temperature extremes."""
 
-    def __init__(self, temp_min_c: float = 23.0, temp_max_c: float = 35.0,
-                 temp_trough_h: float = 6.0, temp_peak_h: float = 15.0,
-                 sunrise_h: float = 6.5, sunset_h: float = 21.5,
-                 solar_peak_h: float = 12.0):
+    def __init__(self, temp_min_c: float, temp_max_c: float):
         self.temp_min_c = temp_min_c
         self.temp_max_c = temp_max_c
-        self.temp_trough_h = temp_trough_h
-        self.temp_peak_h = temp_peak_h
-        self.sunrise_h = sunrise_h
-        self.sunset_h = sunset_h
-        self.solar_peak_h = solar_peak_h
 
     def temp(self, t: float) -> float:
         hour = (t % DAY_S) / 3600.0
-        return diurnal_wave(hour, self.temp_trough_h, self.temp_peak_h,
-                            self.temp_min_c, self.temp_max_c)
+        return diurnal_wave(hour, 6.0, 15.0, self.temp_min_c, self.temp_max_c)
 
     def irradiance_frac(self, t: float) -> float:
         hour = (t % DAY_S) / 3600.0
-        if hour <= self.sunrise_h or hour >= self.sunset_h:
+        if hour <= 6.5 or hour >= 21.5:
             return 0.0
-        if hour <= self.solar_peak_h:
-            phase = (hour - self.sunrise_h) / (self.solar_peak_h - self.sunrise_h)
+        if hour <= 12.0:
+            phase = (hour - 6.5) / (12.0 - 6.5)
         else:
-            phase = (self.sunset_h - hour) / (self.sunset_h - self.solar_peak_h)
+            phase = (21.5 - hour) / (21.5 - 12.0)
         return 0.5 * (1.0 - math.cos(math.pi * phase))
 
     def sample(self, t: float) -> WeatherSample:
@@ -100,7 +92,7 @@ class CsvWeather:
         self._warned_wrap = False
 
     @classmethod
-    def from_csv(cls, path, rated_irradiance_wm2: float = 1000.0) -> "CsvWeather":
+    def from_csv(cls, path, rated_irradiance_wm2: float) -> "CsvWeather":
         times, temps, fracs = [], [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -147,9 +139,8 @@ class CsvWeather:
                 DAY_S, span_end - span_start
             )
             query = min(max(query, span_start), span_end)
+        # the query lies in [times[0], times[-1]], so i >= 1
         i = bisect.bisect_right(self.times, query)
-        if i == 0:
-            return WeatherSample(t, self.temps[0], self.fracs[0])
         if i >= len(self.times):
             return WeatherSample(t, self.temps[-1], self.fracs[-1])
         t0, t1 = self.times[i - 1], self.times[i]

@@ -69,7 +69,6 @@ def _probe(setting, *extra):
     _probe("prices.unresponsive=-1"),
     _probe("prices.hvac=-0.5"),
     _probe("prices.pv_sell=-0.01"),
-    _probe("prices.ev_floor=-0.001"),
     _probe("lmp.p_base=-0.01"),
     _probe("lmp.alpha=-5"),
     _probe("lmp.diurnal_amplitude=3"),
@@ -83,6 +82,8 @@ def _probe(setting, *extra):
     _probe("houses.unresponsive_mean_kw=-1"),
     _probe("pv.panel_w=-480"),
     _probe("houses.deadband_c=-2"),
+    _probe("houses.unresponsive_noise_frac=5"),     # loads clipped to 0 W
+    _probe("houses.unresponsive_noise_frac=-0.1"),
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):
@@ -175,3 +176,20 @@ def test_run_custom_config_file(tmp_path, capsys):
     payload = json.loads((out / "summary.json").read_text())
     assert payload["scenario"] == "custom"
     assert payload["n_houses"] == 3
+
+
+def test_config_file_is_validated_after_the_overrides(tmp_path, capsys):
+    """A file value that only the command line makes valid runs, and an
+    invalid final config still fails with one error line."""
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("scenario:\n  days: 2\nhouses:\n  count: 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: days must exceed discard_days\n"
+    assert not out.exists()
+    code = main(["run", "--scenario", str(cfg), "--out", str(out),
+                 "--set", "scenario.discard_days=1"])
+    assert code == 0
+    payload = json.loads((out / "summary.json").read_text())
+    assert (payload["days"], payload["discard_days"]) == (2, 1)

@@ -111,7 +111,8 @@ def _cfg(**kw):
 
 
 def _houses(cfg, seed=1):
-    return build_houses(cfg, np.random.default_rng(seed), SyntheticWeather(),
+    return build_houses(cfg, np.random.default_rng(seed),
+                        SyntheticWeather(23.0, 35.0),
                         pv_rng=np.random.default_rng(seed + 1))
 
 
@@ -223,8 +224,9 @@ def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         visible.append(ctx.read("houses/unresponsive_w", None))
 
     fed = Federation(60.0, t_market_s)
-    fed.register_federate("households",
-                          HouseholdFederate(houses, SyntheticWeather(), cfg))
+    fed.register_federate(
+        "households",
+        HouseholdFederate(houses, SyntheticWeather(23.0, 35.0), cfg))
     fed.register_federate("recorder", recorder)
     fed.run((14 * spr + 1) * 60.0)
     # no HVAC is dispatched, so q_net is the load each house held
@@ -315,7 +317,7 @@ def reference_publications(fleet, cfg, steps):
             bound = t_set[i] - half if hvac_on[i] else t_set[i] + half
             demand.append(rating if t_air[i] > bound else 0.0)
         mid = next_round * cfg.t_market_s + cfg.step_s + cfg.t_market_s / 2.0
-        frac = SyntheticWeather().sample(mid).irradiance_frac
+        frac = SyntheticWeather(23.0, 35.0).sample(mid).irradiance_frac
         curve = unresponsive_curve((next_round + 0.5) * cfg.t_market_s,
                                    cfg.houses_unresponsive_mean_kw * 1000.0)
         sum_air = sum_set = sum_ex2 = 0.0
@@ -341,7 +343,7 @@ def reference_publications(fleet, cfg, steps):
 @pytest.mark.parametrize("t_market_s", [60.0, 300.0])
 def test_household_step_matches_a_scalar_reference(t_market_s):
     cfg = _cfg(n_houses=5, n_pv=3, t_market_s=t_market_s, pv_panel_w=400.0)
-    weather = SyntheticWeather()
+    weather = SyntheticWeather(23.0, 35.0)
     fleet = _houses(cfg, seed=7)
     start = build_houses(cfg, np.random.default_rng(7), weather,
                          pv_rng=np.random.default_rng(8))

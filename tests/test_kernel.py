@@ -8,12 +8,12 @@ from petgrid.kernel import FederateFailure
 
 
 def test_first_registration_gets_id_zero():
-    fed = Federation()
+    fed = Federation(60.0, 300.0)
     assert fed.register_federate("weather", lambda ctx: None) == 0
 
 
 def test_ids_are_dense_in_registration_order():
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     seen = []
     ids = [fed.register_federate(f"f{i}", lambda ctx: seen.append(ctx.fed_id))
            for i in range(5)]
@@ -23,14 +23,14 @@ def test_ids_are_dense_in_registration_order():
 
 
 def test_duplicate_name_rejected():
-    fed = Federation()
+    fed = Federation(60.0, 300.0)
     fed.register_federate("weather", lambda ctx: None)
     with pytest.raises(FederationError, match="duplicate"):
         fed.register_federate("weather", lambda ctx: None)
 
 
 def test_registration_after_run_rejected():
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("a", lambda ctx: None)
     fed.run(60.0)
     with pytest.raises(FederationError, match="register"):
@@ -70,7 +70,7 @@ def test_eight_day_invocation_count():
 
 
 def test_run_horizon_must_be_step_multiple():
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("a", lambda ctx: None)
     with pytest.raises(ValueError):
         fed.run(90.0)
@@ -85,7 +85,7 @@ def test_publish_visible_from_next_step_only():
     def reader(ctx):
         seen.append(ctx.read("x", -1.0))
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("writer", writer)
     fed.register_federate("reader", reader)
     fed.run(180.0)
@@ -101,7 +101,7 @@ def reader(key, default, seen):
 
 def test_read_before_any_publish_returns_default():
     seen = []
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("r", reader("nope", 7.5, seen))
     fed.run(120.0)
     assert seen == [7.5, 7.5]
@@ -113,7 +113,7 @@ def test_last_write_wins_within_a_step():
         ctx.publish("x", 2.0)
 
     seen = []
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("w", writer)
     fed.register_federate("r", reader("x", 0.0, seen))
     fed.run(120.0)
@@ -127,7 +127,7 @@ def test_topic_ownership_enforced():
     def b(ctx):
         ctx.publish("shared", 2.0)
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("a", a)
     fed.register_federate("b", b)
     with pytest.raises(FederationError, match="owned by"):
@@ -141,7 +141,7 @@ def test_mutable_published_value_rejected(value):
     def writer(ctx):
         ctx.publish("x", value)
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("w", writer)
     with pytest.raises(FederationError, match="mutable"):
         fed.run(60.0)
@@ -155,7 +155,7 @@ def test_mutable_published_value_rejected(value):
         except FederationError as exc:
             errors.append(exc)
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("w", catching_writer)
     fed.register_federate("r", reader("x", None, seen))
     fed.run(120.0)
@@ -172,7 +172,7 @@ def test_causality_value_never_observable_same_step():
     def late_reader(ctx):
         observed.append((ctx.t, ctx.read("k", -1.0)))
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("writer", writer)
     fed.register_federate("late", late_reader)
     fed.run(300.0)
@@ -186,7 +186,7 @@ def test_failing_federate_aborts_with_diagnostic():
         if ctx.t >= 120.0:
             raise RuntimeError("boom")
 
-    fed = Federation(step_s=60.0)
+    fed = Federation(60.0, 300.0)
     fed.register_federate("fragile", bad)
     with pytest.raises(FederateFailure, match="fragile.*t=120"):
         fed.run(600.0)

@@ -148,19 +148,19 @@ def test_transaction_log_iterates_its_fills_in_order():
 
 
 def test_vwap_examples():
-    assert vwap([Transaction(1, 2, 2000, 0.010),
-                 Transaction(1, 3, 1000, 0.016)]) == pytest.approx(0.012)
-    assert vwap([Transaction(1, 2, 777, 0.031)]) == 0.031
-    assert vwap([]) is None
+    assert vwap([2000, 1000], [0.010, 0.016]) == pytest.approx(0.012)
+    assert MarketResult([Transaction(1, 2, 2000, 0.010),
+                         Transaction(1, 3, 1000, 0.016)]).round_vwap == \
+        pytest.approx(0.012)
+    assert vwap([777], [0.031]) == 0.031
+    assert vwap([], []) is None
     assert MarketResult().round_vwap is None
 
 
 def test_vwap_sums_left_to_right():
     # products 1e16, 1, 1: a compensated sum (builtin sum() of floats
     # from Python 3.12 on) gives 1e16 + 2, a left-to-right sum 1e16
-    txs = [Transaction(1, 2, 1, 1e16), Transaction(1, 3, 1, 1.0),
-           Transaction(1, 4, 1, 1.0)]
-    assert vwap(txs) == ((1e16 + 1.0) + 1.0) / 3
+    assert vwap([1, 1, 1], [1e16, 1.0, 1.0]) == ((1e16 + 1.0) + 1.0) / 3
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_validation_errors():
                 # negative: each fails mid-run or breaks the physics
                 dict(houses_hvac_kw=0.0), dict(houses_cop=-3.0),
                 dict(prices_unresponsive=-1.0), dict(prices_hvac=-0.5),
-                dict(prices_pv_sell=-0.01), dict(prices_ev_floor=-0.001),
+                dict(prices_pv_sell=-0.01),
                 dict(lmp_p_base=-0.01), dict(lmp_alpha=-5.0),
                 dict(lmp_diurnal_amplitude=3.0),
                 dict(lmp_diurnal_amplitude=-0.1),
@@ -80,7 +80,10 @@ def test_validation_errors():
                 dict(weather_rated_irradiance_wm2=0.0, weather_mode="csv",
                      weather_csv_path="weather.csv"),
                 dict(houses_unresponsive_mean_kw=-1.0),
-                dict(pv_panel_w=-480.0), dict(houses_deadband_c=-2.0)):
+                dict(pv_panel_w=-480.0), dict(houses_deadband_c=-2.0),
+                # noise above 1 clips loads to 0 W and raises their mean
+                dict(houses_unresponsive_noise_frac=5.0),
+                dict(houses_unresponsive_noise_frac=-0.1)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
 
@@ -275,3 +278,59 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
     ranges = {r for v in published["evs/load_range_w"] for r in v}
     assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
     assert any(r != (0.0, 0.0) for r in ranges)
+
+
+def _weather_csv(path, temp_offset_c: float) -> str:
+    rows = [f"{h * 3600},{28.0 + temp_offset_c + (h % 12) / 2},"
+            f"{max(0.0, 900.0 - abs(h - 12) * 150.0)}" for h in range(25)]
+    path.write_text("timestamp,temp_c,irradiance_wm2\n"
+                    + "\n".join(rows) + "\n")
+    return str(path)
+
+
+# one changed value per config field; prices cross another order's price
+LIVE_VALUES = {
+    "name": "other", "n_houses": 5, "n_ev": 2, "n_pv": 2, "days": 3,
+    "discard_days": 0, "seed": 2, "grid_capacity_kw": 15.0, "step_s": 30.0,
+    "t_market_s": 600.0, "weather_mode": "csv",
+    "weather_csv_path": "other.csv", "weather_rated_irradiance_wm2": 500.0,
+    "weather_temp_min_c": 22.0, "weather_temp_max_c": 38.0,
+    "houses_rc_hours_range": (1.0, 2.0),
+    "houses_ua_w_per_k_range": (400.0, 600.0), "houses_hvac_kw": 3.0,
+    "houses_cop": 2.5, "houses_deadband_c": 2.0,
+    "houses_unresponsive_mean_kw": 2.0, "houses_unresponsive_noise_frac": 0.3,
+    "pv_panels_range": (2, 4), "pv_panel_w": 300.0, "ev_charger_kw": 7.0,
+    "ev_efficiency": 0.9, "ev_worker_ratio": 0.0, "ev_drive_kwh_per_km": 0.3,
+    "ev_speed_kmh": 60.0, "ev_initial_soc_range": (0.2, 0.4), "ev_seed": 7,
+    "lmp_p_base": 0.02, "lmp_alpha": 2.0, "lmp_diurnal_amplitude": 0.5,
+    "lmp_reference_capacity_kw": 20.0, "lmp_demand_ema": 0.5,
+    "prices_unresponsive": 0.001,   # below every ask: never fills
+    "prices_hvac": 0.001,
+    "prices_pv_sell": 0.5,          # above the grid and EV asks
+}
+# fields read only in csv mode
+CSV_FIELDS = ("weather_csv_path", "weather_rated_irradiance_wm2")
+
+
+def test_every_config_field_changes_the_outputs(tmp_path):
+    assert set(LIVE_VALUES) == {f.name for f in
+                                dataclasses.fields(ScenarioConfig)}
+    base = dict(n_houses=4, n_ev=4, n_pv=4, days=2, discard_days=1,
+                weather_csv_path=_weather_csv(tmp_path / "base.csv", 0.0))
+    values = dict(LIVE_VALUES, weather_csv_path=_weather_csv(
+        tmp_path / LIVE_VALUES["weather_csv_path"], 4.0))
+
+    def outputs(out, overrides):
+        run_scenario(dataclasses.replace(builtin_config("s5", **base),
+                                         **overrides), out_dir=out)
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def mode(key):
+        return "csv" if key in CSV_FIELDS else "synthetic"
+
+    bases = {m: outputs(tmp_path / m, {"weather_mode": m})
+             for m in ("synthetic", "csv")}
+    dead = [key for key, value in values.items()
+            if outputs(tmp_path / key, {"weather_mode": mode(key), key: value})
+            == bases[mode(key)]]
+    assert dead == []

@@ -44,15 +44,16 @@ def test_lmp_full_load_oracle():
 
 def test_lmp_clamps_overload_and_rejects_bad_capacity():
     t = 12 * H
-    assert compute_lmp(500_000.0, 100_000.0, t) == \
-        compute_lmp(100_000.0, 100_000.0, t)
+    assert compute_lmp(500_000.0, 100_000.0, t, 0.012, 0.75, 0.25) == \
+        compute_lmp(100_000.0, 100_000.0, t, 0.012, 0.75, 0.25)
     with pytest.raises(ValueError):
-        compute_lmp(1000.0, 0.0, t)
+        compute_lmp(1000.0, 0.0, t, 0.012, 0.75, 0.25)
 
 
 def test_lmp_cheaper_at_night_for_equal_load():
     u_w, cap = 50_000.0, 100_000.0
-    assert compute_lmp(u_w, cap, 4 * H) < compute_lmp(u_w, cap, 18 * H)
+    assert compute_lmp(u_w, cap, 4 * H, 0.012, 0.75, 0.25) < \
+        compute_lmp(u_w, cap, 18 * H, 0.012, 0.75, 0.25)
 
 
 def test_grid_bid_is_capacity_at_lmp():
@@ -121,7 +122,7 @@ def test_history_windows_and_statistics():
 
 
 def test_history_empty_raises():
-    hist = LmpHistory()
+    hist = LmpHistory(300.0)
     with pytest.raises(ValueError):
         hist.ma_long
 
@@ -201,14 +202,6 @@ def test_ev_bids_forced_charge():
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price) == \
         (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive)
-
-
-def test_ev_bids_must_discharge_at_floor():
-    orders = formulate_ev_bids(-11000, -11000, None, 4, CFG, 4, 4)
-    assert len(orders) == 1
-    o = orders[0]
-    assert (o.trader, o.side, o.quantity, o.price) == \
-        (EV_SELL_BASE + 4, Side.SELL, 11000, CFG.prices_ev_floor)
 
 
 def test_ev_bids_two_sided_with_strategy_prices():
@@ -316,9 +309,10 @@ class StubContext:
         self.published[key] = value
 
 
-def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0):
+def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0, history=()):
     """Clear one round of a one-house substation with the given EVs,
-    each a (load_min_w, load_max_w, soc, next_depart_s) tuple."""
+    each a (load_min_w, load_max_w, soc, next_depart_s) tuple, after
+    the LMPs of earlier rounds in `history`."""
     values = {"houses/hvac_demand_w": (hvac_w,),
               "houses/unresponsive_w": (unresp_w,),
               "houses/pv_potential_w": (pv_w,),
@@ -327,6 +321,8 @@ def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0):
               "evs/next_depart_s": tuple(depart for *_, depart in evs)}
     sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=len(evs),
                                             grid_capacity_kw=grid_kw))
+    for lmp in history:
+        sub.hist.append(lmp)
     ctx = StubContext(values)
     sub(ctx)
     return sub, ctx
@@ -345,11 +341,12 @@ def test_scarce_supply_goes_to_the_most_urgent_ev():
 
 
 def test_scarce_demand_is_served_by_the_fullest_ev():
-    # three forced discharges at the floor price, one 4 kW HVAC buy
-    evs = [(-11000.0, -11000.0, 0.92, float("inf")),
-           (-11000.0, -11000.0, 0.97, float("inf")),
-           (-11000.0, -11000.0, 0.95, float("inf"))]
-    sub, ctx = ev_round(100.0, evs, hvac_w=4000.0)
+    # three EVs above 90% SoC offer discharge only, at a strategy price
+    # that a cheap past day puts below the grid's; one 4 kW HVAC buy
+    evs = [(-11000.0, 0.0, 0.92, float("inf")),
+           (-11000.0, 0.0, 0.97, float("inf")),
+           (-11000.0, 0.0, 0.95, float("inf"))]
+    sub, ctx = ev_round(100.0, evs, hvac_w=4000.0, history=[0.010] * 287)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
     assert ctx.published["dispatch/ev_load_w"] == (0.0, -4000.0, 0.0)

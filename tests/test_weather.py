@@ -82,7 +82,7 @@ def _write_csv(tmp_path, rows, header="timestamp,temp_c,irradiance_wm2"):
 
 def test_csv_midpoint_interpolation(tmp_path):
     path = _write_csv(tmp_path, ["00:00,10,0", "01:00,12,0"])
-    profile = CsvWeather.from_csv(path)
+    profile = CsvWeather.from_csv(path, 1000.0)
     assert profile.sample(1800.0).temp_c == pytest.approx(11.0)
 
 
@@ -97,19 +97,19 @@ def test_csv_missing_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("timestamp,temp_c\n0,20\n")
     with pytest.raises(ValueError, match="irradiance_wm2"):
-        CsvWeather.from_csv(path)
+        CsvWeather.from_csv(path, 1000.0)
 
 
 def test_csv_non_monotonic_timestamps_rejected_with_row(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,21,0", "1800,22,0"])
     with pytest.raises(ValueError, match="row 4"):
-        CsvWeather.from_csv(path)
+        CsvWeather.from_csv(path, 1000.0)
 
 
 def test_csv_bad_value_names_row(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,warm,0"])
     with pytest.raises(ValueError, match="row 3"):
-        CsvWeather.from_csv(path)
+        CsvWeather.from_csv(path, 1000.0)
 
 
 @pytest.mark.parametrize("row", ["3600,nan,0", "3600,21,nan", "3600,21,inf",
@@ -117,25 +117,25 @@ def test_csv_bad_value_names_row(tmp_path):
 def test_csv_non_finite_value_names_row(tmp_path, row):
     path = _write_csv(tmp_path, ["0,20,0", row])
     with pytest.raises(ValueError, match="row 3: .* must be finite"):
-        CsvWeather.from_csv(path)
+        CsvWeather.from_csv(path, 1000.0)
 
 
 def test_csv_empty_file_rejected(tmp_path):
     path = _write_csv(tmp_path, [])
     with pytest.raises(ValueError, match="no samples"):
-        CsvWeather.from_csv(path)
+        CsvWeather.from_csv(path, 1000.0)
 
 
 def test_csv_hhmmss_timestamps(tmp_path):
     path = _write_csv(tmp_path, ["00:00:00,10,0", "00:30:00,11,0"])
-    profile = CsvWeather.from_csv(path)
+    profile = CsvWeather.from_csv(path, 1000.0)
     assert profile.sample(900.0).temp_c == pytest.approx(10.5)
 
 
 def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
     rows = [f"{h * 3600},{20 + h},0" for h in range(25)]
     path = _write_csv(tmp_path, rows)
-    profile = CsvWeather.from_csv(path)
+    profile = CsvWeather.from_csv(path, 1000.0)
     with caplog.at_level("WARNING"):
         beyond = profile.sample(DAY_S + 7200.0)
     assert beyond.temp_c == pytest.approx(profile.sample(7200.0).temp_c)
@@ -145,4 +145,4 @@ def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
 def test_csv_negative_time_rejected(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,21,0"])
     with pytest.raises(ValueError):
-        CsvWeather.from_csv(path).sample(-5.0)
+        CsvWeather.from_csv(path, 1000.0).sample(-5.0)
