@@ -210,8 +210,9 @@ class EvFederate:
             socs.append(step_battery(soc, cmd, itinerary, cap, kwh_per_km,
                                      t, step_s, eta))
         fleet.soc = socs
-        self.soc_min_seen = min([self.soc_min_seen, *socs])
-        self.soc_max_seen = max([self.soc_max_seen, *socs])
+        if socs:
+            self.soc_min_seen = min(self.soc_min_seen, min(socs))
+            self.soc_max_seen = max(self.soc_max_seen, max(socs))
 
         if ctx.next_round is not None:
             t_market = cfg.t_market_s

@@ -18,7 +18,9 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -50,6 +52,15 @@ class Order(_OrderFields):
                                    trader if priority is None else priority))
 
 
+# keys over an order's fields (trader, side, quantity, price, priority);
+# a transaction holds its quantity and price at the same two positions
+_TRADER = itemgetter(0)
+_QUANTITY = itemgetter(2)
+_PRICE = itemgetter(3)
+_PRIORITY_TRADER = itemgetter(4, 0)
+_PRICE_PRIORITY_TRADER = itemgetter(3, 4, 0)
+
+
 class Transaction(NamedTuple):
     buyer: int
     seller: int
@@ -58,30 +69,33 @@ class Transaction(NamedTuple):
     round_index: int = 0
 
 
+# builds a Transaction from one tuple of its fields, without the
+# Python-level __new__ that NamedTuple gives it
+_transaction = partial(tuple.__new__, Transaction)
+
+
 class TransactionLog:
     """Every fill of a run, one typed array per field.
 
-    Five 8-byte columns hold a fill in 40 bytes, where a `Transaction`
-    tuple and the int objects it pins take several times that. Iterating
-    the log yields `Transaction`s in the order they were appended.
+    Round and trader ids take 4 bytes each and quantity and price 8, so
+    a fill takes 28 bytes, where a `Transaction` tuple and the int
+    objects it pins take several times that. A value that does not fit
+    its column raises `OverflowError`. Iterating the log yields
+    `Transaction`s in the order they were appended.
     """
 
     def __init__(self):
-        self.round_index = array("q")
-        self.buyer = array("q")
-        self.seller = array("q")
+        self.round_index = array("i")
+        self.buyer = array("i")
+        self.seller = array("i")
         self.quantity = array("q")
         self.price = array("d")
 
     def extend(self, transactions) -> None:
-        if not transactions:
-            return
-        buyer, seller, quantity, price, round_index = zip(*transactions)
-        self.buyer.extend(buyer)
-        self.seller.extend(seller)
-        self.quantity.extend(quantity)
-        self.price.extend(price)
-        self.round_index.extend(round_index)
+        columns = (self.buyer, self.seller, self.quantity, self.price,
+                   self.round_index)
+        for column, values in zip(columns, zip(*transactions)):
+            column.fromlist(list(values))
 
     def __len__(self) -> int:
         return len(self.buyer)
@@ -100,7 +114,7 @@ class MarketResult:
     @property
     def round_vwap(self) -> float | None:
         txs = self.transactions
-        return vwap((tx.quantity for tx in txs), (tx.price for tx in txs))
+        return vwap(map(_QUANTITY, txs), map(_PRICE, txs))
 
 
 def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
@@ -112,39 +126,46 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     combined remaining quantity covers it in full. Partial seller fills
     persist across buyers; unfillable buyers are dropped.
 
+    Buyers are sorted in two stable passes: by (priority, trader), then
+    by price with `reverse=True`. A stable sort keeps records with equal
+    keys in their earlier order even when reversed, so equal prices keep
+    the (priority, trader) order, exactly as one sort on
+    (-price, priority, trader) would.
+
     Bids descend and fills take the cheapest sellers first, so the used
     up sellers form a prefix of the sorted sellers: a cursor, prefix sums
     and one bisection per buyer clear B buyers against S sellers in
     O((B + S) log S) after sorting.
     """
-    buyers = sorted((o for o in orders if o.side is Side.BUY),
-                    key=lambda o: (-o.price, o.priority, o.trader))
-    sellers = sorted((o for o in orders if o.side is Side.SELL),
-                     key=lambda o: (o.price, o.priority, o.trader))
-    asks = [s.price for s in sellers]
-    supply = list(accumulate((s.quantity for s in sellers), initial=0))
+    buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
+    buyers = [o for o in orders if o.side is buy]
+    sellers = [o for o in orders if o.side is sell]
+    buyers.sort(key=_PRIORITY_TRADER)
+    buyers.sort(key=_PRICE, reverse=True)
+    sellers.sort(key=_PRICE_PRIORITY_TRADER)
+    seller_ids = list(map(_TRADER, sellers))
+    asks = list(map(_PRICE, sellers))
+    supply = list(accumulate(map(_QUANTITY, sellers), initial=0))
     # sellers before `cursor` are used up; `used` W have been sold so far
     cursor = used = 0
     result = MarketResult()
-    for buyer in buyers:
-        if supply[bisect_right(asks, buyer.price)] - used < buyer.quantity:
+    fill = result.transactions.append
+    bought, sold = result.bought, result.sold
+    for trader, _, quantity, price, _ in buyers:
+        if supply[bisect_right(asks, price)] - used < quantity:
             continue
-        need = buyer.quantity
+        need = quantity
         while need:
-            seller = sellers[cursor]
-            q = min(supply[cursor + 1] - used, need)
+            left = supply[cursor + 1] - used
+            q = need if need < left else left
+            seller = seller_ids[cursor]
+            fill(_transaction((trader, seller, q, asks[cursor], round_index)))
+            sold[seller] = sold.get(seller, 0) + q
             used += q
             need -= q
-            result.transactions.append(Transaction(
-                buyer.trader, seller.trader, q, seller.price, round_index))
-            if used == supply[cursor + 1]:
+            if q == left:
                 cursor += 1
-        result.bought[buyer.trader] = (
-            result.bought.get(buyer.trader, 0) + buyer.quantity)
-    for i, s in enumerate(sellers[:cursor + 1]):
-        filled = min(used, supply[i + 1]) - supply[i]
-        if filled > 0:
-            result.sold[s.trader] = result.sold.get(s.trader, 0) + filled
+        bought[trader] = bought.get(trader, 0) + quantity
     return result
 
 

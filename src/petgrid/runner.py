@@ -104,9 +104,15 @@ class ScenarioConfig:
             raise ValueError("ev_efficiency and lmp_diurnal_amplitude "
                              "must not exceed 1")
         # above 1 the noise drives loads below 0 W, where they are clipped
-        if not 0 <= self.houses_unresponsive_noise_frac <= 1:
-            raise ValueError("houses_unresponsive_noise_frac must lie "
-                             "within [0, 1]")
+        # to 0; a worker share or an EMA weight outside [0, 1] is no
+        # fraction, yet would run to exit 0
+        for key in ("houses_unresponsive_noise_frac", "ev_worker_ratio",
+                    "lmp_demand_ema"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key} must lie within [0, 1]")
+        if self.weather_temp_min_c > self.weather_temp_max_c:
+            raise ValueError("weather_temp_min_c must not exceed "
+                             "weather_temp_max_c")
         rc, ua, pv, soc = (getattr(self, key) for key in RANGE_FIELDS)
         if rc[0] <= 0 or ua[0] <= 0:
             raise ValueError("houses rc_hours_range and ua_w_per_k_range "

@@ -35,7 +35,9 @@ class LmpHistory:
     """Rolling grid-price series with the statistics the EV strategy needs.
 
     The means are read from one array built on first use after each
-    append, because numpy's pairwise summation sets their last bits. The
+    append, because numpy's pairwise summation sets their last bits. Each
+    divides `np.add.reduce` of its window by the window's length, which
+    is what `np.mean` computes, without its Python wrapper. The
     quartiles are read from a sorted copy of the window that each append
     keeps in order, with the interpolation `np.percentile` uses by
     default, so no call sorts the window again.
@@ -69,11 +71,13 @@ class LmpHistory:
 
     @property
     def ma_long(self) -> float:
-        return float(np.mean(self._series()))
+        a = self._series()
+        return float(np.add.reduce(a)) / len(a)
 
     @property
     def ma_short(self) -> float:
-        return float(np.mean(self._series()[-self._n_short:]))
+        a = self._series()[-self._n_short:]
+        return float(np.add.reduce(a)) / len(a)
 
     def _quantile(self, q: float) -> float:
         # numpy's default ("linear") rule, in its operation order
@@ -116,18 +120,17 @@ def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
                          pv_w: list[int], cfg) -> list[Order]:
     """Orders of every house in house order: its appliance buy, HVAC buy
     and PV sell, each one only when its quantity is positive."""
+    buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
     orders = []
     for i, (unresp, hvac, pv) in enumerate(zip(unresp_w, hvac_w, pv_w,
                                                strict=True)):
         if unresp > 0:
-            orders.append(Order(UNRESP_BASE + i, Side.BUY, unresp,
+            orders.append(Order(UNRESP_BASE + i, buy, unresp,
                                 cfg.prices_unresponsive))
         if hvac > 0:
-            orders.append(Order(HVAC_BASE + i, Side.BUY, hvac,
-                                cfg.prices_hvac))
+            orders.append(Order(HVAC_BASE + i, buy, hvac, cfg.prices_hvac))
         if pv > 0:
-            orders.append(Order(PV_BASE + i, Side.SELL, pv,
-                                cfg.prices_pv_sell))
+            orders.append(Order(PV_BASE + i, sell, pv, cfg.prices_pv_sell))
     return orders
 
 
@@ -152,26 +155,24 @@ def ev_bids_two_sided(lo: int, hi: int) -> bool:
 def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
                       ev_index: int, cfg, buy_rank: int,
                       sell_rank: int) -> list[Order]:
-    """Orders of EV `ev_index` for its load range `lo`..`hi` in W, where
-    `hi` is 0 or the charger rating: nothing for an idle range, a buy at
-    the unresponsive price for a forced charge, else buys and sells at
-    `strategy`, the `ev_strategy_prices` pair. The ranks set the orders'
-    priority among EVs (lower fills first); trader ids stay stable."""
+    """Orders of EV `ev_index` for its load range `lo`..`hi` in W, which
+    is not the idle (0, 0) and where `hi` is 0 or the charger rating: a
+    buy at the unresponsive price for a forced charge, else buys and
+    sells at `strategy`, the `ev_strategy_prices` pair. The ranks set the
+    orders' priority among EVs (lower fills first); trader ids stay
+    stable."""
     buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
     sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
-    if lo == 0 and hi == 0:
-        return []
     if lo > 0:
         return [Order(buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
-                      priority=buy_prio)]
+                      buy_prio)]
     buy_price, sell_price = strategy
     orders = []
     if hi > 0:
-        orders.append(Order(buy_trader, Side.BUY, hi, buy_price,
-                            priority=buy_prio))
+        orders.append(Order(buy_trader, Side.BUY, hi, buy_price, buy_prio))
     if lo < 0:
         orders.append(Order(sell_trader, Side.SELL, abs(lo), sell_price,
-                            priority=sell_prio))
+                            sell_prio))
     return orders
 
 
@@ -207,7 +208,7 @@ class SubstationFederate:
 
         n_ev = self.cfg.n_ev
         no_houses = (0.0,) * self.cfg.n_houses
-        unresp, hvac, pv = ([round(w) for w in ctx.read(key, no_houses)]
+        unresp, hvac, pv = (list(map(round, ctx.read(key, no_houses)))
                             for key in ("houses/unresponsive_w",
                                         "houses/hvac_demand_w",
                                         "houses/pv_potential_w"))
@@ -224,16 +225,20 @@ class SubstationFederate:
         # urgency (soonest next departure, then lowest SoC) so commuters
         # refill before idle vehicles, sells by fullness (descending SoC)
         # so the emptiest EVs keep their reserve.
-        by_urgency = sorted(range(n_ev),
-                            key=lambda j: (departs[j], socs[j], j))
-        by_fullness = sorted(range(n_ev), key=lambda j: (-socs[j], j))
-        buy_rank = {j: r for r, j in enumerate(by_urgency)}
-        sell_rank = {j: r for r, j in enumerate(by_fullness)}
+        buy_rank = [0] * n_ev
+        for r, (_, _, j) in enumerate(sorted(zip(departs, socs,
+                                                 range(n_ev)))):
+            buy_rank[j] = r
+        sell_rank = [0] * n_ev
+        for r, (_, j) in enumerate(sorted(zip([-soc for soc in socs],
+                                              range(n_ev)))):
+            sell_rank[j] = r
         strategy = (ev_strategy_prices(self.hist)
                     if any(ev_bids_two_sided(*r) for r in ranges) else None)
         for j, (lo, hi) in enumerate(ranges):
-            orders.extend(formulate_ev_bids(lo, hi, strategy, j, self.cfg,
-                                            buy_rank[j], sell_rank[j]))
+            if lo or hi:                # an idle EV places no orders
+                orders.extend(formulate_ev_bids(lo, hi, strategy, j, self.cfg,
+                                                buy_rank[j], sell_rank[j]))
 
         result = match_orders(orders, round_index)
         self.transactions.extend(result.transactions)
@@ -246,29 +251,27 @@ class SubstationFederate:
         self.prev_demand_w = ema * grid_import + (1 - ema) * self.prev_demand_w
 
     def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> None:
-        grid_supplied = result.sold.get(GRID_TRADER, 0)
-        hvac_total = 0.0
-        hvac_granted = []
-        unresp_total = 0.0
-        slack_w = 0.0
-        pv_supplied = 0.0
-        pv_potential_total = 0.0
-        pv_surplus = 0.0
-        for i in range(self.cfg.n_houses):
-            unresp_total += unresp[i]
-            if unresp[i] > 0 and result.bought.get(UNRESP_BASE + i, 0) == 0:
-                # must-serve load left unfilled: serve it anyway via
-                # out-of-market slack and record the violation
-                self.unserved_unresponsive += 1
-                slack_w += unresp[i]
-            granted = result.bought.get(HVAC_BASE + i, 0)
-            hvac_granted.append(float(granted))
-            hvac_total += granted
-            sold = result.sold.get(PV_BASE + i, 0)
-            pv_supplied += sold
-            pv_potential_total += pv[i]
-            pv_surplus += max(pv[i] - sold, 0)
-        ctx.publish("dispatch/hvac_w", tuple(hvac_granted))
+        # quantities are whole watts, so each total is an exact int sum;
+        # float() makes the power totals floats, which time_series.csv
+        # formats with six decimals (grid_supplied_w stays an int)
+        bought, sold = result.bought.get, result.sold.get
+        grid_supplied = sold(GRID_TRADER, 0)
+        houses = range(self.cfg.n_houses)
+        # must-serve loads left unfilled: serve them anyway via
+        # out-of-market slack and record the violations
+        unserved = [w for i, w in enumerate(unresp)
+                    if w > 0 and bought(UNRESP_BASE + i, 0) == 0]
+        self.unserved_unresponsive += len(unserved)
+        slack_w = float(sum(unserved))
+        hvac_granted = [bought(HVAC_BASE + i, 0) for i in houses]
+        pv_sold = [sold(PV_BASE + i, 0) for i in houses]
+        unresp_total = float(sum(unresp))
+        hvac_total = float(sum(hvac_granted))
+        pv_supplied = float(sum(pv_sold))
+        pv_potential_total = float(sum(pv))
+        # an array sells at most what it offered
+        pv_surplus = pv_potential_total - pv_supplied
+        ctx.publish("dispatch/hvac_w", tuple(map(float, hvac_granted)))
 
         ev_charge = 0.0
         ev_discharge = 0.0
@@ -276,24 +279,24 @@ class SubstationFederate:
         must_charge_w = 0.0
         ev_loads = []
         for j, (lo, hi) in enumerate(ranges):
-            bought = result.bought.get(EV_BASE + j, 0)
-            sold = result.sold.get(EV_SELL_BASE + j, 0)
+            ev_bought = bought(EV_BASE + j, 0)
+            ev_sold = sold(EV_SELL_BASE + j, 0)
             if lo > 0:
                 must_charge_w += lo
-                if bought == 0:
+                if ev_bought == 0:
                     # forced charge left unfilled: the EV charges at its
                     # range minimum anyway, served via out-of-market slack
                     self.ev_unfilled_must_charge += 1
-                    bought = lo
+                    ev_bought = lo
                     slack_w += lo
-            net = float(bought - sold)
+            net = float(ev_bought - ev_sold)
             ev_loads.append(net)
             if net > 0:
                 ev_charge += net
             else:
                 ev_discharge += -net
-            if lo < 0:
-                ev_surplus += max(abs(lo) - sold, 0)
+            if lo < 0:                  # it sold at most what it offered
+                ev_surplus += abs(lo) - ev_sold
         ctx.publish("dispatch/ev_load_w", tuple(ev_loads))
 
         supply = grid_supplied + pv_supplied + ev_discharge + slack_w

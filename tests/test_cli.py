@@ -84,6 +84,10 @@ def _probe(setting, *extra):
     _probe("houses.deadband_c=-2"),
     _probe("houses.unresponsive_noise_frac=5"),     # loads clipped to 0 W
     _probe("houses.unresponsive_noise_frac=-0.1"),
+    _probe("ev.worker_ratio=-1"),
+    _probe("ev.worker_ratio=3"),
+    _probe("lmp.demand_ema=5"),
+    _probe("weather.temp_min_c=40"),    # above weather.temp_max_c
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):

@@ -3,7 +3,9 @@
 import gc
 import tracemalloc
 
-from petgrid.market import Order, Side, Transaction
+import pytest
+
+from petgrid.market import Order, Side, Transaction, TransactionLog
 from petgrid.runner import builtin_config, run_scenario
 
 
@@ -12,9 +14,10 @@ def test_orders_and_fills_have_no_instance_dict():
         assert not hasattr(obj, "__dict__")
 
 
-def test_the_log_holds_at_most_48_bytes_per_fill():
-    """Five 8-byte columns take 40 bytes a fill; the rest is the arrays'
-    over-allocation. The log's share is what dropping it frees."""
+def test_the_log_holds_at_most_34_bytes_per_fill():
+    """Three 4-byte id columns and two 8-byte ones take 28 bytes a fill;
+    the rest is the arrays' over-allocation. The log's share is what
+    dropping it frees."""
     cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
                          discard_days=1)
     tracemalloc.start()
@@ -28,4 +31,14 @@ def test_the_log_holds_at_most_48_bytes_per_fill():
     finally:
         tracemalloc.stop()
     assert fills > 1000
-    assert 40 * fills <= held <= 48 * fills
+    assert 28 * fills <= held <= 34 * fills
+
+
+def test_a_fill_that_does_not_fit_the_log_raises():
+    TransactionLog().extend([Transaction(2**31 - 1, 2, 2**63 - 1, 0.02, 0)])
+    for bad in (Transaction(2**31, 2, 100, 0.02, 7),
+                Transaction(1, -2**31 - 1, 100, 0.02, 7),
+                Transaction(1, 2, 100, 0.02, 2**31),
+                Transaction(1, 2, 2**63, 0.02, 7)):
+        with pytest.raises(OverflowError):
+            TransactionLog().extend([bad])

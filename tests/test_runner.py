@@ -9,6 +9,7 @@ import pytest
 
 from petgrid import evfleet, kernel
 from petgrid.market import Transaction, TransactionLog
+from petgrid.metrics import MetricsSample
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             _fmt, apply_settings, builtin_config,
                             list_scenarios, load_config_file, run_scenario,
@@ -83,7 +84,12 @@ def test_validation_errors():
                 dict(pv_panel_w=-480.0), dict(houses_deadband_c=-2.0),
                 # noise above 1 clips loads to 0 W and raises their mean
                 dict(houses_unresponsive_noise_frac=5.0),
-                dict(houses_unresponsive_noise_frac=-0.1)):
+                dict(houses_unresponsive_noise_frac=-0.1),
+                # shares and weights outside [0, 1], and an inverted
+                # temperature range, that all ran to exit 0
+                dict(ev_worker_ratio=-1.0), dict(ev_worker_ratio=3.0),
+                dict(lmp_demand_ema=5.0), dict(lmp_demand_ema=-0.5),
+                dict(weather_temp_min_c=40.0)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
 
@@ -219,6 +225,19 @@ def test_run_scenario_balances_and_safety_small():
     assert result.max_imbalance_w <= 1.0
     assert 0.0 <= result.soc_min <= result.soc_max <= 1.0
     assert result.violations["ev_range"] == 0
+
+
+def test_every_sample_field_keeps_its_type():
+    """time_series.csv formats a field by its type, so the whole-watt
+    sums must not turn a float field into an int: the grid's fill stays
+    the int the matcher sold, every other power total a float."""
+    result = run_scenario(builtin_config("s5", n_houses=4, n_ev=4, n_pv=4,
+                                         days=2, discard_days=1))
+    types = {f.name: {type(getattr(s, f.name)) for s in result.samples}
+             for f in dataclasses.fields(MetricsSample)}
+    assert types.pop("round_vwap") <= {float, type(None)}
+    assert types.pop("grid_supplied_w") == {int}
+    assert types == {name: {float} for name in types}
 
 
 def per_row_transactions_csv(transactions) -> str:

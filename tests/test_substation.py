@@ -219,10 +219,6 @@ def test_ev_bids_two_sided_with_strategy_prices():
     assert by_side[Side.SELL].price == pytest.approx(0.031)
 
 
-def test_ev_bids_idle_range_produces_no_orders():
-    assert formulate_ev_bids(0, 0, None, 0, CFG, 0, 0) == []
-
-
 def test_two_sided_classification():
     assert ev_bids_two_sided(-11000, 11000)
     assert ev_bids_two_sided(0, 11000)
@@ -326,6 +322,22 @@ def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0, history=()):
     ctx = StubContext(values)
     sub(ctx)
     return sub, ctx
+
+
+def test_ev_bids_idle_range_produces_no_orders(monkeypatch):
+    books = []
+    match = substation.match_orders
+
+    def recording_match(orders, *args):
+        books.append(orders)
+        return match(orders, *args)
+
+    monkeypatch.setattr(substation, "match_orders", recording_match)
+    ev_round(100.0, [(0.0, 0.0, 0.95, float("inf")),
+                     (-11000.0, 11000.0, 0.50, float("inf")),
+                     (0.0, 0.0, 0.10, float("inf"))])
+    assert [o.trader for o in books[-1] if o.trader >= EV_BASE] == \
+        [EV_BASE + 1, EV_SELL_BASE + 1]
 
 
 def test_scarce_supply_goes_to_the_most_urgent_ev():
