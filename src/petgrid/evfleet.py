@@ -17,10 +17,6 @@ import numpy as np
 
 from .weather import DAY_S
 
-HOME = "home"
-WORK = "work"
-OTHER = "other"
-
 # Pack sizes of the two car models, which alternate through the fleet:
 # a Tesla Model Y Long Range and a VW ID.3.
 PACK_KWH = (75.0, 58.0)
@@ -31,7 +27,7 @@ class Trip:
     depart_s: float
     arrive_s: float
     distance_km: float
-    destination: str
+    home: bool              # whether the trip ends at home
 
 
 @dataclass
@@ -44,21 +40,16 @@ class Itinerary:
             if b.depart_s < a.arrive_s:
                 raise ValueError("trips overlap or are out of order")
 
-    def location(self, t: float) -> str:
-        i = bisect.bisect_right(self._departs, t) - 1
-        if i < 0:
-            return HOME
-        tr = self.trips[i]
-        if t < tr.arrive_s:
-            return "driving"
-        return tr.destination
-
-    def at_home(self, t: float) -> bool:
-        return self.location(t) == HOME
-
-    def next_departure(self, t: float) -> float:
+    def locate(self, t: float) -> tuple[bool, bool, float]:
+        """Whether the EV is parked (not on a trip) and parked at home at
+        time t, and its first departure after t (inf after the last)."""
         i = bisect.bisect_right(self._departs, t)
-        return self._departs[i] if i < len(self._departs) else float("inf")
+        depart = self._departs[i] if i < len(self._departs) else float("inf")
+        if i == 0:
+            return True, True, depart
+        tr = self.trips[i - 1]
+        parked = t >= tr.arrive_s
+        return parked, parked and tr.home, depart
 
     def driving_kwh(self, t: float, dt: float, kwh_per_km: float) -> float:
         """Driving energy consumed during [t, t+dt), apportioned by overlap."""
@@ -88,19 +79,19 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
             depart = day0 + (8.75 + rng.uniform(-0.75, 0.75)) * 3600.0
             dist = rng.uniform(10.0, 30.0)
             dur = dist / speed_kmh * 3600.0
-            trips.append(Trip(depart, depart + dur, dist, WORK))
+            trips.append(Trip(depart, depart + dur, dist, False))
             ret = day0 + (17.5 + rng.uniform(-1.0, 1.0)) * 3600.0
             ret = max(ret, depart + dur + 600.0)
-            trips.append(Trip(ret, ret + dur, dist, HOME))
+            trips.append(Trip(ret, ret + dur, dist, True))
         elif profile == "unemployed":
             for _ in range(int(rng.integers(0, 3))):
                 depart = day0 + rng.uniform(9.0, 17.0) * 3600.0
                 dist = rng.uniform(2.0, 10.0)
                 dur = dist / speed_kmh * 3600.0
                 dwell = rng.uniform(0.5, 2.0) * 3600.0
-                trips.append(Trip(depart, depart + dur, dist, OTHER))
+                trips.append(Trip(depart, depart + dur, dist, False))
                 trips.append(Trip(depart + dur + dwell,
-                                  depart + 2 * dur + dwell, dist, HOME))
+                                  depart + 2 * dur + dwell, dist, True))
         else:
             raise ValueError(f"unknown profile {profile!r}")
     trips.sort(key=lambda tr: tr.depart_s)
@@ -113,38 +104,42 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
     return Itinerary(cleaned)
 
 
-def step_battery(soc: float, command_w: float, itinerary: Itinerary,
-                 capacity_kwh: float, kwh_per_km: float, t: float, dt: float,
+def step_battery(soc: float, command_w: float, drive_kwh: float,
+                 home: bool, capacity_kwh: float, dt: float,
                  eta: float) -> float:
-    """SoC after [t, t+dt) under driving and the commanded load.
+    """SoC after a step of dt seconds that drives `drive_kwh` and meters
+    `command_w` at the home charger, which applies only while `home`.
 
     Charging delivers eta of the metered energy into the pack;
     discharging draws 1/eta of the metered energy from the pack.
     Excess commands that would push SoC outside [0, 1] are discarded.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    energy = soc * capacity_kwh
-    energy -= itinerary.driving_kwh(t, dt, kwh_per_km)
-    if command_w != 0.0 and itinerary.at_home(t):
+    energy = soc * capacity_kwh - drive_kwh
+    if command_w != 0.0 and home:
         load_kw = command_w / 1000.0
         hours = dt / 3600.0
         if load_kw > 0:
             energy += load_kw * hours * eta
         else:
             energy -= (-load_kw) * hours / eta
-    return min(max(energy, 0.0), capacity_kwh) / capacity_kwh
+    if energy < 0.0:            # cheaper than min(max(...)), same result
+        energy = 0.0
+    elif energy > capacity_kwh:
+        energy = capacity_kwh
+    return energy / capacity_kwh
 
 
-def load_range(soc: float, itinerary: Itinerary, charger_w: float,
-               t: float, t_market: float) -> tuple[float, float]:
-    """Admissible (load_min, load_max) in W for the round starting at t.
+def load_range(soc: float, home: bool, next_departure: float,
+               charger_w: float, t: float,
+               t_market: float) -> tuple[float, float]:
+    """Admissible (load_min, load_max) in W for the round starting at t,
+    with `home` and `next_departure` as `Itinerary.locate(t)` gives them.
 
     Away from home, or departing before the round ends: no load changes.
     SoC gates: >90% discharge only; 30-90% both; 20-30% charge only;
     <20% forced charge at the maximum rate.
     """
-    if not itinerary.at_home(t) or itinerary.next_departure(t) < t + t_market:
+    if not home or next_departure < t + t_market:
         return (0.0, 0.0)
     if soc > 0.90:
         return (-charger_w, 0.0)
@@ -181,7 +176,12 @@ def build_fleet(cfg, rng: np.random.Generator) -> EvFleet:
 
 class EvFederate:
     """Steps every EV battery and publishes the fleet's admissible load
-    ranges, SoCs and next departures, one tuple each in EV order."""
+    ranges, SoCs and next departures, one tuple each in EV order.
+
+    Commands are clamped into their cleared ranges once per round. An
+    EV's itinerary is searched only at the steps that reach a departure
+    or overlap a trip; in between, the EV is parked and drives nothing.
+    """
 
     def __init__(self, fleet: EvFleet, cfg):
         self.fleet = fleet
@@ -189,26 +189,48 @@ class EvFederate:
         self.range_violations = 0
         self.soc_min_seen = 1.0
         self.soc_max_seen = 0.0
+        n = len(fleet.soc)
         # bus defaults before the first dispatch and the first cleared round
-        self._no_dispatch = (0.0,) * len(fleet.soc)
-        self._no_range = ((0.0, 0.0),) * len(fleet.soc)
+        self._no_dispatch = (0.0,) * n
+        self._no_range = ((0.0, 0.0),) * n
+        # the round's clamped commands and the bus values they come from
+        self._commands = self._loads = self._ranges = None
+        self._out_of_range = 0
+        # per EV: parked at home, and the time it stays parked until (the
+        # time of the last search while a trip is under way)
+        self._home, self._parked_until = [True] * n, [float("-inf")] * n
 
     def __call__(self, ctx) -> None:
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
         # the ranges the dispatch in force was cleared against
         ranges = ctx.read_cleared("evs/load_range_w", self._no_range)
+        if loads is not self._loads or ranges is not self._ranges:
+            self._loads, self._ranges = loads, ranges
+            self._commands, self._out_of_range = [], 0
+            for cmd, (lo, hi) in zip(loads, ranges, strict=True):
+                if cmd < lo - 0.5 or cmd > hi + 0.5:
+                    self._out_of_range += 1
+                    cmd = min(max(cmd, lo), hi)
+                self._commands.append(cmd)
+        self.range_violations += self._out_of_range
         cfg, fleet = self.cfg, self.fleet
         t, step_s = ctx.t, cfg.step_s
         kwh_per_km, eta = cfg.ev_drive_kwh_per_km, cfg.ev_efficiency
+        t_end = t + step_s
         socs = []
-        for soc, cmd, (lo, hi), itinerary, cap in zip(
-                fleet.soc, loads, ranges, fleet.itineraries,
-                fleet.capacity_kwh, strict=True):
-            if cmd < lo - 0.5 or cmd > hi + 0.5:
-                self.range_violations += 1
-                cmd = min(max(cmd, lo), hi)
-            socs.append(step_battery(soc, cmd, itinerary, cap, kwh_per_km,
-                                     t, step_s, eta))
+        for j, (soc, cmd, cap, until, home) in enumerate(zip(
+                fleet.soc, self._commands, fleet.capacity_kwh,
+                self._parked_until, self._home, strict=True)):
+            drive_kwh = 0.0
+            if t_end > until:
+                # the step reaches a departure or a trip is under way
+                itinerary = fleet.itineraries[j]
+                parked, home, depart = itinerary.locate(t)
+                self._home[j] = home
+                self._parked_until[j] = depart if parked else t
+                drive_kwh = itinerary.driving_kwh(t, step_s, kwh_per_km)
+            socs.append(step_battery(soc, cmd, drive_kwh, home, cap, step_s,
+                                     eta))
         fleet.soc = socs
         if socs:
             self.soc_min_seen = min(self.soc_min_seen, min(socs))
@@ -218,10 +240,12 @@ class EvFederate:
             t_market = cfg.t_market_s
             window_start = ctx.next_round * t_market + step_s
             charger_w = cfg.ev_charger_kw * 1000.0
+            spots = [itinerary.locate(window_start)
+                     for itinerary in fleet.itineraries]
             ctx.publish("evs/load_range_w", tuple(
-                load_range(soc, itinerary, charger_w, window_start, t_market)
-                for soc, itinerary in zip(socs, fleet.itineraries)))
+                load_range(soc, home, depart, charger_w, window_start,
+                           t_market)
+                for soc, (_, home, depart) in zip(socs, spots)))
             ctx.publish("evs/soc", tuple(socs))
-            ctx.publish("evs/next_depart_s", tuple(
-                itinerary.next_departure(window_start)
-                for itinerary in fleet.itineraries))
+            ctx.publish("evs/next_depart_s",
+                        tuple(depart for _, _, depart in spots))

@@ -20,18 +20,21 @@ from .metrics import t_excess2
 from .weather import DAY_S
 
 
+def thermal_decay(r: float, c: float, dt: float) -> float:
+    """The `decay` that `step_thermal` takes for a step of dt seconds."""
+    return math.exp(-dt / (r * c))
+
+
 def step_thermal(t_air: float, temp_out: float, q_net: float, r: float,
-                 c: float, dt: float) -> float:
-    """Zone temperature after dt seconds with the inputs held constant.
+                 decay: float) -> float:
+    """Zone temperature after a step of dt seconds with the inputs held
+    constant, where `decay` is `thermal_decay(r, c, dt)`.
 
     Exact solution of dT/dt = (temp_out - T)/(RC) + q_net/C, where q_net
     is the internal heat gain less the HVAC's heat removal while it
     runs, so any subdivision of dt gives the same result.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     t_inf = temp_out + r * q_net
-    decay = math.exp(-dt / (r * c))
     return t_inf + (t_air - t_inf) * decay
 
 
@@ -177,21 +180,29 @@ class HouseholdFederate:
         self._temp0 = weather.sample(0.0).temp_c
         self._no_dispatch = (0.0,) * len(fleet.t_air)
         self._loads0 = unresponsive_loads(fleet, 0, cfg)
+        self._decay = [thermal_decay(r, c, cfg.step_s)
+                       for r, c in zip(fleet.r, fleet.c)]
+        # each house's q_net and the dispatch and loads it is built from
+        self._q_net = self._hvac_w = self._loads = None
 
     def __call__(self, ctx) -> None:
         # Unresponsive loads are held at the values their round cleared
         # against, so the cleared quantity equals the power consumed;
-        # HVAC runs while its latest dispatch is positive.
+        # HVAC runs while its latest dispatch is positive. Bus values are
+        # immutable, so q_net is rebuilt only when either is a new tuple.
         temp_out = ctx.read("weather/temp_c", self._temp0)
         hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
         loads = ctx.read_cleared("houses/unresponsive_w", self._loads0)
         cfg, fleet = self.cfg, self.fleet
-        q_cool, step_s = fleet.q_cool, cfg.step_s
-        fleet.t_air = [
-            step_thermal(t_air, temp_out,
-                         q - (q_cool if granted > 0.0 else 0.0), r, c, step_s)
-            for t_air, granted, q, r, c in zip(fleet.t_air, hvac_w, loads,
-                                               fleet.r, fleet.c, strict=True)]
+        if hvac_w is not self._hvac_w or loads is not self._loads:
+            q_cool = fleet.q_cool
+            self._hvac_w, self._loads = hvac_w, loads
+            self._q_net = [q - (q_cool if granted > 0.0 else 0.0) for
+                           granted, q in zip(hvac_w, loads, strict=True)]
+        fleet.t_air = [step_thermal(t_air, temp_out, q_net, r, decay)
+                       for t_air, q_net, r, decay in zip(
+                           fleet.t_air, self._q_net, fleet.r, self._decay)]
+        step_s = cfg.step_s
         next_round = ctx.next_round
         if next_round is None:
             return

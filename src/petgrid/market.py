@@ -94,8 +94,11 @@ class TransactionLog:
     def extend(self, transactions) -> None:
         columns = (self.buyer, self.seller, self.quantity, self.price,
                    self.round_index)
-        for column, values in zip(columns, zip(*transactions)):
-            column.fromlist(list(values))
+        # build every column before extending any, so an overflow adds none
+        arrays = [array(column.typecode, values)
+                  for column, values in zip(columns, zip(*transactions))]
+        for column, values in zip(columns, arrays):
+            column.extend(values)
 
     def __len__(self) -> int:
         return len(self.buyer)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import evfleet, household, metrics, substation, weather
 from .kernel import Federation
@@ -220,6 +219,7 @@ def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
 
 
 def load_config_file(path) -> ScenarioConfig:
+    import yaml     # only config files need it; it slows `import petgrid`
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,10 @@ EV_BASE = 4000
 EV_SELL_BASE = 5000
 # one id per house or EV in each block caps the fleet size
 MAX_HOUSES = HVAC_BASE - UNRESP_BASE
+
+# an Order without the checks of Order.__new__, for the house and EV bids,
+# whose positive whole watts and non-negative prices hold by construction
+_order = partial(tuple.__new__, Order)
 
 
 class LmpHistory:
@@ -125,12 +130,14 @@ def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
     for i, (unresp, hvac, pv) in enumerate(zip(unresp_w, hvac_w, pv_w,
                                                strict=True)):
         if unresp > 0:
-            orders.append(Order(UNRESP_BASE + i, buy, unresp,
-                                cfg.prices_unresponsive))
+            orders.append(_order((UNRESP_BASE + i, buy, unresp,
+                                  cfg.prices_unresponsive, UNRESP_BASE + i)))
         if hvac > 0:
-            orders.append(Order(HVAC_BASE + i, buy, hvac, cfg.prices_hvac))
+            orders.append(_order((HVAC_BASE + i, buy, hvac, cfg.prices_hvac,
+                                  HVAC_BASE + i)))
         if pv > 0:
-            orders.append(Order(PV_BASE + i, sell, pv, cfg.prices_pv_sell))
+            orders.append(_order((PV_BASE + i, sell, pv, cfg.prices_pv_sell,
+                                  PV_BASE + i)))
     return orders
 
 
@@ -164,15 +171,15 @@ def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
     buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
     sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
     if lo > 0:
-        return [Order(buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
-                      buy_prio)]
+        return [_order((buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
+                        buy_prio))]
     buy_price, sell_price = strategy
     orders = []
     if hi > 0:
-        orders.append(Order(buy_trader, Side.BUY, hi, buy_price, buy_prio))
+        orders.append(_order((buy_trader, Side.BUY, hi, buy_price, buy_prio)))
     if lo < 0:
-        orders.append(Order(sell_trader, Side.SELL, abs(lo), sell_price,
-                            sell_prio))
+        orders.append(_order((sell_trader, Side.SELL, abs(lo), sell_price,
+                              sell_prio)))
     return orders
 
 

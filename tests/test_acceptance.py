@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petgrid.household import step_thermal
+from petgrid.household import step_thermal, thermal_decay
 from petgrid.market import match_orders
 from petgrid.runner import builtin_config, run_scenario, write_outputs
 from petgrid.substation import LmpHistory, ev_strategy_prices
@@ -88,13 +88,14 @@ def test_c2_ev_strategy_invariants():
 def test_c3_thermal_integrator_exactness():
     r, c = 1.0 / 500.0, 2 * 3600.0 * 500.0
     q_net = 900.0 - 12000.0  # appliance gain with the HVAC running
-    single = step_thermal(25.0, 35.0, q_net, r, c, 3600.0)
+    single = step_thermal(25.0, 35.0, q_net, r, thermal_decay(r, c, 3600.0))
     stepped = 25.0
     for _ in range(60):
-        stepped = step_thermal(stepped, 35.0, q_net, r, c, 60.0)
+        stepped = step_thermal(stepped, 35.0, q_net, r,
+                               thermal_decay(r, c, 60.0))
     exact = abs(stepped - single) < 1e-9
 
-    relaxed = step_thermal(25.0, 35.0, 0.0, r, c, 3600.0)
+    relaxed = step_thermal(25.0, 35.0, 0.0, r, thermal_decay(r, c, 3600.0))
     worked = abs(relaxed - 28.9347) < 1e-3
     report("C3 thermal integrator exactness", exact and worked,
            f"split err {abs(stepped - single):.1e}, "

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from petgrid import evfleet
-from petgrid.evfleet import (HOME, PACK_KWH, WORK, EvFederate, EvFleet,
-                             Itinerary, Trip, build_fleet, generate_itinerary,
-                             load_range, step_battery)
-from petgrid.runner import ScenarioConfig
+from petgrid.evfleet import (PACK_KWH, EvFederate, EvFleet, Itinerary, Trip,
+                             build_fleet, generate_itinerary, load_range,
+                             step_battery)
+from petgrid.kernel import Federation
+from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.weather import DAY_S
 
 H = 3600.0
@@ -24,7 +25,7 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
     # the federate gates every EV by the configured 11 kW charger
     chargers = []
     monkeypatch.setattr(evfleet, "load_range",
-                        lambda soc, it, charger_w, t, t_market:
+                        lambda soc, home, depart, charger_w, t, t_market:
                         chargers.append(charger_w) or (0.0, 0.0))
 
     class Ctx:
@@ -46,7 +47,8 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
 def test_worker_home_at_night_every_day():
     it = generate_itinerary("worker", np.random.default_rng(9), 6, SPEED)
     for d in range(6):
-        assert it.at_home(d * DAY_S + 3 * H)
+        parked, home, _ = it.locate(d * DAY_S + 3 * H)
+        assert parked and home
 
 
 def test_worker_commute_times_within_documented_jitter():
@@ -63,8 +65,8 @@ def test_worker_commute_times_within_documented_jitter():
             assert 8.0 <= depart_h <= 9.5
             assert return_h <= 18.5
             assert 10.0 <= out.distance_km <= 30.0
-            assert out.destination == "work"
-            assert back.destination == "home"
+            assert not out.home
+            assert back.home
 
 
 def test_unemployed_zero_to_two_daylight_trips():
@@ -74,7 +76,7 @@ def test_unemployed_zero_to_two_daylight_trips():
         for d in range(4):
             outbound = [tr for tr in it.trips
                         if d * DAY_S <= tr.depart_s < (d + 1) * DAY_S
-                        and tr.destination == "other"]
+                        and not tr.home]
             assert len(outbound) <= 2
             for tr in outbound:
                 assert 9.0 <= (tr.depart_s - d * DAY_S) / H <= 17.0
@@ -95,17 +97,21 @@ def test_trips_chronological_and_non_overlapping():
                 assert b.depart_s >= a.arrive_s
 
 
-def reference_location(itinerary, t):
-    """Location by a linear scan: the last trip started by t decides."""
+def reference_locate(itinerary, t):
+    """(parked, home, next departure) by a linear scan: the last trip
+    started by t decides where the EV is."""
     started = [tr for tr in itinerary.trips if tr.depart_s <= t]
+    later = [tr.depart_s for tr in itinerary.trips if tr.depart_s > t]
+    depart = later[0] if later else float("inf")
     if not started:
-        return HOME
+        return True, True, depart
     last = started[-1]
-    return "driving" if t < last.arrive_s else last.destination
+    parked = t >= last.arrive_s
+    return parked, parked and last.home, depart
 
 
 @pytest.mark.parametrize("profile", ["worker", "unemployed"])
-def test_location_and_at_home_agree_with_a_linear_scan(profile):
+def test_locate_agrees_with_a_linear_scan(profile):
     for seed in range(6):
         it = generate_itinerary(profile, np.random.default_rng(seed), 3,
                                 SPEED)
@@ -113,9 +119,7 @@ def test_location_and_at_home_agree_with_a_linear_scan(profile):
         grid = np.concatenate([np.arange(-60.0, 3 * DAY_S + 60.0, 60.0),
                                edges, np.nextafter(edges, -np.inf)])
         for t in grid.tolist():
-            where = reference_location(it, t)
-            assert it.location(t) == where
-            assert it.at_home(t) == (where == HOME)
+            assert it.locate(t) == reference_locate(it, t)
 
 
 def test_unknown_profile_rejected():
@@ -132,7 +136,7 @@ def test_fleet_driving_peaks_morning_and_evening():
     hours = np.zeros(24)
     for it in itineraries:
         for t in np.arange(0, 4 * DAY_S, 300.0):
-            if it.location(t) == "driving":
+            if not it.locate(t)[0]:
                 hours[int((t % DAY_S) / H)] += 1
     morning = int(np.argmax(hours[:12]))
     evening = 12 + int(np.argmax(hours[12:]))
@@ -140,30 +144,28 @@ def test_fleet_driving_peaks_morning_and_evening():
     assert evening in (17, 18, 19)
 
 
-HOME_ALL_DAY = Itinerary([])
-
-
 def test_driving_drain_oracle():
     # 20 km at 0.16 kWh/km out of a 75 kWh pack: SoC drops 3.2/75.
-    it = Itinerary([Trip(0.0, H, 20.0, "other")])
-    out = step_battery(0.8, 0.0, it, 75.0, PER_KM, 0.0, H, ETA)
+    it = Itinerary([Trip(0.0, H, 20.0, False)])
+    drive = it.driving_kwh(0.0, H, PER_KM)
+    out = step_battery(0.8, 0.0, drive, False, 75.0, H, ETA)
     assert out == pytest.approx(0.8 - 3.2 / 75.0, abs=1e-12)
 
 
 def test_driving_drain_apportioned_across_windows():
-    it = Itinerary([Trip(600.0, 600.0 + H, 30.0, "other")])
-    whole = step_battery(0.9, 0.0, it, 75.0, PER_KM, 0.0, 2 * H, ETA)
+    it = Itinerary([Trip(600.0, 600.0 + H, 30.0, False)])
+    whole = step_battery(0.9, 0.0, it.driving_kwh(0.0, 2 * H, PER_KM), False,
+                         75.0, 2 * H, ETA)
     split = 0.9
     for k in range(24):
-        split = step_battery(split, 0.0, it, 75.0, PER_KM, k * 300.0, 300.0,
-                             ETA)
+        drive = it.driving_kwh(k * 300.0, 300.0, PER_KM)
+        split = step_battery(split, 0.0, drive, False, 75.0, 300.0, ETA)
     assert split == pytest.approx(whole, abs=1e-9)
 
 
 def test_charge_efficiency_oracle():
     # +7000 W for 300 s at 95% efficiency stores 0.5542 kWh.
-    out = step_battery(0.5, 7000.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, 300.0,
-                       ETA)
+    out = step_battery(0.5, 7000.0, 0.0, True, 75.0, 300.0, ETA)
     gained_kwh = (out - 0.5) * 75.0
     assert gained_kwh == pytest.approx(7.0 * (300.0 / 3600.0) * 0.95,
                                        abs=1e-9)
@@ -171,15 +173,18 @@ def test_charge_efficiency_oracle():
 
 def test_discharge_efficiency_oracle():
     # -7000 W for 300 s draws 0.6140 kWh from the pack.
-    out = step_battery(0.5, -7000.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, 300.0,
-                       ETA)
+    out = step_battery(0.5, -7000.0, 0.0, True, 75.0, 300.0, ETA)
     lost_kwh = (0.5 - out) * 75.0
     assert lost_kwh == pytest.approx(7.0 * (300.0 / 3600.0) / 0.95, abs=1e-9)
 
 
+def test_commands_apply_only_at_home():
+    assert step_battery(0.5, 7000.0, 0.0, False, 75.0, 300.0, ETA) == 0.5
+    assert step_battery(0.5, -7000.0, 0.0, False, 75.0, 300.0, ETA) == 0.5
+
+
 def test_round_trip_is_lossy():
-    charged = step_battery(0.5, 7000.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, H,
-                           ETA)
+    charged = step_battery(0.5, 7000.0, 0.0, True, 75.0, H, ETA)
     stored = (charged - 0.5) * 75.0
     # meter energy returned when discharging the stored energy back out
     meter_out = stored * 0.95
@@ -188,59 +193,67 @@ def test_round_trip_is_lossy():
 
 
 def test_soc_clamped_to_the_pack():
-    full = step_battery(0.999, 7000.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, H,
-                        ETA)
+    full = step_battery(0.999, 7000.0, 0.0, True, 75.0, H, ETA)
     assert full == 1.0
-    empty = step_battery(0.001, -7000.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, H,
-                         ETA)
+    empty = step_battery(0.001, -7000.0, 0.0, True, 75.0, H, ETA)
     assert empty == 0.0
     # a trip longer than the charge allows
-    it = Itinerary([Trip(0.0, H, 500.0, "other")])
-    assert step_battery(0.2, 0.0, it, 58.0, PER_KM, 0.0, H, ETA) == 0.0
+    it = Itinerary([Trip(0.0, H, 500.0, False)])
+    drive = it.driving_kwh(0.0, H, PER_KM)
+    assert step_battery(0.2, 0.0, drive, False, 58.0, H, ETA) == 0.0
 
 
 def test_soc_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(ev_initial_soc_range=(0.5, 1.2)).validate()
-    with pytest.raises(ValueError):
-        step_battery(0.5, 0.0, HOME_ALL_DAY, 75.0, PER_KM, 0.0, 0.0, ETA)
 
 
 def test_load_range_soc_gates():
+    # the gates themselves: 0.90 still trades both ways, 0.30 too, and
+    # 0.20 charges only
     cases = [
         (0.95, (-11000.0, 0.0)),
+        (0.90, (-11000.0, 11000.0)),
         (0.60, (-11000.0, 11000.0)),
+        (0.30, (-11000.0, 11000.0)),
         (0.25, (0.0, 11000.0)),
+        (0.20, (0.0, 11000.0)),
         (0.15, (11000.0, 11000.0)),
     ]
     for soc, expected in cases:
-        got = load_range(soc, HOME_ALL_DAY, 11000.0, 0.0, 300.0)
-        assert got == expected
+        got = load_range(soc, True, float("inf"), 11000.0, 0.0, 300.0)
+        assert got == expected, soc
 
 
 def test_load_range_zero_when_away_or_departing():
-    it = Itinerary([Trip(10 * H, 11 * H, 20.0, "work")])
-    assert load_range(0.5, it, 7000.0, 10.5 * H, 300.0) == (0.0, 0.0)
+    it = Itinerary([Trip(10 * H, 11 * H, 20.0, False)])
+
+    def at(t):
+        _, home, depart = it.locate(t)
+        return load_range(0.5, home, depart, 7000.0, t, 300.0)
+
+    assert at(10.5 * H) == (0.0, 0.0)
     # departing before the round ends
-    assert load_range(0.5, it, 7000.0, 10 * H - 100.0, 300.0) == (0.0, 0.0)
+    assert at(10 * H - 100.0) == (0.0, 0.0)
     # long dwell before departure: normal gates apply
-    assert load_range(0.5, it, 7000.0, 5 * H, 300.0)[1] > 0
+    assert at(5 * H)[1] > 0
 
 
 def test_build_fleet_mix_models_and_initial_soc():
     cfg = ScenarioConfig(n_ev=30, n_houses=30, days=5, ev_worker_ratio=0.6)
     fleet = build_fleet(cfg, np.random.default_rng(2))
-    # workers commute every day; unemployed owners never drive to work
-    commutes = [sum(tr.destination == WORK for tr in it.trips)
+    # workers leave home once a day; unemployed owners at most twice
+    outbound = [sum(not tr.home for tr in it.trips)
                 for it in fleet.itineraries]
-    assert commutes == [5] * 18 + [0] * 12
+    assert outbound[:18] == [5] * 18
+    assert all(n <= 10 for n in outbound[18:])
     assert all(0.5 <= soc <= 0.9 for soc in fleet.soc)
     # models alternate so the mix is 50:50
     assert fleet.capacity_kwh == [75.0, 58.0] * 15
 
 
 def test_federate_counts_out_of_range_commands(monkeypatch):
-    fleet = EvFleet([0.5], [75.0], [HOME_ALL_DAY])
+    fleet = EvFleet([0.5], [75.0], [Itinerary([])])
     fed = EvFederate(fleet, ScenarioConfig(ev_charger_kw=7.0))
     commands = []
     step = evfleet.step_battery
@@ -268,3 +281,69 @@ def test_federate_counts_out_of_range_commands(monkeypatch):
     assert fed.range_violations == 1
     assert commands == [0.0]  # clamped back into range
     assert fleet.soc == [0.5]
+    # the command stays in force, and out of range, at the next step
+    Ctx.t = 120.0
+    fed(Ctx())
+    assert fed.range_violations == 2
+    assert commands == [0.0, 0.0]
+
+
+# Trips that put departures and arrivals on and between the edges of
+# 60 s steps: a departure on a step edge with an arrival inside a step,
+# a departure at the instant of that arrival, a trip inside one step,
+# and an arrival on a step edge followed at once by a departure.
+EDGE_TRIPS = [Trip(600.0, 1230.0, 5.0, False),
+              Trip(1230.0, 1250.0, 1.0, True),
+              Trip(1830.0, 2400.0, 4.0, False),
+              Trip(2400.0, 3000.0, 4.0, True),
+              Trip(3010.0, 3050.0, 0.5, False),
+              Trip(3600.0, 4000.0, 3.0, True)]
+
+
+def test_federate_steps_match_a_search_at_every_step(monkeypatch):
+    """The federate searches an itinerary only at trip events; every
+    step must still see the driving energy and home flag that a search
+    at that step gives."""
+    rng = np.random.default_rng(5)
+    itineraries = [Itinerary(EDGE_TRIPS)] + [
+        generate_itinerary(profile, rng, 2, SPEED)
+        for profile in ("worker", "worker", "unemployed", "unemployed")]
+    n = len(itineraries)
+    cfg = ScenarioConfig(n_houses=n, n_ev=n, days=2, discard_days=1)
+    fleet = EvFleet([0.6] * n, [75.0] * n, itineraries)
+    calls = []
+    step = evfleet.step_battery
+
+    def recording(soc, command_w, drive_kwh, home, *args):
+        calls.append((drive_kwh, home))
+        return step(soc, command_w, drive_kwh, home, *args)
+
+    monkeypatch.setattr(evfleet, "step_battery", recording)
+    fed = Federation(cfg.step_s, cfg.t_market_s)
+    fed.register_federate("ev-fleet", EvFederate(fleet, cfg))
+    fed.run(cfg.days * DAY_S)
+    expected = []
+    for t in np.arange(0.0, cfg.days * DAY_S, cfg.step_s).tolist():
+        for it in itineraries:
+            expected.append((it.driving_kwh(t, cfg.step_s,
+                                            cfg.ev_drive_kwh_per_km),
+                             reference_locate(it, t)[1]))
+    assert calls == expected
+    assert sum(home for _, home in calls) < len(calls)
+
+
+def test_soc_extremes_are_those_of_the_stepped_series(monkeypatch):
+    socs = []
+    step = evfleet.step_battery
+
+    def recording(*args):
+        socs.append(step(*args))
+        return socs[-1]
+
+    monkeypatch.setattr(evfleet, "step_battery", recording)
+    result = run_scenario(builtin_config("s5", n_houses=3, n_ev=3, n_pv=3,
+                                         days=2, discard_days=1))
+    assert len(socs) == 3 * 2 * 1440
+    # strictly inside [0, 1], so extremes that start at a bound would show
+    assert 0.0 < min(socs) and max(socs) < 1.0
+    assert (result.soc_min, result.soc_max) == (min(socs), max(socs))

@@ -10,7 +10,8 @@ import pytest
 from petgrid import household
 from petgrid.household import (HouseFleet, HouseholdFederate, build_houses,
                                hvac_demand, setpoint, step_thermal,
-                               unresponsive_curve, unresponsive_loads)
+                               thermal_decay, unresponsive_curve,
+                               unresponsive_loads)
 from petgrid.kernel import Federation
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.weather import DAY_S, SyntheticWeather, WeatherFederate
@@ -21,36 +22,34 @@ Q_COOL = 12000.0
 
 
 def test_equilibrium_temperature_unchanged():
-    out = step_thermal(30.0, temp_out=30.0, q_net=0.0, r=R, c=C, dt=600.0)
+    out = step_thermal(30.0, temp_out=30.0, q_net=0.0, r=R,
+                       decay=thermal_decay(R, C, 600.0))
     assert out == pytest.approx(30.0, abs=1e-12)
 
 
 def test_exponential_relaxation_worked_example():
     # Closed-form oracle: RC = 2 h, start 25 degC, outdoor 35 degC, no
     # gains, 1 h horizon: 35 - 10*exp(-0.5) = 28.9347 degC.
-    out = step_thermal(25.0, temp_out=35.0, q_net=0.0, r=1.0 / 500.0,
-                       c=2 * H * 500.0, dt=H)
+    r, c = 1.0 / 500.0, 2 * H * 500.0
+    out = step_thermal(25.0, temp_out=35.0, q_net=0.0, r=r,
+                       decay=thermal_decay(r, c, H))
     assert out == pytest.approx(35.0 - 10.0 * math.exp(-0.5), abs=1e-3)
 
 
 def test_cooling_decreases_temperature_at_equal_outdoor():
-    out = step_thermal(30.0, temp_out=30.0, q_net=-Q_COOL, r=R, c=C, dt=60.0)
+    out = step_thermal(30.0, temp_out=30.0, q_net=-Q_COOL, r=R,
+                       decay=thermal_decay(R, C, 60.0))
     assert out < 30.0
 
 
 def test_subdivided_steps_match_single_step():
     q_net = 800.0 - Q_COOL
-    single = step_thermal(25.0, 35.0, q_net, R, C, H)
+    single = step_thermal(25.0, 35.0, q_net, R, thermal_decay(R, C, H))
     stepped = 25.0
     for _ in range(60):
-        stepped = step_thermal(stepped, 35.0, q_net, R, C, 60.0)
+        stepped = step_thermal(stepped, 35.0, q_net, R,
+                               thermal_decay(R, C, 60.0))
     assert stepped == pytest.approx(single, abs=1e-9)
-
-
-def test_invalid_parameters_rejected():
-    for dt in (0.0, -60.0):
-        with pytest.raises(ValueError):
-            step_thermal(25.0, 30.0, 0.0, R, C, dt)
 
 
 def test_setpoint_schedule_oracle():
@@ -201,9 +200,9 @@ def _recording_step_thermal(monkeypatch):
     q_nets = []
     step = household.step_thermal
 
-    def recording(t_air, temp_out, q_net, r, c, dt):
+    def recording(t_air, temp_out, q_net, r, decay):
         q_nets.append(q_net)
-        return step(t_air, temp_out, q_net, r, c, dt)
+        return step(t_air, temp_out, q_net, r, decay)
 
     monkeypatch.setattr(household, "step_thermal", recording)
     return q_nets

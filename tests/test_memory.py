@@ -42,3 +42,23 @@ def test_a_fill_that_does_not_fit_the_log_raises():
                 Transaction(1, 2, 2**63, 0.02, 7)):
         with pytest.raises(OverflowError):
             TransactionLog().extend([bad])
+
+
+def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
+    log = TransactionLog()
+    with pytest.raises(OverflowError):
+        log.extend([Transaction(1, 2, 100, 0.02, 2**31)])
+    assert len(log) == 0
+    assert list(log) == []
+    for column in (log.round_index, log.buyer, log.seller, log.quantity,
+                   log.price):
+        assert len(column) == 0
+    # a round with one bad fill after good ones adds none of them
+    log.extend([Transaction(1, 2, 100, 0.02, 3)])
+    with pytest.raises(OverflowError):
+        log.extend([Transaction(4, 5, 60, 0.03, 4),
+                    Transaction(4, 6, 2**63, 0.03, 4)])
+    assert list(log) == [Transaction(1, 2, 100, 0.02, 3)]
+    assert {len(column) for column in (log.round_index, log.buyer,
+                                       log.seller, log.quantity,
+                                       log.price)} == {1}

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             list_scenarios, load_config_file, run_scenario,
                             write_outputs)
 from petgrid.weather import DAY_S
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_builtin_s1_is_uncapped_grid_only():
@@ -155,6 +161,21 @@ def test_load_config_file_nested_yaml(tmp_path):
     assert cfg.name == "mini"
     assert (cfg.days, cfg.seed, cfg.n_ev, cfg.grid_capacity_kw) == \
         (5, 9, 2, 50.0)
+
+
+def test_only_a_config_file_imports_yaml(tmp_path):
+    path = tmp_path / "mini.yaml"
+    path.write_text("houses:\n  count: 3\n")
+    code = ("import sys\nimport petgrid\n"
+            "assert 'yaml' not in sys.modules\n"
+            "from petgrid.runner import load_config_file\n"
+            f"assert load_config_file({str(path)!r}).n_houses == 3\n"
+            "assert 'yaml' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_load_config_file_rejects_non_mapping(tmp_path):

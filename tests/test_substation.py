@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petgrid import substation
-from petgrid.market import Side, Transaction, TransactionLog, match_orders
+from petgrid.market import (Order, Side, Transaction, TransactionLog,
+                            match_orders)
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
                                 HVAC_BASE, LmpHistory, PV_BASE,
@@ -194,6 +195,34 @@ def test_transaction_log_is_every_round_in_order(monkeypatch):
     assert all(type(tx) is Transaction for tx in logged)
     assert [tuple(map(type, tx)) for tx in logged] == \
         [tuple(map(type, tx)) for tx in expected]
+
+
+def test_every_order_of_a_run_passes_the_order_checks(monkeypatch):
+    """House and EV bids skip Order.__new__; each must equal the order
+    that the checked constructor builds from its fields."""
+    books = []
+
+    def recording(orders, round_index=0):
+        books.append(orders)
+        return match_orders(orders, round_index)
+
+    monkeypatch.setattr(substation, "match_orders", recording)
+    # low initial charge reaches the forced-charge buy below 20% SoC
+    run_scenario(builtin_config("s5", n_houses=6, n_ev=6, n_pv=6, days=2,
+                                discard_days=1,
+                                ev_initial_soc_range=(0.1, 0.95)))
+    orders = [order for book in books for order in book]
+    assert all(type(order) is Order and order == Order(*order)
+               and type(order.quantity) is int for order in orders)
+    # house orders keep the default priority, their trader id
+    assert all(order == Order(*order[:4]) for order in orders
+               if order.trader < EV_BASE)
+    traders = {order.trader // 1000 * 1000 for order in orders}
+    assert traders == {GRID_TRADER, UNRESP_BASE, HVAC_BASE, PV_BASE, EV_BASE,
+                       EV_SELL_BASE}
+    forced = [order for order in orders if EV_BASE <= order.trader
+              < EV_SELL_BASE and order.price == CFG.prices_unresponsive]
+    assert forced
 
 
 def test_ev_bids_forced_charge():
