@@ -35,7 +35,7 @@ for name in ("s1", "s2", "s3", "s4", "s5"):
                          discard_days=args.days // 2)
     res = run_scenario(cfg)
     s = res.summary
-    grid_kw = max(x.grid_supplied_w for x in res.samples) / 1000.0
+    grid_kw = max(res.rounds["grid_supplied_w"]) / 1000.0
     print(f"{name:<9}{s.t_excess2_bar:>10.3f}{s.vwap_bar:>12.5f}"
           f"{grid_kw:>9.0f}{s.p_surplus_pv_bar_w / 1000.0:>15.2f}"
           f"{s.violation_count:>12d}")

@@ -35,10 +35,8 @@ class Itinerary:
     trips: list[Trip]
 
     def __post_init__(self):
+        # trips are in order and disjoint, as generate_itinerary leaves them
         self._departs = [tr.depart_s for tr in self.trips]
-        for a, b in zip(self.trips, self.trips[1:]):
-            if b.depart_s < a.arrive_s:
-                raise ValueError("trips overlap or are out of order")
 
     def locate(self, t: float) -> tuple[bool, bool, float]:
         """Whether the EV is parked (not on a trip) and parked at home at
@@ -67,15 +65,13 @@ class Itinerary:
         return total
 
 
-def generate_itinerary(profile: str, rng: np.random.Generator,
+def generate_itinerary(worker: bool, rng: np.random.Generator,
                        days: int, speed_kmh: float) -> Itinerary:
-    """Deterministic synthetic mobility trace for one EV."""
-    if days < 1:
-        raise ValueError("days must be >= 1")
+    """Deterministic mobility trace of one worker or unemployed owner."""
     trips: list[Trip] = []
     for d in range(days):
         day0 = d * DAY_S
-        if profile == "worker":
+        if worker:
             depart = day0 + (8.75 + rng.uniform(-0.75, 0.75)) * 3600.0
             dist = rng.uniform(10.0, 30.0)
             dur = dist / speed_kmh * 3600.0
@@ -83,7 +79,7 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
             ret = day0 + (17.5 + rng.uniform(-1.0, 1.0)) * 3600.0
             ret = max(ret, depart + dur + 600.0)
             trips.append(Trip(ret, ret + dur, dist, True))
-        elif profile == "unemployed":
+        else:
             for _ in range(int(rng.integers(0, 3))):
                 depart = day0 + rng.uniform(9.0, 17.0) * 3600.0
                 dist = rng.uniform(2.0, 10.0)
@@ -92,8 +88,6 @@ def generate_itinerary(profile: str, rng: np.random.Generator,
                 trips.append(Trip(depart, depart + dur, dist, False))
                 trips.append(Trip(depart + dur + dwell,
                                   depart + 2 * dur + dwell, dist, True))
-        else:
-            raise ValueError(f"unknown profile {profile!r}")
     trips.sort(key=lambda tr: tr.depart_s)
     # drop trips that overlap an earlier one (possible for unemployed)
     cleaned: list[Trip] = []
@@ -166,9 +160,8 @@ def build_fleet(cfg, rng: np.random.Generator) -> EvFleet:
     lo, hi = cfg.ev_initial_soc_range
     fleet = EvFleet([], [], [])
     for j in range(cfg.n_ev):
-        profile = "worker" if j < n_workers else "unemployed"
-        fleet.itineraries.append(generate_itinerary(profile, rng, cfg.days,
-                                                    cfg.ev_speed_kmh))
+        fleet.itineraries.append(generate_itinerary(
+            j < n_workers, rng, cfg.days, cfg.ev_speed_kmh))
         fleet.capacity_kwh.append(PACK_KWH[j % len(PACK_KWH)])
         fleet.soc.append(rng.uniform(lo, hi))
     return fleet

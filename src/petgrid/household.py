@@ -127,8 +127,7 @@ def unresponsive_loads(fleet: HouseFleet, index: int,
     """
     base = unresponsive_curve((index + 0.5) * cfg.t_market_s,
                               cfg.houses_unresponsive_mean_kw * 1000.0)
-    return tuple(max(base * (1.0 + x), 0.0)
-                 for x in fleet.noise[:, index].tolist())
+    return tuple(base * (1.0 + x) for x in fleet.noise[:, index].tolist())
 
 
 def build_houses(cfg, rng: np.random.Generator, weather,

@@ -7,6 +7,7 @@ average transaction price.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -21,27 +22,35 @@ def t_excess2(t_air: float, t_setpoint: float) -> float:
     return max(t_air - t_setpoint, 0.0) ** 2
 
 
-@dataclass
-class MetricsSample:
-    """One market round's worth of fleet-level observations."""
+# time_series.csv's columns in file order, then the power sums that only
+# the summary reads: the round log's columns, in this order
+TIME_SERIES_COLUMNS = (
+    "t_s", "lmp", "round_vwap", "grid_supplied_w", "pv_potential_w",
+    "pv_supplied_w", "ev_charge_w", "ev_discharge_w", "hvac_load_w",
+    "unresponsive_load_w", "mean_t_air_c", "mean_setpoint_c", "mean_t_excess2")
+ROUND_COLUMNS = TIME_SERIES_COLUMNS + (
+    "p_target_w", "p_supplied_w", "p_surplus_pv_w", "p_surplus_ev_w")
+AVERAGE_DAY_COLUMNS = (
+    "lmp", "grid_supplied_w", "pv_potential_w", "pv_supplied_w",
+    "ev_charge_w", "ev_discharge_w", "hvac_load_w", "unresponsive_load_w",
+    "p_target_w", "p_supplied_w", "p_surplus_pv_w", "mean_t_air_c",
+    "mean_setpoint_c", "mean_t_excess2")
 
-    t: float
-    mean_t_excess2: float
-    p_target_w: float
-    p_supplied_w: float
-    p_surplus_pv_w: float
-    p_surplus_ev_w: float
-    round_vwap: float | None
-    lmp: float
-    grid_supplied_w: float
-    pv_potential_w: float
-    pv_supplied_w: float
-    ev_charge_w: float
-    ev_discharge_w: float
-    hvac_load_w: float
-    unresponsive_load_w: float
-    mean_t_air_c: float
-    mean_setpoint_c: float
+
+def round_log() -> dict:
+    """An empty round log: one column per name in ROUND_COLUMNS, to hold
+    one value per market round in round order. time_series.csv formats a
+    value by its type: the grid's fill stays the int the matcher sold, a
+    round without fills has a None VWAP, and the rest are floats."""
+    return {name: [] if name == "round_vwap"
+            else array("q" if name == "grid_supplied_w" else "d")
+            for name in ROUND_COLUMNS}
+
+
+def append_round(log: dict, **values) -> None:
+    """Append one round's observations, one keyword per column."""
+    for name, column in log.items():
+        column.append(values[name])
 
 
 @dataclass
@@ -57,68 +66,61 @@ class ScenarioSummary:
 
 
 def _trapz_mean(ts: np.ndarray, vs: np.ndarray) -> float:
-    if len(ts) == 1:
+    if len(ts) == 1:    # one round a day and one analysis day
         return float(vs[0])
     span = ts[-1] - ts[0]
     return float(np.trapezoid(vs, ts) / span)
 
 
-def summarize(samples: list[MetricsSample], transactions: TransactionLog,
+def _window(t_s, start_s: float, end_s: float) -> slice:
+    """The rounds within [start_s, end_s], which are in time order."""
+    return slice(bisect_left(t_s, start_s), bisect_right(t_s, end_s))
+
+
+def summarize(rounds: dict, transactions: TransactionLog,
               window_start_s: float, window_end_s: float, t_market_s: float,
               violations: dict | None = None) -> ScenarioSummary:
-    """Aggregate round samples and transactions over the analysis window.
+    """Aggregate the round log and transactions over the analysis window.
 
     The VWAP weights every window transaction by its quantity. The log's
     rounds are in clearing order, so the window's fills are one slice,
     found by bisection and read through memoryviews without a copy.
     """
-    window = [s for s in samples if window_start_s <= s.t <= window_end_s]
-    if not window:
-        raise ValueError("empty analysis window")
-    ts = np.array([s.t for s in window])
+    window = _window(rounds["t_s"], window_start_s, window_end_s)
+    ts = np.array(rounds["t_s"][window])
 
-    def bar(getter):
-        return _trapz_mean(ts, np.array([getter(s) for s in window]))
+    def bar(name):
+        return _trapz_mean(ts, np.array(rounds[name][window]))
 
-    rounds = transactions.round_index
-    lo = bisect_left(rounds, window_start_s, key=lambda r: r * t_market_s)
-    hi = bisect_right(rounds, window_end_s, key=lambda r: r * t_market_s)
+    fills = transactions.round_index
+    lo = bisect_left(fills, window_start_s, key=lambda r: r * t_market_s)
+    hi = bisect_right(fills, window_end_s, key=lambda r: r * t_market_s)
     violations = dict(violations or {})
     return ScenarioSummary(
-        t_excess2_bar=bar(lambda s: s.mean_t_excess2),
+        t_excess2_bar=bar("mean_t_excess2"),
         vwap_bar=vwap(memoryview(transactions.quantity)[lo:hi],
                       memoryview(transactions.price)[lo:hi]),
-        p_target_bar_w=bar(lambda s: s.p_target_w),
-        p_supplied_bar_w=bar(lambda s: s.p_supplied_w),
-        p_surplus_pv_bar_w=bar(lambda s: s.p_surplus_pv_w),
-        p_surplus_ev_bar_w=bar(lambda s: s.p_surplus_ev_w),
+        p_target_bar_w=bar("p_target_w"),
+        p_supplied_bar_w=bar("p_supplied_w"),
+        p_surplus_pv_bar_w=bar("p_surplus_pv_w"),
+        p_surplus_ev_bar_w=bar("p_surplus_ev_w"),
         violation_count=int(sum(violations.values())),
         violations=violations,
     )
 
 
-def average_day(samples: list[MetricsSample], t_market_s: float,
+def average_day(rounds: dict, t_market_s: float,
                 window_start_s: float, window_end_s: float):
     """Average each time-of-day slot across the analysis days.
 
     Returns (time_of_day_s, {column: values}) with one row per market
-    round slot in a day.
+    round slot in a day. `np.bincount` adds each slot's values in round
+    order starting from 0.0, so every sum is the left-to-right one.
     """
     slots = int(DAY_S / t_market_s)
-    columns = ["lmp", "grid_supplied_w", "pv_potential_w", "pv_supplied_w",
-               "ev_charge_w", "ev_discharge_w", "hvac_load_w",
-               "unresponsive_load_w", "p_target_w", "p_supplied_w",
-               "p_surplus_pv_w", "mean_t_air_c", "mean_setpoint_c",
-               "mean_t_excess2"]
-    sums = {c: np.zeros(slots) for c in columns}
-    counts = np.zeros(slots)
-    for s in samples:
-        if not (window_start_s <= s.t <= window_end_s):
-            continue
-        slot = int((s.t % DAY_S) / t_market_s)
-        counts[slot] += 1
-        for c in columns:
-            sums[c][slot] += getattr(s, c)
-    counts = np.maximum(counts, 1)
+    window = _window(rounds["t_s"], window_start_s, window_end_s)
+    slot = (np.array(rounds["t_s"][window]) % DAY_S / t_market_s).astype(int)
+    counts = np.maximum(np.bincount(slot, minlength=slots), 1)
     tod = np.arange(slots) * t_market_s
-    return tod, {c: sums[c] / counts for c in columns}
+    return tod, {c: np.bincount(slot, np.array(rounds[c][window]), slots)
+                 / counts for c in AVERAGE_DAY_COLUMNS}

@@ -18,6 +18,9 @@ from .weather import DAY_S
 
 
 WEATHER_MODES = ("synthetic", "csv")
+# config files bypass _coerce, so a YAML float or bool can reach these
+INT_FIELDS = ("n_houses", "n_ev", "n_pv", "days", "discard_days", "seed",
+              "ev_seed")
 RANGE_FIELDS = ("houses_rc_hours_range", "houses_ua_w_per_k_range",
                 "pv_panels_range", "ev_initial_soc_range")
 POSITIVE_FIELDS = ("step_s", "grid_capacity_kw", "lmp_reference_capacity_kw",
@@ -83,6 +86,12 @@ class ScenarioConfig:
     prices_pv_sell: float = 0.0148
 
     def validate(self) -> None:
+        for key in INT_FIELDS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or (
+                    not isinstance(value, numbers.Integral)
+                    and (key, value) != ("ev_seed", None)):
+                raise ValueError(f"{key} must be an integer")
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite")
@@ -102,9 +111,9 @@ class ScenarioConfig:
         if self.ev_efficiency > 1 or self.lmp_diurnal_amplitude > 1:
             raise ValueError("ev_efficiency and lmp_diurnal_amplitude "
                              "must not exceed 1")
-        # above 1 the noise drives loads below 0 W, where they are clipped
-        # to 0; a worker share or an EMA weight outside [0, 1] is no
-        # fraction, yet would run to exit 0
+        # a noise fraction within [0, 1] is what keeps every unresponsive
+        # load at 0 W or more; a worker share or an EMA weight outside
+        # [0, 1] is no fraction, yet would run to exit 0
         for key in ("houses_unresponsive_noise_frac", "ev_worker_ratio",
                     "lmp_demand_ema"):
             if not 0 <= getattr(self, key) <= 1:
@@ -233,7 +242,7 @@ def load_config_file(path) -> ScenarioConfig:
 class RunResult:
     config: ScenarioConfig
     summary: metrics.ScenarioSummary
-    samples: list
+    rounds: dict
     transactions: TransactionLog
     average_day: tuple
     violations: dict = field(default_factory=dict)
@@ -280,24 +289,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
         "ev_unfilled_must_charge": sub.ev_unfilled_must_charge,
         "power_imbalance": int(sub.max_imbalance_w > 1.0),
     }
-    summary = metrics.summarize(sub.samples, sub.transactions, *window,
+    summary = metrics.summarize(sub.rounds, sub.transactions, *window,
                                 cfg.t_market_s, violations=violations)
-    avg_day = metrics.average_day(sub.samples, cfg.t_market_s, *window)
-    result = RunResult(cfg, summary, sub.samples, sub.transactions, avg_day,
+    avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, *window)
+    result = RunResult(cfg, summary, sub.rounds, sub.transactions, avg_day,
                        violations, sub.max_imbalance_w,
                        ev_fed.soc_min_seen, ev_fed.soc_max_seen)
 
     if out_dir is not None:
         write_outputs(result, Path(out_dir))
     return result
-
-
-TIME_SERIES_COLUMNS = [
-    "t_s", "lmp", "round_vwap", "grid_supplied_w", "pv_potential_w",
-    "pv_supplied_w", "ev_charge_w", "ev_discharge_w", "hvac_load_w",
-    "unresponsive_load_w", "mean_t_air_c", "mean_setpoint_c",
-    "mean_t_excess2",
-]
 
 
 def _fmt(value) -> str:
@@ -311,13 +312,10 @@ def _fmt(value) -> str:
 def write_outputs(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "time_series.csv", "w") as fh:
-        fh.write(",".join(TIME_SERIES_COLUMNS) + "\n")
-        for s in result.samples:
-            row = [s.t, s.lmp, s.round_vwap, s.grid_supplied_w,
-                   s.pv_potential_w, s.pv_supplied_w, s.ev_charge_w,
-                   s.ev_discharge_w, s.hvac_load_w, s.unresponsive_load_w,
-                   s.mean_t_air_c, s.mean_setpoint_c, s.mean_t_excess2]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(metrics.TIME_SERIES_COLUMNS) + "\n")
+        columns = [result.rounds[c] for c in metrics.TIME_SERIES_COLUMNS]
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
     txs = result.transactions
     with open(out_dir / "transactions.csv", "w") as fh:
@@ -328,9 +326,8 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
     tod, cols = result.average_day
     with open(out_dir / "average_day.csv", "w") as fh:
         fh.write("time_of_day_s," + ",".join(cols) + "\n")
-        for i, t in enumerate(tod):
-            fh.write(_fmt(float(t)) + ","
-                     + ",".join(_fmt(float(cols[c][i])) for c in cols) + "\n")
+        for row in zip(map(float, tod), *(cols[c].tolist() for c in cols)):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
     cfg = result.config
     payload = {

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .market import Order, Side, TransactionLog, match_orders
-from .metrics import MetricsSample
+from .metrics import append_round, round_log
 from .weather import DAY_S, diurnal_wave
 
 # Trader id blocks; the offsets give must-serve loads tie-break priority.
@@ -63,12 +63,7 @@ class LmpHistory:
         insort(self._sorted, lmp)
         self._array = None
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def _series(self) -> np.ndarray:
-        if not self._values:
-            raise ValueError("empty LMP history")
         if self._array is None:
             self._array = np.fromiter(self._values, dtype=float,
                                       count=len(self._values))
@@ -97,8 +92,6 @@ class LmpHistory:
 
     @property
     def iqr_long(self) -> float:
-        if not self._sorted:
-            raise ValueError("empty LMP history")
         return self._quantile(0.75) - self._quantile(0.25)
 
 
@@ -111,8 +104,6 @@ def base_price(t: float, p_base: float, amplitude: float) -> float:
 def compute_lmp(prev_round_demand_w: float, capacity_w: float, t: float,
                 p_base: float, alpha: float, amplitude: float) -> float:
     """LMP rises quadratically with the demand to supply ratio."""
-    if capacity_w <= 0:
-        raise ValueError("capacity must be positive")
     u = min(max(prev_round_demand_w, 0.0) / capacity_w, 1.0)
     return base_price(t, p_base, amplitude) * (1.0 + alpha * u * u)
 
@@ -187,7 +178,7 @@ class SubstationFederate:
     """Runs one clearing round at every market period boundary.
 
     At the top of each round the households' and EVs' bus values become
-    whole-watt packets, once: bids, dispatch, slack and every sample sum
+    whole-watt packets, once: bids, dispatch, slack and every round-log sum
     read those integers, so the round trades, dispatches and accounts in
     the same watts.
     """
@@ -198,7 +189,7 @@ class SubstationFederate:
         self.lmp_capacity_w = cfg.lmp_reference_capacity_kw * 1000.0
         self.hist = LmpHistory(cfg.t_market_s)
         self.prev_demand_w = 0.0
-        self.samples: list[MetricsSample] = []
+        self.rounds = round_log()
         self.transactions = TransactionLog()
         self.unserved_unresponsive = 0
         self.ev_unfilled_must_charge = 0
@@ -258,9 +249,7 @@ class SubstationFederate:
         self.prev_demand_w = ema * grid_import + (1 - ema) * self.prev_demand_w
 
     def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> None:
-        # quantities are whole watts, so each total is an exact int sum;
-        # float() makes the power totals floats, which time_series.csv
-        # formats with six decimals (grid_supplied_w stays an int)
+        # quantities are whole watts, so each total is an exact int sum
         bought, sold = result.bought.get, result.sold.get
         grid_supplied = sold(GRID_TRADER, 0)
         houses = range(self.cfg.n_houses)
@@ -311,22 +300,15 @@ class SubstationFederate:
         self.max_imbalance_w = max(self.max_imbalance_w, abs(supply - load))
 
         p_target = unresp_total + sum(hvac) + must_charge_w
-        self.samples.append(MetricsSample(
-            t=ctx.t,
-            mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0),
-            p_target_w=p_target,
-            p_supplied_w=grid_supplied + pv_supplied + ev_discharge,
-            p_surplus_pv_w=pv_surplus,
-            p_surplus_ev_w=ev_surplus,
-            round_vwap=result.round_vwap,
-            lmp=lmp,
-            grid_supplied_w=grid_supplied,
-            pv_potential_w=pv_potential_total,
-            pv_supplied_w=pv_supplied,
-            ev_charge_w=ev_charge,
-            ev_discharge_w=ev_discharge,
-            hvac_load_w=hvac_total,
+        append_round(
+            self.rounds, t_s=ctx.t, lmp=lmp, round_vwap=result.round_vwap,
+            grid_supplied_w=grid_supplied, pv_potential_w=pv_potential_total,
+            pv_supplied_w=pv_supplied, ev_charge_w=ev_charge,
+            ev_discharge_w=ev_discharge, hvac_load_w=hvac_total,
             unresponsive_load_w=unresp_total,
             mean_t_air_c=ctx.read("houses/mean_t_air_c", 0.0),
             mean_setpoint_c=ctx.read("houses/mean_t_set_c", 0.0),
-        ))
+            mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0),
+            p_target_w=p_target,
+            p_supplied_w=grid_supplied + pv_supplied + ev_discharge,
+            p_surplus_pv_w=pv_surplus, p_surplus_ev_w=ev_surplus)

@@ -69,8 +69,6 @@ class SyntheticWeather:
         return 0.5 * (1.0 - math.cos(math.pi * phase))
 
     def sample(self, t: float) -> WeatherSample:
-        if t < 0:
-            raise ValueError("t must be non-negative")
         return WeatherSample(t, self.temp(t), self.irradiance_frac(t))
 
 
@@ -123,8 +121,6 @@ class CsvWeather:
         return cls(times, temps, fracs)
 
     def sample(self, t: float) -> WeatherSample:
-        if t < 0:
-            raise ValueError("t must be non-negative")
         query = t
         span_start, span_end = self.times[0], self.times[-1]
         if query > span_end or query < span_start:

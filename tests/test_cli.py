@@ -82,7 +82,7 @@ def _probe(setting, *extra):
     _probe("houses.unresponsive_mean_kw=-1"),
     _probe("pv.panel_w=-480"),
     _probe("houses.deadband_c=-2"),
-    _probe("houses.unresponsive_noise_frac=5"),     # loads clipped to 0 W
+    _probe("houses.unresponsive_noise_frac=5"),     # loads below 0 W
     _probe("houses.unresponsive_noise_frac=-0.1"),
     _probe("ev.worker_ratio=-1"),
     _probe("ev.worker_ratio=3"),
@@ -101,6 +101,29 @@ def test_invalid_config_fails_before_any_step(setting, extra, capsys,
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "houses: {count: 3.5}\n",
+    "scenario: {seed: 1.5}\n",
+    # ran 2.5 days, averaging some day slots over one day, some over two
+    "scenario: {days: 2.5, discard_days: 1}\n",
+], ids=["houses-count-3.5", "seed-1.5", "days-2.5"])
+def test_non_integer_in_a_config_file_fails_before_any_step(
+        text, capsys, monkeypatch, tmp_path):
+    def no_stepping(*args):
+        raise AssertionError("the federation must not run")
+
+    cfg = tmp_path / "fractional.yaml"
+    cfg.write_text(text)
+    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
+    code = main(["run", "--scenario", str(cfg), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "must be an integer" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -45,7 +45,7 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
 
 
 def test_worker_home_at_night_every_day():
-    it = generate_itinerary("worker", np.random.default_rng(9), 6, SPEED)
+    it = generate_itinerary(True, np.random.default_rng(9), 6, SPEED)
     for d in range(6):
         parked, home, _ = it.locate(d * DAY_S + 3 * H)
         assert parked and home
@@ -53,7 +53,7 @@ def test_worker_home_at_night_every_day():
 
 def test_worker_commute_times_within_documented_jitter():
     for seed in range(20):
-        it = generate_itinerary("worker", np.random.default_rng(seed), 3,
+        it = generate_itinerary(True, np.random.default_rng(seed), 3,
                                 SPEED)
         for d in range(3):
             day = [tr for tr in it.trips
@@ -71,7 +71,7 @@ def test_worker_commute_times_within_documented_jitter():
 
 def test_unemployed_zero_to_two_daylight_trips():
     for seed in range(20):
-        it = generate_itinerary("unemployed", np.random.default_rng(seed),
+        it = generate_itinerary(False, np.random.default_rng(seed),
                                 4, SPEED)
         for d in range(4):
             outbound = [tr for tr in it.trips
@@ -83,15 +83,15 @@ def test_unemployed_zero_to_two_daylight_trips():
 
 
 def test_itinerary_deterministic_per_seed():
-    a = generate_itinerary("worker", np.random.default_rng(4), 5, SPEED)
-    b = generate_itinerary("worker", np.random.default_rng(4), 5, SPEED)
+    a = generate_itinerary(True, np.random.default_rng(4), 5, SPEED)
+    b = generate_itinerary(True, np.random.default_rng(4), 5, SPEED)
     assert a.trips == b.trips
 
 
 def test_trips_chronological_and_non_overlapping():
-    for profile in ("worker", "unemployed"):
+    for worker in (True, False):
         for seed in range(10):
-            it = generate_itinerary(profile, np.random.default_rng(seed),
+            it = generate_itinerary(worker, np.random.default_rng(seed),
                                     5, SPEED)
             for a, b in zip(it.trips, it.trips[1:]):
                 assert b.depart_s >= a.arrive_s
@@ -110,10 +110,11 @@ def reference_locate(itinerary, t):
     return parked, parked and last.home, depart
 
 
-@pytest.mark.parametrize("profile", ["worker", "unemployed"])
-def test_locate_agrees_with_a_linear_scan(profile):
+@pytest.mark.parametrize("worker", [True, False],
+                         ids=["worker", "unemployed"])
+def test_locate_agrees_with_a_linear_scan(worker):
     for seed in range(6):
-        it = generate_itinerary(profile, np.random.default_rng(seed), 3,
+        it = generate_itinerary(worker, np.random.default_rng(seed), 3,
                                 SPEED)
         edges = [t for tr in it.trips for t in (tr.depart_s, tr.arrive_s)]
         grid = np.concatenate([np.arange(-60.0, 3 * DAY_S + 60.0, 60.0),
@@ -122,16 +123,9 @@ def test_locate_agrees_with_a_linear_scan(profile):
             assert it.locate(t) == reference_locate(it, t)
 
 
-def test_unknown_profile_rejected():
-    with pytest.raises(ValueError):
-        generate_itinerary("retired", np.random.default_rng(0), 1, SPEED)
-    with pytest.raises(ValueError):
-        generate_itinerary("worker", np.random.default_rng(0), 0, SPEED)
-
-
 def test_fleet_driving_peaks_morning_and_evening():
     rng = np.random.default_rng(0)
-    itineraries = [generate_itinerary("worker", rng, 4, SPEED)
+    itineraries = [generate_itinerary(True, rng, 4, SPEED)
                    for _ in range(40)]
     hours = np.zeros(24)
     for it in itineraries:
@@ -306,8 +300,8 @@ def test_federate_steps_match_a_search_at_every_step(monkeypatch):
     at that step gives."""
     rng = np.random.default_rng(5)
     itineraries = [Itinerary(EDGE_TRIPS)] + [
-        generate_itinerary(profile, rng, 2, SPEED)
-        for profile in ("worker", "worker", "unemployed", "unemployed")]
+        generate_itinerary(worker, rng, 2, SPEED)
+        for worker in (True, True, False, False)]
     n = len(itineraries)
     cfg = ScenarioConfig(n_houses=n, n_ev=n, days=2, discard_days=1)
     fleet = EvFleet([0.6] * n, [75.0] * n, itineraries)

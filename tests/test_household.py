@@ -131,6 +131,17 @@ def test_unresponsive_profile_noise_bounded_and_deterministic():
         assert all(x >= 0.0 for x in v1)
 
 
+def test_loads_at_full_noise_never_go_below_zero():
+    # validate() bounds the noise fraction to [0, 1], so a draw of -1.0,
+    # the lowest, scales a load to +0.0 and no clip is needed
+    cfg = _cfg(n_houses=4, houses_unresponsive_noise_frac=1.0)
+    fleet = _houses(cfg, seed=5)
+    fleet.noise[:] = -1.0
+    for i in range(0, 300, 7):
+        loads = unresponsive_loads(fleet, i, cfg)
+        assert [(x, math.copysign(1.0, x)) for x in loads] == [(0.0, 1.0)] * 4
+
+
 def test_fleet_daily_mean_close_to_target():
     cfg = _cfg(n_houses=30)
     fleet = _houses(cfg, seed=11)

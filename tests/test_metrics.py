@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from petgrid.market import MarketResult, Transaction, TransactionLog, vwap
-from petgrid.metrics import MetricsSample, average_day, summarize, t_excess2
+from petgrid.metrics import (AVERAGE_DAY_COLUMNS, ROUND_COLUMNS, append_round,
+                             average_day, round_log, summarize, t_excess2)
+from petgrid.weather import DAY_S
 
 
 def test_t_excess2_formula():
@@ -14,13 +16,18 @@ def test_t_excess2_formula():
 
 
 def sample(t, ex2=0.0, vwap=None, **kw):
-    fields = dict.fromkeys(
-        ("p_target_w", "p_supplied_w", "p_surplus_pv_w", "p_surplus_ev_w",
-         "grid_supplied_w", "pv_potential_w", "pv_supplied_w", "ev_charge_w",
-         "ev_discharge_w", "hvac_load_w", "unresponsive_load_w",
-         "mean_t_air_c", "mean_setpoint_c"), 0.0)
-    return MetricsSample(t=t, mean_t_excess2=ex2, round_vwap=vwap,
-                         **fields | {"lmp": 0.015} | kw)
+    """One round's observations, as the substation appends them."""
+    values = dict.fromkeys(ROUND_COLUMNS, 0.0) | {"grid_supplied_w": 0}
+    return values | {"t_s": t, "mean_t_excess2": ex2, "round_vwap": vwap,
+                     "lmp": 0.015} | kw
+
+
+def rounds_of(samples):
+    """The round log holding `samples` in order."""
+    rounds = round_log()
+    for values in samples:
+        append_round(rounds, **values)
+    return rounds
 
 
 def fill_log(txs=()):
@@ -32,7 +39,7 @@ def fill_log(txs=()):
 
 def test_constant_integrand_average():
     samples = [sample(t, ex2=4.0) for t in np.arange(0.0, 3600.0, 300.0)]
-    out = summarize(samples, fill_log(), 0.0, 3600.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 3600.0, 300.0)
     assert out.t_excess2_bar == pytest.approx(4.0)
 
 
@@ -40,20 +47,15 @@ def test_two_segment_trapezoid_average():
     # value 2.0 on the first half, 4.0 on the second: time average 3.0
     samples = [sample(0.0, ex2=2.0), sample(1000.0, ex2=2.0),
                sample(1000.0, ex2=4.0), sample(2000.0, ex2=4.0)]
-    out = summarize(samples, fill_log(), 0.0, 2000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 2000.0, 300.0)
     assert out.t_excess2_bar == pytest.approx(3.0)
 
 
 def test_window_filtering_excludes_warmup():
     samples = [sample(t, ex2=100.0) for t in np.arange(0.0, 1000.0, 100.0)]
     samples += [sample(t, ex2=1.0) for t in np.arange(1000.0, 2100.0, 100.0)]
-    out = summarize(samples, fill_log(), 1000.0, 2000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 1000.0, 2000.0, 300.0)
     assert out.t_excess2_bar == pytest.approx(1.0)
-
-
-def test_empty_window_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        summarize([sample(0.0)], fill_log(), 5000.0, 6000.0, 300.0)
 
 
 def test_vwap_volume_weighted_over_window_transactions():
@@ -61,7 +63,7 @@ def test_vwap_volume_weighted_over_window_transactions():
            Transaction(1, 3, 1000, 0.016, round_index=11),
            Transaction(1, 3, 9999, 0.500, round_index=0)]  # before window
     samples = [sample(t) for t in np.arange(3000.0, 3700.0, 300.0)]
-    out = summarize(samples, fill_log(txs), 3000.0, 3600.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(txs), 3000.0, 3600.0, 300.0)
     assert out.vwap_bar == pytest.approx(0.012)
 
 
@@ -70,7 +72,7 @@ def test_vwap_bar_is_the_market_vwap_of_the_window():
            Transaction(1, 3, 1, 1.0, round_index=2),
            Transaction(1, 4, 1, 1.0, round_index=3)]
     samples = [sample(t) for t in np.arange(0.0, 1200.0, 300.0)]
-    out = summarize(samples, fill_log(txs), 0.0, 900.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 900.0, 300.0)
     assert out.vwap_bar == MarketResult(txs).round_vwap == \
         ((1e16 + 1.0) + 1.0) / 3
 
@@ -81,7 +83,7 @@ def test_vwap_bounded_by_window_prices():
                        float(rng.uniform(0.01, 0.03)), round_index=k)
            for k in range(20)]
     samples = [sample(t) for t in np.arange(0.0, 6300.0, 300.0)]
-    out = summarize(samples, fill_log(txs), 0.0, 6000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 6000.0, 300.0)
     prices = [tx.price for tx in txs]
     assert min(prices) <= out.vwap_bar <= max(prices)
 
@@ -97,22 +99,22 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
                  for _ in range(int(rng.integers(0, 6)))]
         log.extend(fills)
         txs.extend(fills)
-    samples = [sample(t) for t in np.arange(0.0, 12_000.0, 300.0)]
+    rounds = rounds_of([sample(t) for t in np.arange(0.0, 12_000.0, 300.0)])
     for start, end in ((0.0, 11_700.0), (3000.0, 9000.0), (3100.0, 3500.0)):
         window = [tx for tx in txs if start <= tx.round_index * 300.0 <= end]
-        assert summarize(samples, log, start, end, 300.0).vwap_bar == \
+        assert summarize(rounds, log, start, end, 300.0).vwap_bar == \
             vwap([tx.quantity for tx in window], [tx.price for tx in window])
 
 
 def test_vwap_no_trade_marker():
     samples = [sample(0.0, vwap=0.010), sample(300.0, vwap=None),
                sample(600.0, vwap=0.020)]
-    out = summarize(samples, fill_log(), 0.0, 600.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 600.0, 300.0)
     assert out.vwap_bar is None  # no transactions in the window
 
 
 def test_violation_count_totalled():
-    out = summarize([sample(0.0)], fill_log(), 0.0, 0.0, 300.0,
+    out = summarize(rounds_of([sample(0.0)]), fill_log(), 0.0, 0.0, 300.0,
                     violations={"a": 2, "b": 3})
     assert out.violation_count == 5
     assert out.violations == {"a": 2, "b": 3}
@@ -125,9 +127,8 @@ def test_average_day_slot_means():
     for d in range(2):
         for k in range(288):
             t = d * day + k * 300.0
-            samples.append(sample(t, lmp=0.01 * (d + 1),
-                                  grid_supplied_w=float(k)))
-    tod, cols = average_day(samples, 300.0, 0.0, 2 * day)
+            samples.append(sample(t, lmp=0.01 * (d + 1), grid_supplied_w=k))
+    tod, cols = average_day(rounds_of(samples), 300.0, 0.0, 2 * day)
     assert len(tod) == 288
     assert tod[1] == 300.0
     assert cols["lmp"][0] == pytest.approx(0.015)
@@ -140,7 +141,52 @@ def test_average_day_additivity_against_summary():
     rng = np.random.default_rng(1)
     day = 86400.0
     values = rng.uniform(0.0, 5.0, size=(3, 288))
-    samples = [sample(d * day + k * 300.0, grid_supplied_w=values[d, k])
+    samples = [sample(d * day + k * 300.0, pv_supplied_w=values[d, k])
                for d in range(3) for k in range(288)]
-    _, cols = average_day(samples, 300.0, 0.0, 3 * day)
-    assert np.mean(cols["grid_supplied_w"]) == pytest.approx(values.mean())
+    _, cols = average_day(rounds_of(samples), 300.0, 0.0, 3 * day)
+    assert np.mean(cols["pv_supplied_w"]) == pytest.approx(values.mean())
+
+
+def per_sample_average_day(rounds, t_market_s, window_start_s, window_end_s):
+    """average_day as the loop over per-round objects computed it."""
+    slots = int(DAY_S / t_market_s)
+    sums = {c: np.zeros(slots) for c in AVERAGE_DAY_COLUMNS}
+    counts = np.zeros(slots)
+    for k, t in enumerate(rounds["t_s"]):
+        if not (window_start_s <= t <= window_end_s):
+            continue
+        slot = int((t % DAY_S) / t_market_s)
+        counts[slot] += 1
+        for c in AVERAGE_DAY_COLUMNS:
+            sums[c][slot] += rounds[c][k]
+    counts = np.maximum(counts, 1)
+    tod = np.arange(slots) * t_market_s
+    return tod, {c: sums[c] / counts for c in AVERAGE_DAY_COLUMNS}
+
+
+@pytest.mark.parametrize("t_market_s", [300.0, 900.0, 3600.0])
+def test_average_day_equals_the_per_sample_loop_bit_for_bit(t_market_s):
+    # values spanning many magnitudes make every slot sum depend on its
+    # order; signed zeros and windows that start and end mid-day (so
+    # slots differ in count) check the start value and the counts
+    rng = np.random.default_rng(int(t_market_s))
+    n = int(2.5 * DAY_S / t_market_s)
+    samples = []
+    for k in range(n):
+        values = {c: float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+                  for c in ROUND_COLUMNS}
+        for c in rng.choice(ROUND_COLUMNS, size=4):
+            values[c] = float(rng.choice([0.0, -0.0]))
+        values |= {"t_s": k * t_market_s, "round_vwap": None,
+                   "grid_supplied_w": int(rng.integers(-2**40, 2**40))}
+        samples.append(values)
+    rounds = rounds_of(samples)
+    for start, end in ((0.0, n * t_market_s), (0.3 * DAY_S, 2.2 * DAY_S),
+                       (10 * t_market_s, 1.5 * DAY_S + 7 * t_market_s)):
+        tod, cols = average_day(rounds, t_market_s, start, end)
+        ref_tod, ref_cols = per_sample_average_day(rounds, t_market_s, start,
+                                                   end)
+        assert tod.tobytes() == ref_tod.tobytes()
+        assert list(cols) == list(AVERAGE_DAY_COLUMNS)
+        for c in AVERAGE_DAY_COLUMNS:
+            assert cols[c].tobytes() == ref_cols[c].tobytes(), (start, c)

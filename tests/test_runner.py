@@ -3,17 +3,20 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from petgrid import evfleet, kernel
 from petgrid.market import Transaction, TransactionLog
-from petgrid.metrics import MetricsSample
+from petgrid.metrics import ROUND_COLUMNS
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             _fmt, apply_settings, builtin_config,
                             list_scenarios, load_config_file, run_scenario,
@@ -88,16 +91,24 @@ def test_validation_errors():
                      weather_csv_path="weather.csv"),
                 dict(houses_unresponsive_mean_kw=-1.0),
                 dict(pv_panel_w=-480.0), dict(houses_deadband_c=-2.0),
-                # noise above 1 clips loads to 0 W and raises their mean
+                # noise above 1 drives loads below 0 W
                 dict(houses_unresponsive_noise_frac=5.0),
                 dict(houses_unresponsive_noise_frac=-0.1),
                 # shares and weights outside [0, 1], and an inverted
                 # temperature range, that all ran to exit 0
                 dict(ev_worker_ratio=-1.0), dict(ev_worker_ratio=3.0),
                 dict(lmp_demand_ema=5.0), dict(lmp_demand_ema=-0.5),
-                dict(weather_temp_min_c=40.0)):
+                dict(weather_temp_min_c=40.0),
+                # config files bypass the --set coercion, so a YAML float
+                # or bool reaches an int field
+                dict(n_houses=3.5), dict(seed=1.5),
+                dict(days=2.5, discard_days=1), dict(n_ev=2.0),
+                dict(n_pv=True), dict(discard_days=1.0), dict(ev_seed=5.0)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
+    # numpy integers are whole numbers, and ev_seed may be None
+    ScenarioConfig(seed=np.int64(3), ev_seed=np.uint32(7)).validate()
+    ScenarioConfig(ev_seed=None).validate()
 
 
 def test_apply_settings_coercion():
@@ -178,6 +189,24 @@ def test_only_a_config_file_imports_yaml(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_whole_number_step_and_period_write_the_same_outputs(tmp_path):
+    """A config file may give step_s and t_market_s as YAML ints; the
+    round log's float columns keep t_s formatted as the floats give it."""
+    digests = []
+    for name, step, period in (("ints", "60", "300"),
+                               ("floats", "60.0", "300.0")):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text("scenario: {days: 2, discard_days: 1}\n"
+                        "houses: {count: 2}\n"
+                        f"kernel: {{step_s: {step}}}\n"
+                        f"market: {{t_market_s: {period}}}\n")
+        write_outputs(run_scenario(load_config_file(path)), tmp_path / name)
+        digests.append([hashlib.sha256((tmp_path / name / f).read_bytes())
+                        .hexdigest() for f in ("time_series.csv",
+                                               "average_day.csv")])
+    assert digests[0] == digests[1]
+
+
 def test_load_config_file_rejects_non_mapping(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("- 1\n- 2\n")
@@ -249,16 +278,46 @@ def test_run_scenario_balances_and_safety_small():
 
 
 def test_every_sample_field_keeps_its_type():
-    """time_series.csv formats a field by its type, so the whole-watt
-    sums must not turn a float field into an int: the grid's fill stays
-    the int the matcher sold, every other power total a float."""
+    """time_series.csv formats a value by its type, so the whole-watt
+    sums must not turn a float column into an int: the grid's fill stays
+    the int the matcher sold, every other power total a float. Every
+    column holds one value per round, in typed arrays but for the VWAP,
+    which is None in a round without fills."""
     result = run_scenario(builtin_config("s5", n_houses=4, n_ev=4, n_pv=4,
                                          days=2, discard_days=1))
-    types = {f.name: {type(getattr(s, f.name)) for s in result.samples}
-             for f in dataclasses.fields(MetricsSample)}
+    rounds = result.rounds
+    assert tuple(rounds) == ROUND_COLUMNS
+    n_rounds = int(2 * DAY_S / 300.0)
+    assert {len(column) for column in rounds.values()} == {n_rounds}
+    assert rounds["t_s"] == array("d", [k * 300.0 for k in range(n_rounds)])
+    types = {name: {type(v) for v in column}
+             for name, column in rounds.items()}
     assert types.pop("round_vwap") <= {float, type(None)}
     assert types.pop("grid_supplied_w") == {int}
     assert types == {name: {float} for name in types}
+    typecodes = {name: getattr(column, "typecode", None)
+                 for name, column in rounds.items()}
+    assert typecodes.pop("round_vwap") is None
+    assert typecodes.pop("grid_supplied_w") == "q"
+    assert typecodes == dict.fromkeys(typecodes, "d")
+
+
+def test_one_round_a_day_summarizes_its_single_analysis_round():
+    """With one round a day and one analysis day, each time average is
+    the value of the window's one round, not 0/0."""
+    result = run_scenario(builtin_config("s5", n_houses=3, n_ev=3, n_pv=3,
+                                         days=2, discard_days=1,
+                                         t_market_s=DAY_S))
+    rounds, s = result.rounds, result.summary
+    assert list(rounds["t_s"]) == [0.0, DAY_S]
+    assert (s.t_excess2_bar, s.p_target_bar_w, s.p_supplied_bar_w,
+            s.p_surplus_pv_bar_w, s.p_surplus_ev_bar_w) == tuple(
+        rounds[c][1] for c in ("mean_t_excess2", "p_target_w", "p_supplied_w",
+                               "p_surplus_pv_w", "p_surplus_ev_w"))
+    assert all(math.isfinite(v) for v in dataclasses.astuple(s)
+               if isinstance(v, float))
+    assert result.average_day[1]["p_target_w"].tolist() == \
+        [rounds["p_target_w"][1]]
 
 
 def per_row_transactions_csv(transactions) -> str:

