@@ -174,6 +174,9 @@ class EvFederate:
     Commands are clamped into their cleared ranges once per round. An
     EV's itinerary is searched only at the steps that reach a departure
     or overlap a trip; in between, the EV is parked and drives nothing.
+    A round's range and next departure reuse that search while the EV
+    stays parked past the round's window start. A fleet of no EVs
+    neither reads nor publishes.
     """
 
     def __init__(self, fleet: EvFleet, cfg):
@@ -194,6 +197,8 @@ class EvFederate:
         self._home, self._parked_until = [True] * n, [float("-inf")] * n
 
     def __call__(self, ctx) -> None:
+        if not self.fleet.soc:
+            return      # no EVs: the substation's bus defaults are empty
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
         # the ranges the dispatch in force was cleared against
         ranges = ctx.read_cleared("evs/load_range_w", self._no_range)
@@ -225,20 +230,23 @@ class EvFederate:
             socs.append(step_battery(soc, cmd, drive_kwh, home, cap, step_s,
                                      eta))
         fleet.soc = socs
-        if socs:
-            self.soc_min_seen = min(self.soc_min_seen, min(socs))
-            self.soc_max_seen = max(self.soc_max_seen, max(socs))
+        self.soc_min_seen = min(self.soc_min_seen, min(socs))
+        self.soc_max_seen = max(self.soc_max_seen, max(socs))
 
         if ctx.next_round is not None:
             t_market = cfg.t_market_s
             window_start = ctx.next_round * t_market + step_s
             charger_w = cfg.ev_charger_kw * 1000.0
-            spots = [itinerary.locate(window_start)
-                     for itinerary in fleet.itineraries]
-            ctx.publish("evs/load_range_w", tuple(
-                load_range(soc, home, depart, charger_w, window_start,
-                           t_market)
-                for soc, (_, home, depart) in zip(socs, spots)))
+            # an EV parked past the window start is where the last search
+            # found it, and its next departure is the end of its parking
+            ranges, departs = [], []
+            for soc, until, home, itinerary in zip(
+                    socs, self._parked_until, self._home, fleet.itineraries):
+                if until <= window_start:
+                    _, home, until = itinerary.locate(window_start)
+                ranges.append(load_range(soc, home, until, charger_w,
+                                         window_start, t_market))
+                departs.append(until)
+            ctx.publish("evs/load_range_w", tuple(ranges))
             ctx.publish("evs/soc", tuple(socs))
-            ctx.publish("evs/next_depart_s",
-                        tuple(depart for _, _, depart in spots))
+            ctx.publish("evs/next_depart_s", tuple(departs))

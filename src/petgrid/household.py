@@ -210,25 +210,28 @@ class HouseholdFederate:
         window_start = next_round * cfg.t_market_s + step_s
         window_mid = window_start + cfg.t_market_s / 2.0
         frac = self.weather.sample(window_mid).irradiance_frac
-        # the setpoint each house will hold through the next step
+        # one pass over the houses: the setpoint each will hold through
+        # the next step, its HVAC demand and the fleet's sums
         t_next = ctx.t + step_s
-        t_set = [setpoint(t_next, offset, jitter) for offset, jitter
-                 in zip(fleet.setpoint_offset_c, fleet.setpoint_jitter_s)]
         deadband, rating = cfg.houses_deadband_c, cfg.houses_hvac_kw * 1000.0
-        ctx.publish("houses/hvac_demand_w", tuple(
-            hvac_demand(t_air, t_sp, granted > 0.0, deadband, rating)
-            for t_air, t_sp, granted in zip(fleet.t_air, t_set, hvac_w)))
+        demand = []
+        sum_air = sum_set = sum_ex2 = 0.0
+        for t_air, offset, jitter, granted in zip(
+                fleet.t_air, fleet.setpoint_offset_c, fleet.setpoint_jitter_s,
+                hvac_w):
+            t_sp = setpoint(t_next, offset, jitter)
+            demand.append(hvac_demand(t_air, t_sp, granted > 0.0, deadband,
+                                      rating))
+            sum_air += t_air
+            sum_set += t_sp
+            sum_ex2 += t_excess2(t_air, t_sp)
+        ctx.publish("houses/hvac_demand_w", tuple(demand))
         ctx.publish("houses/unresponsive_w",
                     unresponsive_loads(fleet, next_round, cfg))
         panel_w = cfg.pv_panel_w
         ctx.publish("houses/pv_potential_w", tuple(
             n * panel_w * frac if n else 0.0 for n in fleet.pv_panels))
-        sum_air = sum_set = sum_ex2 = 0.0
-        for t_air, t_sp in zip(fleet.t_air, t_set):
-            sum_air += t_air
-            sum_set += t_sp
-            sum_ex2 += t_excess2(t_air, t_sp)
-        n = len(t_set)
+        n = len(demand)
         ctx.publish("houses/mean_t_air_c", sum_air / n)
         ctx.publish("houses/mean_t_set_c", sum_set / n)
         ctx.publish("houses/mean_t_excess2", sum_ex2 / n)

@@ -52,13 +52,11 @@ class Order(_OrderFields):
                                    trader if priority is None else priority))
 
 
-# keys over an order's fields (trader, side, quantity, price, priority);
-# a transaction holds its quantity and price at the same two positions
+# keys over an order's fields (trader, side, quantity, price, priority)
 _TRADER = itemgetter(0)
 _QUANTITY = itemgetter(2)
 _PRICE = itemgetter(3)
-_PRIORITY_TRADER = itemgetter(4, 0)
-_PRICE_PRIORITY_TRADER = itemgetter(3, 4, 0)
+_PRIORITY = itemgetter(4)
 
 
 class Transaction(NamedTuple):
@@ -116,8 +114,15 @@ class MarketResult:
 
     @property
     def round_vwap(self) -> float | None:
-        txs = self.transactions
-        return vwap(map(_QUANTITY, txs), map(_PRICE, txs))
+        """`vwap` of the round's fills, summed in the same order."""
+        total_q = 0
+        spend = 0.0
+        for _, _, quantity, price, _ in self.transactions:
+            total_q += quantity
+            spend += quantity * price
+        if total_q == 0:
+            return None
+        return spend / total_q
 
 
 def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
@@ -129,46 +134,73 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     combined remaining quantity covers it in full. Partial seller fills
     persist across buyers; unfillable buyers are dropped.
 
-    Buyers are sorted in two stable passes: by (priority, trader), then
-    by price with `reverse=True`. A stable sort keeps records with equal
-    keys in their earlier order even when reversed, so equal prices keep
-    the (priority, trader) order, exactly as one sort on
-    (-price, priority, trader) would.
+    The book is sorted in stable passes, each on one field: all orders
+    by trader, then by priority, then each side by price, the buyers
+    with `reverse=True`. A stable sort keeps records with equal keys in
+    their earlier order even when reversed, so each side ends in the
+    order of one sort on (-price or price, priority, trader), without
+    building a key tuple per order.
 
     Bids descend and fills take the cheapest sellers first, so the used
     up sellers form a prefix of the sorted sellers: a cursor, prefix sums
     and one bisection per buyer clear B buyers against S sellers in
-    O((B + S) log S) after sorting.
+    O((B + S) log S) after sorting. A buyer that the seller at the cursor
+    covers alone, at an ask within its bid, fills from it without the
+    bisection. `sold` is read off the used-up prefix and the cursor's
+    partial fill once the buyers are done.
     """
     buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
-    buyers = [o for o in orders if o.side is buy]
-    sellers = [o for o in orders if o.side is sell]
-    buyers.sort(key=_PRIORITY_TRADER)
+    book = sorted(orders, key=_TRADER)
+    book.sort(key=_PRIORITY)
+    buyers = [o for o in book if o.side is buy]
+    sellers = [o for o in book if o.side is sell]
+    result = MarketResult()
+    if not (buyers and sellers):
+        return result
     buyers.sort(key=_PRICE, reverse=True)
-    sellers.sort(key=_PRICE_PRIORITY_TRADER)
+    sellers.sort(key=_PRICE)
     seller_ids = list(map(_TRADER, sellers))
     asks = list(map(_PRICE, sellers))
-    supply = list(accumulate(map(_QUANTITY, sellers), initial=0))
-    # sellers before `cursor` are used up; `used` W have been sold so far
-    cursor = used = 0
-    result = MarketResult()
+    quantities = list(map(_QUANTITY, sellers))
+    supply = list(accumulate(quantities, initial=0))
+    n_sellers = len(sellers)
     fill = result.transactions.append
-    bought, sold = result.bought, result.sold
+    bought = result.bought
+    # sellers before `cursor` are used up; the one at it has `left` W left
+    cursor = 0
+    seller, ask, left = seller_ids[0], asks[0], quantities[0]
     for trader, _, quantity, price, _ in buyers:
-        if supply[bisect_right(asks, price)] - used < quantity:
-            continue
-        need = quantity
-        while need:
-            left = supply[cursor + 1] - used
-            q = need if need < left else left
-            seller = seller_ids[cursor]
-            fill(_transaction((trader, seller, q, asks[cursor], round_index)))
-            sold[seller] = sold.get(seller, 0) + q
-            used += q
-            need -= q
-            if q == left:
+        if quantity < left and ask <= price:
+            fill(_transaction((trader, seller, quantity, ask, round_index)))
+            left -= quantity
+        else:
+            used = supply[cursor + 1] - left
+            if supply[bisect_right(asks, price)] - used < quantity:
+                continue
+            need = quantity
+            while need >= left:         # takes the rest of this seller
+                fill(_transaction((trader, seller, left, ask, round_index)))
+                need -= left
                 cursor += 1
+                if cursor == n_sellers:     # need is 0: supply covered it
+                    break
+                seller, ask = seller_ids[cursor], asks[cursor]
+                left = quantities[cursor]
+            if need:
+                fill(_transaction((trader, seller, need, ask, round_index)))
+                left -= need
         bought[trader] = bought.get(trader, 0) + quantity
+        if cursor == n_sellers:
+            break
+    # the used-up sellers sold all they offered, the one at the cursor
+    # what it no longer has left
+    sold = result.sold
+    filled = quantities[:cursor]
+    if cursor < n_sellers:
+        filled.append(quantities[cursor] - left)
+    for trader, quantity in zip(seller_ids, filled):
+        if quantity:
+            sold[trader] = sold.get(trader, 0) + quantity
     return result
 
 

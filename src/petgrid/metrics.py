@@ -19,7 +19,9 @@ from .weather import DAY_S
 
 def t_excess2(t_air: float, t_setpoint: float) -> float:
     """Squared positive deviation of air temperature above the setpoint."""
-    return max(t_air - t_setpoint, 0.0) ** 2
+    d = t_air - t_setpoint
+    # d ** 2, not d * d, which differs from it in the last bit for some d
+    return d ** 2 if d > 0.0 else 0.0
 
 
 # time_series.csv's columns in file order, then the power sums that only

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +312,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _price_line_end(bits: int) -> str:
+    """A row's last column: the price whose float64 bits read as the
+    int64 `bits`, and the line end."""
+    return f"{struct.unpack('d', struct.pack('q', bits))[0]:.6f}\n"
+
+
 def write_outputs(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "time_series.csv", "w") as fh:
@@ -317,11 +326,22 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
         for row in zip(*columns, strict=True):
             fh.write(",".join(map(_fmt, row)) + "\n")
 
+    # each distinct trader id and price is formatted once, and each round
+    # (the log is in round order) once per run of its fills; a price is
+    # looked up by its bits, as -0.0 == 0.0 but the two print differently
     txs = result.transactions
-    with open(out_dir / "transactions.csv", "w") as fh:
+    rounds = functools.lru_cache(maxsize=1)(str)
+    ids, prices = functools.cache(str), functools.cache(_price_line_end)
+    with (open(out_dir / "transactions.csv", "w") as fh,
+          memoryview(txs.price).cast("B").cast("q") as price_bits):
         fh.write("round,buyer,seller,quantity_w,price_usd_per_kwh\n")
-        fh.writelines(map("{},{},{},{},{:.6f}\n".format, txs.round_index,
-                          txs.buyer, txs.seller, txs.quantity, txs.price))
+        rows = map(",".join, zip(
+            map(rounds, txs.round_index), map(ids, txs.buyer),
+            map(ids, txs.seller), map(str, txs.quantity),
+            map(prices, price_bits)))
+        # a write per 1024 rows, not per row, and never the whole file
+        while chunk := "".join(islice(rows, 1024)):
+            fh.write(chunk)
 
     tod, cols = result.average_day
     with open(out_dir / "average_day.csv", "w") as fh:

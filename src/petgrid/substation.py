@@ -22,6 +22,7 @@ from .metrics import append_round, round_log
 from .weather import DAY_S, diurnal_wave
 
 # Trader id blocks; the offsets give must-serve loads tie-break priority.
+# Block k starts at k * MAX_HOUSES, which `_dispatch` relies on.
 GRID_TRADER = 0
 UNRESP_BASE = 1000
 HVAC_BASE = 2000
@@ -240,27 +241,33 @@ class SubstationFederate:
 
         result = match_orders(orders, round_index)
         self.transactions.extend(result.transactions)
-        self._dispatch(ctx, result, unresp, hvac, pv, ranges, lmp)
+        grid_import = float(self._dispatch(ctx, result, unresp, hvac, pv,
+                                           ranges, lmp))
         # demand seen at the grid connection point: next round's LMP
         # tracks the import actually drawn from the wider grid, smoothed
         # so the grid/local-supply split settles instead of flip-flopping
         ema = self.cfg.lmp_demand_ema
-        grid_import = float(result.sold.get(GRID_TRADER, 0))
         self.prev_demand_w = ema * grid_import + (1 - ema) * self.prev_demand_w
 
-    def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> None:
-        # quantities are whole watts, so each total is an exact int sum
-        bought, sold = result.bought.get, result.sold.get
-        grid_supplied = sold(GRID_TRADER, 0)
-        houses = range(self.cfg.n_houses)
+    def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> int:
+        """Push the round's fills to the devices, account for the round
+        and return the watts the grid supplied."""
+        # quantities are whole watts, so each total is an exact int sum.
+        # Each fill lands in its trader id block's list, at its house or
+        # EV index, in one pass.
+        n, n_ev, m = self.cfg.n_houses, self.cfg.n_ev, MAX_HOUSES
+        blocks = [[0], [0] * n, [0] * n, [0] * n, [0] * n_ev, [0] * n_ev]
+        for fills in (result.bought, result.sold):
+            for trader, quantity in fills.items():
+                blocks[trader // m][trader % m] = quantity
+        grid, unresp_bought, hvac_granted, pv_sold, ev_bought, ev_sold = blocks
+        grid_supplied = grid[GRID_TRADER]
         # must-serve loads left unfilled: serve them anyway via
         # out-of-market slack and record the violations
-        unserved = [w for i, w in enumerate(unresp)
-                    if w > 0 and bought(UNRESP_BASE + i, 0) == 0]
+        unserved = [w for w, got in zip(unresp, unresp_bought)
+                    if w > 0 and got == 0]
         self.unserved_unresponsive += len(unserved)
         slack_w = float(sum(unserved))
-        hvac_granted = [bought(HVAC_BASE + i, 0) for i in houses]
-        pv_sold = [sold(PV_BASE + i, 0) for i in houses]
         unresp_total = float(sum(unresp))
         hvac_total = float(sum(hvac_granted))
         pv_supplied = float(sum(pv_sold))
@@ -274,25 +281,23 @@ class SubstationFederate:
         ev_surplus = 0.0
         must_charge_w = 0.0
         ev_loads = []
-        for j, (lo, hi) in enumerate(ranges):
-            ev_bought = bought(EV_BASE + j, 0)
-            ev_sold = sold(EV_SELL_BASE + j, 0)
+        for (lo, hi), charged, discharged in zip(ranges, ev_bought, ev_sold):
             if lo > 0:
                 must_charge_w += lo
-                if ev_bought == 0:
+                if charged == 0:
                     # forced charge left unfilled: the EV charges at its
                     # range minimum anyway, served via out-of-market slack
                     self.ev_unfilled_must_charge += 1
-                    ev_bought = lo
+                    charged = lo
                     slack_w += lo
-            net = float(ev_bought - ev_sold)
+            net = float(charged - discharged)
             ev_loads.append(net)
             if net > 0:
                 ev_charge += net
             else:
                 ev_discharge += -net
             if lo < 0:                  # it sold at most what it offered
-                ev_surplus += abs(lo) - ev_sold
+                ev_surplus += abs(lo) - discharged
         ctx.publish("dispatch/ev_load_w", tuple(ev_loads))
 
         supply = grid_supplied + pv_supplied + ev_discharge + slack_w
@@ -312,3 +317,4 @@ class SubstationFederate:
             p_target_w=p_target,
             p_supplied_w=grid_supplied + pv_supplied + ev_discharge,
             p_surplus_pv_w=pv_surplus, p_surplus_ev_w=ev_surplus)
+        return grid_supplied

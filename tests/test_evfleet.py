@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from petgrid import evfleet
+from petgrid import evfleet, kernel
 from petgrid.evfleet import (PACK_KWH, EvFederate, EvFleet, Itinerary, Trip,
                              build_fleet, generate_itinerary, load_range,
                              step_battery)
@@ -341,3 +341,68 @@ def test_soc_extremes_are_those_of_the_stepped_series(monkeypatch):
     # strictly inside [0, 1], so extremes that start at a bound would show
     assert 0.0 < min(socs) and max(socs) < 1.0
     assert (result.soc_min, result.soc_max) == (min(socs), max(socs))
+
+
+def assert_published_as_searched(published, itineraries, cfg):
+    """Each round's published ranges and departures equal those of a
+    linear-scan search of every EV at the round's window start."""
+    charger_w = cfg.ev_charger_kw * 1000.0
+    rounds = [published[k:k + 3] for k in range(0, len(published), 3)]
+    assert len(rounds) == cfg.days * DAY_S / cfg.t_market_s
+    for (r, _, ranges), (_, _, socs), (_, _, departs) in rounds:
+        window_start = r * cfg.t_market_s + cfg.step_s
+        spots = [reference_locate(it, window_start) for it in itineraries]
+        assert departs == tuple(depart for *_, depart in spots)
+        assert ranges == tuple(
+            load_range(soc, home, depart, charger_w, window_start,
+                       cfg.t_market_s)
+            for soc, (_, home, depart) in zip(socs, spots))
+    return rounds
+
+
+def recording_publish(monkeypatch):
+    published = []
+    publish = kernel.StepContext.publish
+
+    def recording(ctx, key, value):
+        if key.startswith("evs/"):
+            published.append((ctx.next_round, key, value))
+        publish(ctx, key, value)
+
+    monkeypatch.setattr(kernel.StepContext, "publish", recording)
+    return published
+
+
+def test_published_ranges_and_departures_are_those_of_a_search(monkeypatch):
+    """Each round the fleet searches only the EVs not parked past the
+    window start; what it publishes must equal a search of every EV."""
+    fleets = []
+    build = evfleet.build_fleet
+    monkeypatch.setattr(evfleet, "build_fleet",
+                        lambda *args: fleets.append(build(*args)) or fleets[-1])
+    published = recording_publish(monkeypatch)
+    cfg = builtin_config("s5", n_houses=8, n_ev=8, n_pv=8, days=3,
+                         discard_days=1, seed=3)
+    run_scenario(cfg)
+    rounds = assert_published_as_searched(published, fleets[0].itineraries,
+                                          cfg)
+    # EVs leave, come back and trade over the run
+    away = [ranges.count((0.0, 0.0)) for (_, _, ranges), *_ in rounds]
+    assert min(away) < max(away)
+
+
+def test_a_departure_at_a_window_start_is_published_as_searched(monkeypatch):
+    """Windows start 60 s after each 300 s round boundary; these trips
+    depart and arrive exactly at such starts, and one departs at the
+    instant of an arrival."""
+    itineraries = [Itinerary([Trip(660.0, 1260.0, 5.0, False),
+                              Trip(1260.0, 1860.0, 5.0, True)]),
+                   Itinerary([Trip(360.0, 400.0, 1.0, False),
+                              Trip(960.0, 3660.0, 2.0, True)])]
+    cfg = ScenarioConfig(n_houses=2, n_ev=2, days=2, discard_days=1)
+    published = recording_publish(monkeypatch)
+    fed = Federation(cfg.step_s, cfg.t_market_s)
+    fed.register_federate("ev-fleet", EvFederate(
+        EvFleet([0.6, 0.6], [75.0, 58.0], itineraries), cfg))
+    fed.run(cfg.days * DAY_S)
+    assert_published_as_searched(published, itineraries, cfg)

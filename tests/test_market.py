@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,81 @@ def test_matches_reference_on_small_instances():
         result = match_orders(orders)
         assert result.transactions == expected.transactions
         assert result.sold == expected.sold
+
+
+def s1_shaped_instance(rng):
+    """A book like an uncapped grid round: one large seller, sometimes
+    short of demand, and long runs of buyers on two prices, plus equal
+    asks, a repeated seller id and a buyer that takes exactly what the
+    seller at the cursor has left."""
+    buyers = [buy(1000 + i, rng.randint(1, 3000), 1.0)
+              for i in range(rng.randint(0, 40))]
+    buyers += [buy(2000 + i, 4000, 0.5) for i in range(rng.randint(0, 30))]
+    demand = sum(o.quantity for o in buyers)
+    grid = rng.choice([demand + rng.randint(1, 10_000_000),
+                       rng.randint(1, demand + 1)])
+    if buyers and rng.random() < 0.3:
+        # the grid's supply ends exactly at the end of the k-th buyer
+        grid = sum(o.quantity for o in buyers[:rng.randint(1, len(buyers))])
+    sellers = [sell(0, grid, rng.choice([0.0155, 0.5, 1.0]))]
+    if rng.random() < 0.5:
+        # an equal ask after the grid's, on a higher priority
+        sellers.append(sell(3000, rng.randint(1, 5000), sellers[0].price,
+                            priority=4000))
+    if rng.random() < 0.3:
+        # the grid's id again, behind another seller
+        sellers += [sell(3001, rng.randint(1, 3000), 0.5),
+                    sell(0, rng.randint(1, 3000), 0.5)]
+    orders = buyers + sellers
+    rng.shuffle(orders)
+    return orders
+
+
+def test_matches_reference_on_single_seller_books():
+    rng = random.Random(14)
+    exact = 0
+    for _ in range(400):
+        orders = s1_shaped_instance(rng)
+        expected = reference_match_orders(orders, round_index=5)
+        result = match_orders(orders, round_index=5)
+        assert result.transactions == expected.transactions
+        assert list(result.bought.items()) == list(expected.bought.items())
+        assert list(result.sold.items()) == list(expected.sold.items())
+        grids = [o.quantity for o in orders
+                 if o.side is Side.SELL and o.trader == 0]
+        if len(grids) == 1:     # the invariants key sellers by trader id
+            check_invariants(orders, result)
+        exact += result.sold.get(0) == sum(grids)
+    assert exact > 20
+
+
+def test_a_buyer_that_takes_the_rest_of_a_seller_moves_the_cursor():
+    result = match_orders([buy(1, 300, 1.0), buy(2, 200, 1.0),
+                           buy(3, 100, 1.0), sell(0, 500, 0.01),
+                           sell(7, 100, 0.02), sell(0, 50, 0.02)])
+    assert result.transactions == [Transaction(1, 0, 300, 0.01),
+                                   Transaction(2, 0, 200, 0.01),
+                                   Transaction(3, 0, 50, 0.02),
+                                   Transaction(3, 7, 50, 0.02)]
+    assert list(result.sold.items()) == [(0, 550), (7, 50)]
+
+
+def test_round_vwap_is_vwap_bit_for_bit():
+    rng = random.Random(6)
+    books = [[Transaction(1, 2, 5, -0.0)]] + [
+        [Transaction(1, 2, rng.randint(1, 2 ** 40),
+                     rng.choice([0.0, -0.0, 1e16, 2.0 ** -30, rng.random(),
+                                 rng.uniform(0, 1e6)]))
+         for _ in range(rng.randint(0, 40))]
+        for _ in range(300)]
+    for fills in books:
+        expected = vwap([tx.quantity for tx in fills],
+                        [tx.price for tx in fills])
+        got = MarketResult(fills).round_vwap
+        if expected is None:
+            assert got is None
+        else:
+            assert struct.pack("d", got) == struct.pack("d", expected)
 
 
 @st.composite

@@ -15,6 +15,20 @@ def test_t_excess2_formula():
     assert t_excess2(24.0, 24.0) == 0.0
 
 
+def test_t_excess2_squares_as_the_power_operator_does():
+    """The excess is squared with `** 2`, as it always was: on some
+    platforms `d * d` rounds differently, as for the first two values
+    below on glibc 2.36."""
+    rng = np.random.default_rng(3)
+    excess = [float.fromhex("0x1.240e3863d630cp-2"),
+              float.fromhex("0x1.2b09e601ac549p+2"), 0.0, -0.0, -1.5,
+              *rng.uniform(-5.0, 5.0, 2000).tolist()]
+    for d in excess:
+        got = t_excess2(d, 0.0)
+        assert got == max(d, 0.0) ** 2
+        assert str(got) != "-0.0"
+
+
 def sample(t, ex2=0.0, vwap=None, **kw):
     """One round's observations, as the substation appends them."""
     values = dict.fromkeys(ROUND_COLUMNS, 0.0) | {"grid_supplied_w": 0}

@@ -331,7 +331,7 @@ def per_row_transactions_csv(transactions) -> str:
 
 def test_transactions_csv_matches_the_per_row_writer(tmp_path):
     rng = random.Random(8)
-    edge_prices = [0.0, 5e-7, 1.5e-6, 2.5e-6, 0.0155, 0.0000125, 1.0,
+    edge_prices = [0.0, -0.0, 5e-7, 1.5e-6, 2.5e-6, 0.0155, 0.0000125, 1.0,
                    123.4567895, 1e16, 2.0 ** -30]
     log = TransactionLog()
     for k in range(300):
@@ -339,6 +339,11 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
                                 rng.randrange(1, 2 ** 40),
                                 rng.choice(edge_prices + [rng.random()]), k)
                     for _ in range(rng.randrange(4))])
+    # equal as floats, different as text, in either order in one log;
+    # ids at the edge of the log's int32 columns
+    log.extend([Transaction(2 ** 31 - 1, -5, 7, -0.0, 300),
+                Transaction(-5, 2 ** 31 - 1, 8, 0.0, 300),
+                Transaction(-5, -5, 9, -0.0, 301)])
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
     write_outputs(dataclasses.replace(result, transactions=log), tmp_path)
@@ -377,6 +382,22 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
     ranges = {r for v in published["evs/load_range_w"] for r in v}
     assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
     assert any(r != (0.0, 0.0) for r in ranges)
+
+
+def test_a_run_without_evs_publishes_no_ev_topic(monkeypatch):
+    published = set()
+    publish = kernel.StepContext.publish
+
+    def recording(ctx, key, value):
+        published.add(key)
+        publish(ctx, key, value)
+
+    monkeypatch.setattr(kernel.StepContext, "publish", recording)
+    result = run_scenario(builtin_config("s1", n_houses=3, days=2,
+                                         discard_days=1))
+    assert not [key for key in published if key.startswith("evs/")]
+    assert "dispatch/ev_load_w" in published
+    assert (result.soc_min, result.soc_max) == (1.0, 0.0)
 
 
 def _weather_csv(path, temp_offset_c: float) -> str:
