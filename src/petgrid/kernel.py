@@ -13,6 +13,8 @@ round r clears at step n*r against the inputs published at step n*r - 1,
 and its dispatch is in force over steps n*r + 1 .. n*r + n. At each
 clearing barrier the kernel keeps the values visible during that step,
 which `read_cleared` serves until the next clearing barrier.
+Each federate gets one `StepContext` per `run()`, updated in place at
+every step, so a context is valid only during its step.
 """
 
 from __future__ import annotations
@@ -53,15 +55,17 @@ class StepContext:
     buffered and become visible only after this step's barrier. The
     round that clears at this step and the round whose inputs are
     published at it are `clearing_round` and `next_round`, else None.
+    The kernel hands a federate the same context at every step of a
+    run and updates its fields in place, so a context is valid only
+    during its step: keep the values it holds, never the context.
     """
 
-    def __init__(self, federation: "Federation", fed_id: int, t: float,
-                 clearing_round: int | None, next_round: int | None):
+    def __init__(self, federation: "Federation", fed_id: int):
         self._federation = federation
         self.fed_id = fed_id
-        self.t = t
-        self.clearing_round = clearing_round
-        self.next_round = next_round
+        self.t = 0.0
+        self.clearing_round: int | None = None
+        self.next_round: int | None = None
 
     def read(self, key: str, default: float = 0.0):
         return self._federation._visible.get(key, default)
@@ -127,19 +131,22 @@ class Federation:
         self._running = True
         per_round = int(round(self.clock.t_market / step))
         start = self._k
+        steps = [(StepContext(self, fed_id), handler)
+                 for fed_id, handler in enumerate(self._handlers)]
         for k in range(start, start + int(round(until_s / step))):
             t = k * step
             clearing = k // per_round if k % per_round == 0 else None
             upcoming = (k + 1) // per_round if (k + 1) % per_round == 0 else None
-            for fed_id, handler in enumerate(self._handlers):
-                ctx = StepContext(self, fed_id, t, clearing, upcoming)
+            for ctx, handler in steps:
+                ctx.t, ctx.clearing_round = t, clearing
+                ctx.next_round = upcoming
                 try:
                     handler(ctx)
                 except FederationError:
                     raise
                 except Exception as exc:
                     raise FederateFailure(
-                        f"federate {self._names[fed_id]!r} failed at "
+                        f"federate {self._names[ctx.fed_id]!r} failed at "
                         f"t={t:.0f}s: {exc}"
                     ) from exc
             # barrier: keep what a clearing round saw, then commit this

@@ -15,11 +15,11 @@ one market round.
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -46,8 +46,8 @@ class Order(_OrderFields):
                 priority: int | None = None):
         if quantity <= 0:
             raise ValueError("order quantity must be positive")
-        if price < 0:
-            raise ValueError("order price must be non-negative")
+        if not 0 <= price < math.inf:   # NaN fails every comparison
+            raise ValueError("order price must be finite and non-negative")
         return tuple.__new__(cls, (trader, side, quantity, price,
                                    trader if priority is None else priority))
 
@@ -67,11 +67,6 @@ class Transaction(NamedTuple):
     round_index: int = 0
 
 
-# builds a Transaction from one tuple of its fields, without the
-# Python-level __new__ that NamedTuple gives it
-_transaction = partial(tuple.__new__, Transaction)
-
-
 class TransactionLog:
     """Every fill of a run, one typed array per field.
 
@@ -89,13 +84,18 @@ class TransactionLog:
         self.quantity = array("q")
         self.price = array("d")
 
-    def extend(self, transactions) -> None:
-        columns = (self.buyer, self.seller, self.quantity, self.price,
-                   self.round_index)
+    def extend(self, round_index: int, buyer, seller, quantity,
+               price) -> None:
+        """Append one round's fills, given as equal-length columns."""
+        if not len(buyer) == len(seller) == len(quantity) == len(price):
+            raise ValueError("fill columns differ in length")
         # build every column before extending any, so an overflow adds none
-        arrays = [array(column.typecode, values)
-                  for column, values in zip(columns, zip(*transactions))]
-        for column, values in zip(columns, arrays):
+        arrays = [array(column.typecode, values) for column, values in (
+            (self.buyer, buyer), (self.seller, seller),
+            (self.quantity, quantity), (self.price, price))]
+        arrays.append(array("i", (round_index,)) * len(buyer))
+        for column, values in zip((self.buyer, self.seller, self.quantity,
+                                   self.price, self.round_index), arrays):
             column.extend(values)
 
     def __len__(self) -> int:
@@ -108,21 +108,27 @@ class TransactionLog:
 
 @dataclass
 class MarketResult:
-    transactions: list[Transaction] = field(default_factory=list)
+    """One round's fills as parallel columns in fill order, and the
+    watts each buyer bought and each seller sold."""
+
+    round_index: int
+    buyer: list[int] = field(default_factory=list)
+    seller: list[int] = field(default_factory=list)
+    quantity: list[int] = field(default_factory=list)        # W
+    price: list[float] = field(default_factory=list)         # seller's ask
     bought: dict[int, int] = field(default_factory=dict)
     sold: dict[int, int] = field(default_factory=dict)
 
     @property
+    def transactions(self) -> list[Transaction]:
+        """The fills as `Transaction`s, built on each read."""
+        return list(map(Transaction, self.buyer, self.seller, self.quantity,
+                        self.price, repeat(self.round_index)))
+
+    @property
     def round_vwap(self) -> float | None:
-        """`vwap` of the round's fills, summed in the same order."""
-        total_q = 0
-        spend = 0.0
-        for _, _, quantity, price, _ in self.transactions:
-            total_q += quantity
-            spend += quantity * price
-        if total_q == 0:
-            return None
-        return spend / total_q
+        """`vwap` of the round's fills, summed in fill order."""
+        return vwap(self.quantity, self.price)
 
 
 def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
@@ -154,7 +160,7 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     book.sort(key=_PRIORITY)
     buyers = [o for o in book if o.side is buy]
     sellers = [o for o in book if o.side is sell]
-    result = MarketResult()
+    result = MarketResult(round_index)
     if not (buyers and sellers):
         return result
     buyers.sort(key=_PRICE, reverse=True)
@@ -164,14 +170,18 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     quantities = list(map(_QUANTITY, sellers))
     supply = list(accumulate(quantities, initial=0))
     n_sellers = len(sellers)
-    fill = result.transactions.append
+    add_buyer, add_seller = result.buyer.append, result.seller.append
+    add_quantity, add_price = result.quantity.append, result.price.append
     bought = result.bought
     # sellers before `cursor` are used up; the one at it has `left` W left
     cursor = 0
     seller, ask, left = seller_ids[0], asks[0], quantities[0]
     for trader, _, quantity, price, _ in buyers:
         if quantity < left and ask <= price:
-            fill(_transaction((trader, seller, quantity, ask, round_index)))
+            add_buyer(trader)
+            add_seller(seller)
+            add_quantity(quantity)
+            add_price(ask)
             left -= quantity
         else:
             used = supply[cursor + 1] - left
@@ -179,7 +189,10 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
                 continue
             need = quantity
             while need >= left:         # takes the rest of this seller
-                fill(_transaction((trader, seller, left, ask, round_index)))
+                add_buyer(trader)
+                add_seller(seller)
+                add_quantity(left)
+                add_price(ask)
                 need -= left
                 cursor += 1
                 if cursor == n_sellers:     # need is 0: supply covered it
@@ -187,7 +200,10 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
                 seller, ask = seller_ids[cursor], asks[cursor]
                 left = quantities[cursor]
             if need:
-                fill(_transaction((trader, seller, need, ask, round_index)))
+                add_buyer(trader)
+                add_seller(seller)
+                add_quantity(need)
+                add_price(ask)
                 left -= need
         bought[trader] = bought.get(trader, 0) + quantity
         if cursor == n_sellers:

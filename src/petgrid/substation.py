@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import deque
 from functools import partial
 
 import numpy as np
@@ -40,10 +39,11 @@ _order = partial(tuple.__new__, Order)
 class LmpHistory:
     """Rolling grid-price series with the statistics the EV strategy needs.
 
-    The means are read from one array built on first use after each
-    append, because numpy's pairwise summation sets their last bits. Each
-    divides `np.add.reduce` of its window by the window's length, which
-    is what `np.mean` computes, without its Python wrapper. The
+    The window lives in a ring of twice its length, each value written at
+    i and i + n, so the window in append order is always one contiguous
+    slice. Each mean divides `np.add.reduce` of its slice by the slice's
+    length, which is what `np.mean` computes (numpy's pairwise summation
+    sets the last bits), without its Python wrapper or a copy. The
     quartiles are read from a sorted copy of the window that each append
     keeps in order, with the interpolation `np.percentile` uses by
     default, so no call sorts the window again.
@@ -53,31 +53,32 @@ class LmpHistory:
                  short_window_s: float = 1800.0):
         self._n_long = max(int(round(long_window_s / t_market_s)), 1)
         self._n_short = max(int(round(short_window_s / t_market_s)), 1)
-        self._values: deque[float] = deque(maxlen=self._n_long)
+        self._ring = np.zeros(2 * self._n_long)
+        self._next = self._len = 0  # next write index, values held
         self._sorted: list[float] = []
-        self._array: np.ndarray | None = None
 
     def append(self, lmp: float) -> None:
-        if len(self._values) == self._n_long:
-            del self._sorted[bisect_left(self._sorted, self._values[0])]
-        self._values.append(lmp)
+        i, n = self._next, self._n_long
+        if self._len == n:          # evict the oldest, which sits at i
+            del self._sorted[bisect_left(self._sorted, self._ring.item(i))]
+        else:
+            self._len += 1
+        self._ring[i] = self._ring[i + n] = lmp
         insort(self._sorted, lmp)
-        self._array = None
+        self._next = (i + 1) % n
 
-    def _series(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.fromiter(self._values, dtype=float,
-                                      count=len(self._values))
-        return self._array
+    def _window(self) -> np.ndarray:
+        start = self._next if self._len == self._n_long else 0
+        return self._ring[start:start + self._len]
 
     @property
     def ma_long(self) -> float:
-        a = self._series()
+        a = self._window()
         return float(np.add.reduce(a)) / len(a)
 
     @property
     def ma_short(self) -> float:
-        a = self._series()[-self._n_short:]
+        a = self._window()[-self._n_short:]
         return float(np.add.reduce(a)) / len(a)
 
     def _quantile(self, q: float) -> float:
@@ -115,21 +116,16 @@ def formulate_grid_bid(capacity_w: float, lmp: float) -> Order:
 
 def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
                          pv_w: list[int], cfg) -> list[Order]:
-    """Orders of every house in house order: its appliance buy, HVAC buy
-    and PV sell, each one only when its quantity is positive."""
-    buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
+    """Orders of every house, class by class in house order: appliance
+    buys, HVAC buys, then PV sells, each only when its quantity is
+    positive."""
     orders = []
-    for i, (unresp, hvac, pv) in enumerate(zip(unresp_w, hvac_w, pv_w,
-                                               strict=True)):
-        if unresp > 0:
-            orders.append(_order((UNRESP_BASE + i, buy, unresp,
-                                  cfg.prices_unresponsive, UNRESP_BASE + i)))
-        if hvac > 0:
-            orders.append(_order((HVAC_BASE + i, buy, hvac, cfg.prices_hvac,
-                                  HVAC_BASE + i)))
-        if pv > 0:
-            orders.append(_order((PV_BASE + i, sell, pv, cfg.prices_pv_sell,
-                                  PV_BASE + i)))
+    for base, side, price, watts in (
+            (UNRESP_BASE, Side.BUY, cfg.prices_unresponsive, unresp_w),
+            (HVAC_BASE, Side.BUY, cfg.prices_hvac, hvac_w),
+            (PV_BASE, Side.SELL, cfg.prices_pv_sell, pv_w)):
+        orders += [_order((base + i, side, q, price, base + i))
+                   for i, q in enumerate(watts) if q > 0]
     return orders
 
 
@@ -151,27 +147,26 @@ def ev_bids_two_sided(lo: int, hi: int) -> bool:
     return lo <= 0 <= hi and lo != hi
 
 
-def formulate_ev_bids(lo: int, hi: int, strategy: tuple[float, float] | None,
-                      ev_index: int, cfg, buy_rank: int,
-                      sell_rank: int) -> list[Order]:
-    """Orders of EV `ev_index` for its load range `lo`..`hi` in W, which
-    is not the idle (0, 0) and where `hi` is 0 or the charger rating: a
-    buy at the unresponsive price for a forced charge, else buys and
-    sells at `strategy`, the `ev_strategy_prices` pair. The ranks set the
-    orders' priority among EVs (lower fills first); trader ids stay
-    stable."""
-    buy_trader, buy_prio = EV_BASE + ev_index, EV_BASE + buy_rank
-    sell_trader, sell_prio = EV_SELL_BASE + ev_index, EV_SELL_BASE + sell_rank
-    if lo > 0:
-        return [_order((buy_trader, Side.BUY, lo, cfg.prices_unresponsive,
-                        buy_prio))]
-    buy_price, sell_price = strategy
-    orders = []
-    if hi > 0:
-        orders.append(_order((buy_trader, Side.BUY, hi, buy_price, buy_prio)))
-    if lo < 0:
-        orders.append(_order((sell_trader, Side.SELL, abs(lo), sell_price,
-                              sell_prio)))
+def formulate_ev_bids(ranges: list[tuple[int, int]],
+                      strategy: tuple[float, float] | None, cfg,
+                      buy_rank: list[int],
+                      sell_rank: list[int]) -> list[Order]:
+    """Orders of the EV fleet for its load ranges `lo`..`hi` in W, each
+    the idle (0, 0) or with `hi` 0 or the charger rating: every EV's buy
+    in EV order, then every EV's sell. An EV with `lo` > 0 buys `lo` at
+    the unresponsive price (a forced charge); any other buys `hi` and
+    sells `-lo`, each when positive, at `strategy`, the
+    `ev_strategy_prices` pair. An EV's ranks set its orders' priority
+    among EVs (lower fills first); trader ids stay stable."""
+    buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
+    buy_price, sell_price = strategy or (None, None)
+    forced = cfg.prices_unresponsive
+    orders = [_order((EV_BASE + j, buy, lo if lo > 0 else hi,
+                      forced if lo > 0 else buy_price, EV_BASE + buy_rank[j]))
+              for j, (lo, hi) in enumerate(ranges) if hi > 0]
+    orders += [_order((EV_SELL_BASE + j, sell, -lo, sell_price,
+                       EV_SELL_BASE + sell_rank[j]))
+               for j, (lo, _) in enumerate(ranges) if lo < 0]
     return orders
 
 
@@ -211,36 +206,36 @@ class SubstationFederate:
                             for key in ("houses/unresponsive_w",
                                         "houses/hvac_demand_w",
                                         "houses/pv_potential_w"))
-        ranges = [(round(lo), round(hi)) for lo, hi in
-                  ctx.read("evs/load_range_w", ((0.0, 0.0),) * n_ev)]
-        socs = ctx.read("evs/soc", (0.0,) * n_ev)
-        departs = ctx.read("evs/next_depart_s", (float("inf"),) * n_ev)
-
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
-        orders.extend(formulate_house_bids(unresp, hvac, pv, self.cfg))
-        # EVs all bid the same strategy prices, so a tie-break on trader
-        # id would ration scarce supply/demand to the same EVs every
-        # round. Instead each EV order carries a priority rank: buys by
-        # urgency (soonest next departure, then lowest SoC) so commuters
-        # refill before idle vehicles, sells by fullness (descending SoC)
-        # so the emptiest EVs keep their reserve.
-        buy_rank = [0] * n_ev
-        for r, (_, _, j) in enumerate(sorted(zip(departs, socs,
-                                                 range(n_ev)))):
-            buy_rank[j] = r
-        sell_rank = [0] * n_ev
-        for r, (_, j) in enumerate(sorted(zip([-soc for soc in socs],
-                                              range(n_ev)))):
-            sell_rank[j] = r
-        strategy = (ev_strategy_prices(self.hist)
-                    if any(ev_bids_two_sided(*r) for r in ranges) else None)
-        for j, (lo, hi) in enumerate(ranges):
-            if lo or hi:                # an idle EV places no orders
-                orders.extend(formulate_ev_bids(lo, hi, strategy, j, self.cfg,
-                                                buy_rank[j], sell_rank[j]))
+        orders += formulate_house_bids(unresp, hvac, pv, self.cfg)
+        ranges = []
+        if n_ev:
+            ranges = [(round(lo), round(hi)) for lo, hi in
+                      ctx.read("evs/load_range_w", ((0.0, 0.0),) * n_ev)]
+            socs = ctx.read("evs/soc", (0.0,) * n_ev)
+            departs = ctx.read("evs/next_depart_s", (float("inf"),) * n_ev)
+            # EVs all bid the same strategy prices, so a tie-break on
+            # trader id would ration scarce supply/demand to the same EVs
+            # every round. Instead each EV order carries a priority rank:
+            # buys by urgency (soonest next departure, then lowest SoC) so
+            # commuters refill before idle vehicles, sells by fullness
+            # (descending SoC) so the emptiest EVs keep their reserve.
+            buy_rank = [0] * n_ev
+            for r, (_, _, j) in enumerate(sorted(zip(departs, socs,
+                                                     range(n_ev)))):
+                buy_rank[j] = r
+            sell_rank = [0] * n_ev
+            for r, (_, j) in enumerate(sorted(zip([-soc for soc in socs],
+                                                  range(n_ev)))):
+                sell_rank[j] = r
+            two_sided = any(ev_bids_two_sided(*r) for r in ranges)
+            strategy = ev_strategy_prices(self.hist) if two_sided else None
+            orders += formulate_ev_bids(ranges, strategy, self.cfg, buy_rank,
+                                        sell_rank)
 
         result = match_orders(orders, round_index)
-        self.transactions.extend(result.transactions)
+        self.transactions.extend(round_index, result.buyer, result.seller,
+                                 result.quantity, result.price)
         grid_import = float(self._dispatch(ctx, result, unresp, hvac, pv,
                                            ranges, lmp))
         # demand seen at the grid connection point: next round's LMP
@@ -276,10 +271,7 @@ class SubstationFederate:
         pv_surplus = pv_potential_total - pv_supplied
         ctx.publish("dispatch/hvac_w", tuple(map(float, hvac_granted)))
 
-        ev_charge = 0.0
-        ev_discharge = 0.0
-        ev_surplus = 0.0
-        must_charge_w = 0.0
+        ev_charge = ev_discharge = ev_surplus = must_charge_w = 0.0
         ev_loads = []
         for (lo, hi), charged, discharged in zip(ranges, ev_bought, ev_sold):
             if lo > 0:

@@ -13,15 +13,14 @@ import bisect
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
 DAY_S = 86400.0
 
 
-@dataclass(frozen=True)
-class WeatherSample:
+class WeatherSample(NamedTuple):
     t: float
     temp_c: float
     irradiance_frac: float

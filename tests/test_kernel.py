@@ -207,6 +207,42 @@ def test_round_schedule_at_every_step(per_round):
                     for k in range(4 * per_round)]
 
 
+@pytest.mark.parametrize("per_round", [1, 2, 5])
+def test_every_federate_sees_its_step_in_a_reused_context(per_round):
+    """Each federate gets one context per run, and at every step it holds
+    that step's time and rounds, whatever an earlier federate or an
+    earlier step left in its own context."""
+    seen = {name: [] for name in ("a", "b", "c")}
+    contexts = {name: set() for name in seen}
+    fed = Federation(step_s=60.0, t_market_s=60.0 * per_round)
+
+    def recorder(name):
+        def handler(ctx):
+            contexts[name].add(id(ctx))
+            seen[name].append((ctx.fed_id, ctx.t, ctx.clearing_round,
+                               ctx.next_round))
+            # a federate that scribbles on its context changes nothing
+            # that the next federate or its own next step sees
+            ctx.t, ctx.clearing_round, ctx.next_round = -1.0, -1, -1
+        return handler
+
+    for name in seen:
+        fed.register_federate(name, recorder(name))
+    fed.run(60.0 * 3 * per_round)
+    first = {name: set(ids) for name, ids in contexts.items()}
+    fed.run(60.0 * per_round)
+    steps = range(4 * per_round)
+    for fed_id, name in enumerate(seen):
+        assert seen[name] == [
+            (fed_id, 60.0 * k,
+             k // per_round if k % per_round == 0 else None,
+             (k + 1) // per_round if (k + 1) % per_round == 0 else None)
+            for k in steps]
+        assert len(first[name]) == 1            # one context per run
+        assert len(contexts[name]) <= 2
+    assert len(set().union(*first.values())) == 3
+
+
 def test_round_schedule_continues_across_runs():
     seen = []
     fed = Federation(step_s=60.0, t_market_s=180.0)

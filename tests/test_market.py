@@ -1,6 +1,7 @@
 """Double-auction matcher: worked oracles and property-based checks."""
 
 import itertools
+import math
 import random
 import struct
 
@@ -20,6 +21,14 @@ def sell(trader, q, p, priority=None):
     return Order(trader, Side.SELL, q, p, priority=priority)
 
 
+def market_result(fills, round_index=0):
+    """A MarketResult holding `fills`, given as Transactions."""
+    return MarketResult(round_index, [tx.buyer for tx in fills],
+                        [tx.seller for tx in fills],
+                        [tx.quantity for tx in fills],
+                        [tx.price for tx in fills])
+
+
 def reference_match_orders(orders, round_index=0):
     """The O(B*S) matcher that scans every seller for every buyer, kept as
     a test-only reference for the prefix-sum matcher."""
@@ -28,7 +37,7 @@ def reference_match_orders(orders, round_index=0):
     sellers = sorted((o for o in orders if o.side is Side.SELL),
                      key=lambda o: (o.price, o.priority, o.trader))
     remaining = [s.quantity for s in sellers]
-    result = MarketResult()
+    result = MarketResult(round_index)
     for buyer in buyers:
         eligible = [i for i, s in enumerate(sellers)
                     if remaining[i] > 0 and s.price <= buyer.price]
@@ -41,9 +50,11 @@ def reference_match_orders(orders, round_index=0):
             q = min(remaining[i], need)
             remaining[i] -= q
             need -= q
-            result.transactions.append(Transaction(
-                buyer.trader, sellers[i].trader, q, sellers[i].price,
-                round_index))
+            for column, value in zip(
+                    (result.buyer, result.seller, result.quantity,
+                     result.price),
+                    (buyer.trader, sellers[i].trader, q, sellers[i].price)):
+                column.append(value)
         result.bought[buyer.trader] = (
             result.bought.get(buyer.trader, 0) + buyer.quantity)
     for i, s in enumerate(sellers):
@@ -119,6 +130,25 @@ def test_order_validation():
         Order(1, Side.SELL, 100, -0.01)
     with pytest.raises(ValueError):
         Order(trader=1, side=Side.BUY, quantity=-5, price=0.01, priority=3)
+    assert Order(1, Side.SELL, 100, 0.0).price == 0.0
+    assert Order(1, Side.SELL, 100, -0.0).price == 0.0
+
+
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+def test_order_rejects_a_non_finite_price(side, price):
+    with pytest.raises(ValueError, match="finite"):
+        Order(2, side, 50, price)
+
+
+def test_a_nan_ask_cannot_clear_ahead_of_real_asks():
+    # a NaN ask compares false with every bid, so it used to reach the
+    # book and fill 50 W ahead of the 0.5 ask
+    with pytest.raises(ValueError):
+        match_orders([buy(1, 100, 1.0), sell(2, 50, math.nan),
+                      sell(3, 100, 0.5)])
+    result = match_orders([buy(1, 100, 1.0), sell(3, 100, 0.5)])
+    assert result.transactions == [Transaction(1, 3, 100, 0.5)]
 
 
 def test_orders_and_fills_are_tuples():
@@ -131,18 +161,34 @@ def test_orders_and_fills_are_tuples():
         order.price = 0.0
 
 
+def test_market_result_holds_its_fills_as_columns():
+    result = match_orders([buy(1, 3000, 0.020), buy(2, 2000, 0.016),
+                           sell(11, 2000, 0.010), sell(12, 4000, 0.014)],
+                          round_index=4)
+    assert result.round_index == 4
+    assert (result.buyer, result.seller, result.quantity, result.price) == \
+        ([1, 1, 2], [11, 12, 12], [2000, 1000, 2000], [0.010, 0.014, 0.014])
+    assert result.transactions == [Transaction(1, 11, 2000, 0.010, 4),
+                                   Transaction(1, 12, 1000, 0.014, 4),
+                                   Transaction(2, 12, 2000, 0.014, 4)]
+    # built on each read, and not settable
+    assert result.transactions is not result.transactions
+    with pytest.raises(AttributeError):
+        result.transactions = []
+
+
 def test_transaction_log_iterates_its_fills_in_order():
     log = TransactionLog()
-    log.extend([])
+    log.extend(0, [], [], [], [])
     assert len(log) == 0 and list(log) == []
     first = [Transaction(1, 2, 300, 0.0155, 7),
              Transaction(1, 3, 200, 0.5, 7)]
     second = match_orders([buy(4, 100, 0.02), sell(5, 150, 0.01)],
-                          round_index=8).transactions
-    log.extend(first)
-    log.extend(second)
+                          round_index=8)
+    log.extend(7, [1, 1], [2, 3], [300, 200], [0.0155, 0.5])
+    log.extend(8, second.buyer, second.seller, second.quantity, second.price)
     assert len(log) == 3
-    assert list(log) == first + second
+    assert list(log) == first + second.transactions
     assert list(log) == list(log)   # iterating does not consume the log
     assert list(log.round_index) == [7, 7, 8]
     assert list(log.price) == [0.0155, 0.5, 0.01]
@@ -150,12 +196,12 @@ def test_transaction_log_iterates_its_fills_in_order():
 
 def test_vwap_examples():
     assert vwap([2000, 1000], [0.010, 0.016]) == pytest.approx(0.012)
-    assert MarketResult([Transaction(1, 2, 2000, 0.010),
-                         Transaction(1, 3, 1000, 0.016)]).round_vwap == \
+    assert market_result([Transaction(1, 2, 2000, 0.010),
+                          Transaction(1, 3, 1000, 0.016)]).round_vwap == \
         pytest.approx(0.012)
     assert vwap([777], [0.031]) == 0.031
     assert vwap([], []) is None
-    assert MarketResult().round_vwap is None
+    assert MarketResult(0).round_vwap is None
 
 
 def test_vwap_sums_left_to_right():
@@ -350,7 +396,7 @@ def test_round_vwap_is_vwap_bit_for_bit():
     for fills in books:
         expected = vwap([tx.quantity for tx in fills],
                         [tx.price for tx in fills])
-        got = MarketResult(fills).round_vwap
+        got = market_result(fills).round_vwap
         if expected is None:
             assert got is None
         else:

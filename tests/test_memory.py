@@ -5,13 +5,46 @@ import tracemalloc
 
 import pytest
 
-from petgrid.market import Order, Side, Transaction, TransactionLog
+from petgrid import market, substation
+from petgrid.market import (Order, Side, Transaction, TransactionLog,
+                            match_orders)
 from petgrid.runner import builtin_config, run_scenario
 
 
 def test_orders_and_fills_have_no_instance_dict():
     for obj in (Order(1, Side.BUY, 100, 0.02), Transaction(1, 2, 100, 0.02)):
         assert not hasattr(obj, "__dict__")
+
+
+def test_a_run_builds_no_transaction_tuple(monkeypatch, tmp_path):
+    """Fills go from the matcher to transactions.csv as columns."""
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return Transaction(*fields)
+
+    results = []
+
+    def recording(orders, round_index):
+        results.append(match_orders(orders, round_index))
+        return results[-1]
+
+    monkeypatch.setattr(market, "Transaction", counting)
+    monkeypatch.setattr(substation, "match_orders", recording)
+    cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
+                         discard_days=1)
+    result = run_scenario(cfg, out_dir=tmp_path)
+    assert len(result.transactions) > 1000
+    assert built == []
+    # no round's result holds a fill as a tuple either
+    assert len(results) == 2 * 288
+    assert not [value for r in results for value in vars(r).values()
+                if isinstance(value, list)
+                and any(isinstance(x, tuple) for x in value)]
+    # reading the fills back as tuples goes through the patched name
+    next(iter(result.transactions))
+    assert len(built) == 1
 
 
 def test_the_log_holds_at_most_34_bytes_per_fill():
@@ -34,31 +67,41 @@ def test_the_log_holds_at_most_34_bytes_per_fill():
     assert 28 * fills <= held <= 34 * fills
 
 
+FITS = dict(round_index=0, buyer=[2**31 - 1], seller=[-2**31],
+            quantity=[2**63 - 1], price=[0.02])
+# one value past the range of each integer column; every float fits price
+TOO_BIG = dict(round_index=2**31, buyer=[2**31], seller=[-2**31 - 1],
+               quantity=[2**63])
+
+
 def test_a_fill_that_does_not_fit_the_log_raises():
-    TransactionLog().extend([Transaction(2**31 - 1, 2, 2**63 - 1, 0.02, 0)])
-    for bad in (Transaction(2**31, 2, 100, 0.02, 7),
-                Transaction(1, -2**31 - 1, 100, 0.02, 7),
-                Transaction(1, 2, 100, 0.02, 2**31),
-                Transaction(1, 2, 2**63, 0.02, 7)):
+    TransactionLog().extend(**FITS)
+    for column in TOO_BIG:
+        log = TransactionLog()
         with pytest.raises(OverflowError):
-            TransactionLog().extend([bad])
+            log.extend(**(FITS | {column: TOO_BIG[column]}))
+        assert len(log) == 0 and list(log) == []
+        assert all(len(getattr(log, name)) == 0 for name in FITS)
 
 
 def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
+    for column in TOO_BIG:
+        log = TransactionLog()
+        log.extend(3, [1], [2], [100], [0.02])
+        # a round with one value past one column's range, in its second
+        # fill where the column has one per fill, adds none of its fills
+        bad = {"round_index": 4, "buyer": [4, 4], "seller": [5, 6],
+               "quantity": [60, 70], "price": [0.03, 0.03]}
+        bad[column] = (TOO_BIG[column] if column == "round_index"
+                       else bad[column][:1] + TOO_BIG[column])
+        with pytest.raises(OverflowError):
+            log.extend(**bad)
+        assert list(log) == [Transaction(1, 2, 100, 0.02, 3)], column
+        assert {len(getattr(log, name)) for name in FITS} == {1}, column
+
+
+def test_fill_columns_of_different_lengths_are_rejected():
     log = TransactionLog()
-    with pytest.raises(OverflowError):
-        log.extend([Transaction(1, 2, 100, 0.02, 2**31)])
-    assert len(log) == 0
-    assert list(log) == []
-    for column in (log.round_index, log.buyer, log.seller, log.quantity,
-                   log.price):
-        assert len(column) == 0
-    # a round with one bad fill after good ones adds none of them
-    log.extend([Transaction(1, 2, 100, 0.02, 3)])
-    with pytest.raises(OverflowError):
-        log.extend([Transaction(4, 5, 60, 0.03, 4),
-                    Transaction(4, 6, 2**63, 0.03, 4)])
-    assert list(log) == [Transaction(1, 2, 100, 0.02, 3)]
-    assert {len(column) for column in (log.round_index, log.buyer,
-                                       log.seller, log.quantity,
-                                       log.price)} == {1}
+    with pytest.raises(ValueError):
+        log.extend(0, [1, 2], [3], [100, 100], [0.02, 0.02])
+    assert len(log) == 0 and len(log.round_index) == 0

@@ -1,5 +1,7 @@
 """Metric formulas and analysis-window aggregation."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,17 @@ def rounds_of(samples):
     return rounds
 
 
+def extend(log, txs):
+    """Append `txs`, Transactions in round order, one round at a time."""
+    for k, fills in groupby(txs, key=lambda tx: tx.round_index):
+        fills = list(fills)
+        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
+
+
 def fill_log(txs=()):
     """The fills as a run's log holds them: in round order."""
     log = TransactionLog()
-    log.extend(sorted(txs, key=lambda tx: tx.round_index))
+    extend(log, sorted(txs, key=lambda tx: tx.round_index))
     return log
 
 
@@ -87,7 +96,8 @@ def test_vwap_bar_is_the_market_vwap_of_the_window():
            Transaction(1, 4, 1, 1.0, round_index=3)]
     samples = [sample(t) for t in np.arange(0.0, 1200.0, 300.0)]
     out = summarize(rounds_of(samples), fill_log(txs), 0.0, 900.0, 300.0)
-    assert out.vwap_bar == MarketResult(txs).round_vwap == \
+    result = MarketResult(0, *([tx[i] for tx in txs] for i in range(4)))
+    assert out.vwap_bar == result.round_vwap == \
         ((1e16 + 1.0) + 1.0) / 3
 
 
@@ -111,7 +121,7 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
                              int(rng.integers(1, 12_000)),
                              float(rng.uniform(0.001, 1.0)), k)
                  for _ in range(int(rng.integers(0, 6)))]
-        log.extend(fills)
+        extend(log, fills)
         txs.extend(fills)
     rounds = rounds_of([sample(t) for t in np.arange(0.0, 12_000.0, 300.0)])
     for start, end in ((0.0, 11_700.0), (3000.0, 9000.0), (3100.0, 3500.0)):

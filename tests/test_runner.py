@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from petgrid import evfleet, kernel
-from petgrid.market import Transaction, TransactionLog
+from petgrid.market import TransactionLog
 from petgrid.metrics import ROUND_COLUMNS
 from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
                             _fmt, apply_settings, builtin_config,
@@ -335,15 +335,16 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
                    123.4567895, 1e16, 2.0 ** -30]
     log = TransactionLog()
     for k in range(300):
-        log.extend([Transaction(rng.randrange(5000), rng.randrange(6000),
-                                rng.randrange(1, 2 ** 40),
-                                rng.choice(edge_prices + [rng.random()]), k)
-                    for _ in range(rng.randrange(4))])
+        n = rng.randrange(4)
+        log.extend(k, [rng.randrange(5000) for _ in range(n)],
+                   [rng.randrange(6000) for _ in range(n)],
+                   [rng.randrange(1, 2 ** 40) for _ in range(n)],
+                   [rng.choice(edge_prices + [rng.random()])
+                    for _ in range(n)])
     # equal as floats, different as text, in either order in one log;
     # ids at the edge of the log's int32 columns
-    log.extend([Transaction(2 ** 31 - 1, -5, 7, -0.0, 300),
-                Transaction(-5, 2 ** 31 - 1, 8, 0.0, 300),
-                Transaction(-5, -5, 9, -0.0, 301)])
+    log.extend(300, [2 ** 31 - 1, -5], [-5, 2 ** 31 - 1], [7, 8], [-0.0, 0.0])
+    log.extend(301, [-5], [-5], [9], [-0.0])
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
     write_outputs(dataclasses.replace(result, transactions=log), tmp_path)

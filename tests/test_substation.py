@@ -153,9 +153,14 @@ TIED_LMPS = st.sampled_from([0.0, 0.0101, 0.0155, 0.0155, 0.02, 0.3])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(TIED_LMPS | st.floats(0.0, 1.0), min_size=1, max_size=40),
-       st.integers(1, 8), st.integers(1, 4))
-def test_history_matches_numpy_bit_for_bit(series, n_long, n_short):
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+           st.lists(TIED_LMPS | st.floats(0.0, 1.0), min_size=3 * n,
+                    max_size=40), st.just(n))),
+       st.integers(1, 4))
+def test_history_matches_numpy_bit_for_bit(series_n_long, n_short):
+    # at least three windows' worth, so the ring wraps at least twice
+    series, n_long = series_n_long
+    assert len(series) >= 3 * n_long
     hist = LmpHistory(300.0, long_window_s=300.0 * n_long,
                       short_window_s=300.0 * n_short)
     for k, lmp in enumerate(series):
@@ -217,17 +222,19 @@ def test_every_order_of_a_run_passes_the_order_checks(monkeypatch):
 
 
 def test_ev_bids_forced_charge():
-    orders = formulate_ev_bids(11000, 11000, None, 4, CFG, 4, 4)
+    ranges = [(0, 0)] * 4 + [(11000, 11000)]
+    orders = formulate_ev_bids(ranges, None, CFG, [0, 1, 2, 3, 4],
+                               [4, 3, 2, 1, 0])
     assert len(orders) == 1
     o = orders[0]
-    assert (o.trader, o.side, o.quantity, o.price) == \
-        (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive)
+    assert (o.trader, o.side, o.quantity, o.price, o.priority) == \
+        (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive, EV_BASE + 4)
 
 
 def test_ev_bids_two_sided_with_strategy_prices():
     strategy = ev_strategy_prices(StubHistory(0.020, 0.030, 0.010))
-    orders = formulate_ev_bids(-11000, 11000, strategy, 2, CFG,
-                               buy_rank=5, sell_rank=7)
+    orders = formulate_ev_bids([(0, 0), (0, 0), (-11000, 11000)], strategy,
+                               CFG, buy_rank=[0, 1, 5], sell_rank=[0, 1, 7])
     by_side = {o.side: o for o in orders}
     assert by_side[Side.BUY].trader == EV_BASE + 2
     assert by_side[Side.BUY].priority == EV_BASE + 5
@@ -252,8 +259,25 @@ def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
     """With any price spread the sell sits strictly above the buy, so an
     EV's own ask is never eligible against its own bid."""
     strategy = ev_strategy_prices(StubHistory(0.020, 0.020, 0.004))
-    orders = formulate_ev_bids(-11000, 11000, strategy, 0, CFG, 0, 0)
+    orders = formulate_ev_bids([(-11000, 11000)], strategy, CFG, [0], [0])
     assert match_orders(orders).transactions == []
+
+
+def test_ev_bids_are_the_fleets_buys_then_its_sells():
+    strategy = (0.02, 0.03)
+    ranges = [(-11000, 0), (0, 0), (500, 11000), (-7000, 7000), (0, 3000)]
+    orders = formulate_ev_bids(ranges, strategy, CFG, [4, 3, 2, 1, 0],
+                               [0, 1, 2, 3, 4])
+    assert orders == [
+        Order(EV_BASE + 2, Side.BUY, 500, CFG.prices_unresponsive,
+              EV_BASE + 2),
+        Order(EV_BASE + 3, Side.BUY, 7000, 0.02, EV_BASE + 1),
+        Order(EV_BASE + 4, Side.BUY, 3000, 0.02, EV_BASE + 0),
+        Order(EV_SELL_BASE + 0, Side.SELL, 11000, 0.03, EV_SELL_BASE + 0),
+        Order(EV_SELL_BASE + 3, Side.SELL, 7000, 0.03, EV_SELL_BASE + 3)]
+    assert all(type(o.quantity) is int for o in orders)
+    assert formulate_ev_bids([(0, 0)] * 3, None, CFG, [0, 1, 2],
+                             [0, 1, 2]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +287,12 @@ def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
 TINY_S5 = dict(n_houses=3, n_ev=3, n_pv=3, days=2, discard_days=1)
 
 
-def count_strategy_rounds(monkeypatch, cfg):
+def count_strategy_rounds(monkeypatch, cfg, bid_calls=None):
     """Run `cfg`; return the round index of every `ev_strategy_prices`
-    call and the rounds in which some EV bid two-sided."""
+    call and the rounds in which some EV bid two-sided. The round index
+    of every `formulate_ev_bids` call goes to `bid_calls`."""
     calls, two_sided, n_rounds = [], set(), 0
+    bid_calls = [] if bid_calls is None else bid_calls
     lmp, strategy, bids = (substation.compute_lmp,
                            substation.ev_strategy_prices,
                            substation.formulate_ev_bids)
@@ -280,10 +306,11 @@ def count_strategy_rounds(monkeypatch, cfg):
         calls.append(n_rounds)
         return strategy(hist)
 
-    def recording_bids(lo, hi, *args):
-        if ev_bids_two_sided(lo, hi):
+    def recording_bids(ranges, *args):
+        bid_calls.append(n_rounds)
+        if any(ev_bids_two_sided(lo, hi) for lo, hi in ranges):
             two_sided.add(n_rounds)
-        return bids(lo, hi, *args)
+        return bids(ranges, *args)
 
     monkeypatch.setattr(substation, "compute_lmp", counting_lmp)
     monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
@@ -307,6 +334,18 @@ def test_strategy_prices_never_run_without_evs(monkeypatch):
     calls, two_sided, n_rounds = count_strategy_rounds(monkeypatch, cfg)
     assert n_rounds == 2 * 288
     assert calls == [] and two_sided == set()
+
+
+def test_ev_bids_are_formulated_at_most_once_per_round(monkeypatch):
+    bid_calls = []
+    count_strategy_rounds(monkeypatch, builtin_config("s5", **TINY_S5),
+                          bid_calls)
+    assert bid_calls == list(range(1, 2 * 288 + 1))
+    bid_calls.clear()
+    count_strategy_rounds(monkeypatch,
+                          builtin_config("s5", **dict(TINY_S5, n_ev=0)),
+                          bid_calls)
+    assert bid_calls == []
 
 
 class StubContext:
@@ -342,6 +381,28 @@ def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0, history=()):
     ctx = StubContext(values)
     sub(ctx)
     return sub, ctx
+
+
+def test_a_round_without_evs_reads_nothing_of_evs(monkeypatch):
+    reads = []
+
+    class RecordingContext(StubContext):
+        def read(self, key, default=0.0):
+            reads.append(key)
+            return super().read(key, default)
+
+    for name in ("ev_strategy_prices", "formulate_ev_bids"):
+        monkeypatch.setattr(substation, name, None)   # calling one fails
+    sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=0))
+    ctx = RecordingContext({"houses/hvac_demand_w": (4000.0,),
+                            "houses/unresponsive_w": (1200.0,),
+                            "houses/pv_potential_w": (0.0,)})
+    sub(ctx)
+    assert not [key for key in reads if key.startswith("evs/")]
+    assert ctx.published == {"dispatch/hvac_w": (4000.0,),
+                             "dispatch/ev_load_w": ()}
+    assert len(sub.transactions) == 2
+    assert sub.max_imbalance_w == 0.0
 
 
 def test_ev_bids_idle_range_produces_no_orders(monkeypatch):
