@@ -1,14 +1,20 @@
 """Sample AST mutants of one module and report those no test kills.
 
     python3 tools/mutant_probe.py src/petgrid/market.py \
-        tests/test_market.py tests/test_memory.py [--count 30] [--seed 7]
+        tests/test_market.py tests/test_memory.py
 
 A by-hand probe of how tightly the tests pin a module; it is not part of
-the test suite. It copies the repository's `src/`, `tests/` and
-`perfbench/` into a temporary directory, then for each sampled mutant
-writes the mutated module there and runs `python -m pytest -x -q` on the
-given test paths against the copy. A mutant survives when that run
-passes. The checkout itself is never written.
+the test suite. It copies the repository's `src/`, `tests/`, `demos/`
+and `perfbench/` into a temporary directory and first runs
+`python -m pytest -x -q` on the given test paths against the unmutated
+copy: it stops with an error unless they pass. Then for each sampled
+mutant it writes the mutated module there and runs the same tests. A
+mutant survives when that run passes and is killed when a test fails or
+cannot be collected (pytest exit 1 or 2) or the run outlasts TIMEOUT_S
+seconds, as a mutant that loops forever does; any other exit (internal
+error, usage error, no tests collected) stops the probe, since it says
+nothing of the mutant. Test paths must lie in the copied directories.
+The checkout itself is never written.
 
 Mutation sites, in source order:
 - a comparison made strict or non-strict (`<` and `<=`, `>` and `>=`),
@@ -17,7 +23,7 @@ Mutation sites, in source order:
   assignments;
 - a numeric constant plus 1 (booleans excluded).
 
-`--count` sites are drawn with `random.Random(--seed).sample`. Each
+COUNT sites are drawn with `random.Random(SEED).sample`. Each
 mutant is written with `ast.unparse`; the line printed for it is the
 source's, while a failing test's traceback numbers the unparsed text.
 Uses only the standard library.
@@ -37,7 +43,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+COUNT = 30
+SEED = 7
+TIMEOUT_S = 600.0
+# pytest exit codes: 1 a test failed, 2 collection failed or interrupted
+KILLED = (1, 2)
 FLIP_COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
                 ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
                 ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
@@ -86,22 +97,38 @@ def mutate(tree: ast.AST, site: tuple[int, str, int]) -> tuple[ast.AST, str]:
     return ast.fix_missing_locations(tree), f"line {node.lineno}: {change}"
 
 
+def run_tests(work: Path, tests: list[str]) -> int | None:
+    """pytest's exit code for `tests` on the copy in `work`, or None when
+    the run timed out."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *tests],
+            cwd=work, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("module", type=Path, help="module to mutate, e.g. "
                     "src/petgrid/market.py")
     ap.add_argument("tests", nargs="+", help="pytest paths or node ids")
-    ap.add_argument("--count", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--timeout", type=float, default=600.0)
     args = ap.parse_args()
 
     module = args.module.resolve().relative_to(ROOT)
+    for test in args.tests:
+        path = (ROOT / test.split("::")[0]).resolve()
+        if (not path.exists() or not path.is_relative_to(ROOT)
+                or path.relative_to(ROOT).parts[0] not in COPIED):
+            sys.exit(f"error: {test} is not a path in {', '.join(COPIED)}")
     source = (ROOT / module).read_text()
     tree = ast.parse(source)
     every = sites(tree)
-    chosen = random.Random(args.seed).sample(every, min(args.count,
-                                                        len(every)))
+    chosen = random.Random(SEED).sample(every, min(COUNT, len(every)))
     print(f"{module}: {len(every)} sites, {len(chosen)} sampled")
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutant-probe-") as tmp:
@@ -113,20 +140,18 @@ def main() -> int:
                                 ignore_patterns("__pycache__", ".hypothesis"))
             elif src.exists():
                 shutil.copy2(src, work / name)
-        env = dict(os.environ, PYTHONPATH=str(work / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        code = run_tests(work, args.tests)
+        if code != 0:
+            why = "timed out" if code is None else f"pytest exit {code}"
+            sys.exit(f"error: the tests do not pass unmutated ({why}); no "
+                     f"mutant can be judged")
         for site in chosen:
             mutant, what = mutate(tree, site)
             (work / module).write_text(ast.unparse(mutant) + "\n")
-            try:
-                run = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-x", "-q",
-                     "-p", "no:cacheprovider", *args.tests],
-                    cwd=work, env=env, capture_output=True, text=True,
-                    timeout=args.timeout)
-                killed = run.returncode != 0
-            except subprocess.TimeoutExpired:
-                killed = True
+            code = run_tests(work, args.tests)
+            if code not in (0, None, *KILLED):
+                sys.exit(f"error: pytest exit {code} on {what}")
+            killed = code != 0
             print(f"{'killed  ' if killed else 'SURVIVED'} {what}",
                   flush=True)
             if not killed:
