@@ -87,8 +87,6 @@ class TransactionLog:
     def extend(self, round_index: int, buyer, seller, quantity,
                price) -> None:
         """Append one round's fills, given as equal-length columns."""
-        if not len(buyer) == len(seller) == len(quantity) == len(price):
-            raise ValueError("fill columns differ in length")
         # build every column before extending any, so an overflow adds none
         arrays = [array(column.typecode, values) for column, values in (
             (self.buyer, buyer), (self.seller, seller),

@@ -21,22 +21,44 @@ from .weather import DAY_S
 
 
 WEATHER_MODES = ("synthetic", "csv")
-# config files bypass _coerce, so a YAML float or bool can reach these
-INT_FIELDS = ("n_houses", "n_ev", "n_pv", "days", "discard_days", "seed",
-              "ev_seed")
-RANGE_FIELDS = ("houses_rc_hours_range", "houses_ua_w_per_k_range",
-                "pv_panels_range", "ev_initial_soc_range")
-POSITIVE_FIELDS = ("step_s", "grid_capacity_kw", "lmp_reference_capacity_kw",
-                   "weather_rated_irradiance_wm2", "houses_hvac_kw",
-                   "houses_cop", "ev_efficiency", "ev_charger_kw",
-                   "ev_speed_kmh")
-# order prices are built from the LMP and the prices_* fields; negative
-# loads, panels or deadbands would run but break the physics silently
-NON_NEGATIVE_FIELDS = ("lmp_p_base", "lmp_alpha", "lmp_diurnal_amplitude",
-                       "prices_unresponsive", "prices_hvac", "prices_pv_sell",
-                       "ev_drive_kwh_per_km",
-                       "houses_deadband_c", "houses_unresponsive_mean_kw",
-                       "pv_panel_w")
+# field -> (lowest, highest, whether lowest is allowed): the values a number
+# field, or each end of a range field, may take. A field not listed may
+# take any finite value. Negative prices, loads or panels would run but
+# break the physics silently, noise above 1 drives loads below 0 W, and a
+# grid capacity of 0.0005 kW or less rounds to a 0 W grid order.
+DOMAINS = {
+    "n_houses": (1, substation.MAX_HOUSES, True),
+    "grid_capacity_kw": (0.0005, math.inf, False),
+    "t_market_s": (0, DAY_S, False),
+    "pv_panels_range": (1, math.inf, True),
+    "ev_efficiency": (0, 1, False),
+} | dict.fromkeys((
+    "step_s", "weather_rated_irradiance_wm2", "houses_rc_hours_range",
+    "houses_ua_w_per_k_range", "houses_hvac_kw", "houses_cop",
+    "ev_charger_kw", "ev_speed_kmh", "lmp_reference_capacity_kw",
+), (0, math.inf, False)) | dict.fromkeys((
+    "n_ev", "n_pv", "discard_days", "seed", "ev_seed", "houses_deadband_c",
+    "houses_unresponsive_mean_kw", "pv_panel_w", "ev_drive_kwh_per_km",
+    "lmp_p_base", "lmp_alpha", "prices_unresponsive", "prices_hvac",
+    "prices_pv_sell",
+), (0, math.inf, True)) | dict.fromkeys((
+    "houses_unresponsive_noise_frac", "ev_worker_ratio",
+    "ev_initial_soc_range", "lmp_diurnal_amplitude", "lmp_demand_ema",
+), (0, 1, True))
+_ANY = (-math.inf, math.inf, False)
+_MUST_BE = {"int": "an integer", "float": "a finite number",
+            "tuple": "two finite numbers lo <= hi"}
+
+
+def _in_domain(key: str, value, whole: bool) -> bool:
+    """Whether `value` is a number (an integer if `whole`; a bool is
+    neither) that is finite and within `key`'s DOMAINS entry."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if whole else numbers.Real):
+        return False
+    lo, hi, lo_allowed = DOMAINS.get(key, _ANY)
+    return ((lo < value or lo_allowed and value == lo) and value <= hi
+            and (whole or math.isfinite(value)))
 
 
 @dataclass
@@ -89,64 +111,38 @@ class ScenarioConfig:
     prices_pv_sell: float = 0.0148
 
     def validate(self) -> None:
-        for key in INT_FIELDS:
+        # each field's kind from its annotation, its bounds from DOMAINS
+        for key, (kind, optional) in _KINDS.items():
             value = getattr(self, key)
-            if isinstance(value, bool) or (
-                    not isinstance(value, numbers.Integral)
-                    and (key, value) != ("ev_seed", None)):
-                raise ValueError(f"{key} must be an integer")
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite")
-        for key in RANGE_FIELDS:
-            value = getattr(self, key)
-            if not (isinstance(value, tuple) and len(value) == 2
-                    and all(isinstance(v, numbers.Real) and math.isfinite(v)
-                            for v in value)
-                    and value[0] <= value[1]):
-                raise ValueError(f"{key} must be two finite numbers lo <= hi")
-        for key in POSITIVE_FIELDS:
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive")
-        for key in NON_NEGATIVE_FIELDS:
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must not be negative")
-        if self.ev_efficiency > 1 or self.lmp_diurnal_amplitude > 1:
-            raise ValueError("ev_efficiency and lmp_diurnal_amplitude "
-                             "must not exceed 1")
-        # a noise fraction within [0, 1] is what keeps every unresponsive
-        # load at 0 W or more; a worker share or an EMA weight outside
-        # [0, 1] is no fraction, yet would run to exit 0
-        for key in ("houses_unresponsive_noise_frac", "ev_worker_ratio",
-                    "lmp_demand_ema"):
-            if not 0 <= getattr(self, key) <= 1:
-                raise ValueError(f"{key} must lie within [0, 1]")
+            if value is None and optional:
+                continue
+            if kind == "str":
+                if not isinstance(value, str):
+                    raise ValueError(f"{key} must be a string")
+                continue
+            ends = value if kind == "tuple" else (value,)
+            if not (isinstance(ends, tuple)
+                    and len(ends) == (2 if kind == "tuple" else 1)
+                    and all(_in_domain(key, v, kind == "int") for v in ends)
+                    and ends[0] <= ends[-1]):
+                lo, hi, lo_allowed = DOMAINS.get(key, _ANY)
+                raise ValueError(
+                    f"{key} must be {_MUST_BE[kind]} within "
+                    f"{'[' if lo_allowed else '('}{lo:g}, {hi:g}"
+                    f"{']' if hi < math.inf else ')'}")
+        # the rules that relate fields, or that DOMAINS cannot say
+        if self.n_ev > self.n_houses or self.n_pv > self.n_houses:
+            raise ValueError("n_ev and n_pv must not exceed n_houses")
+        if self.days <= self.discard_days:
+            raise ValueError("days must exceed discard_days")
+        if self.t_market_s % self.step_s or DAY_S % self.t_market_s:
+            raise ValueError("t_market_s must be a multiple of step_s and "
+                             "divide a day")
         if self.weather_temp_min_c > self.weather_temp_max_c:
             raise ValueError("weather_temp_min_c must not exceed "
                              "weather_temp_max_c")
-        rc, ua, pv, soc = (getattr(self, key) for key in RANGE_FIELDS)
-        if rc[0] <= 0 or ua[0] <= 0:
-            raise ValueError("houses rc_hours_range and ua_w_per_k_range "
-                             "must be positive")
-        if pv[0] < 1 or not all(float(v).is_integer() for v in pv):
-            raise ValueError("pv_panels_range must be whole numbers >= 1")
-        if soc[0] < 0 or soc[1] > 1:
-            raise ValueError("ev_initial_soc_range must lie within [0, 1]")
-        if not 1 <= self.n_houses <= substation.MAX_HOUSES:
-            raise ValueError("n_houses must be within "
-                             f"[1, {substation.MAX_HOUSES}]")
-        if not (0 <= self.n_ev <= self.n_houses):
-            raise ValueError("n_ev must be within [0, n_houses]")
-        if not (0 <= self.n_pv <= self.n_houses):
-            raise ValueError("n_pv must be within [0, n_houses]")
-        if self.discard_days < 0:
-            raise ValueError("discard_days must not be negative")
-        if self.days <= self.discard_days:
-            raise ValueError("days must exceed discard_days")
-        if self.t_market_s % self.step_s != 0:
-            raise ValueError("t_market_s must be a multiple of step_s")
-        if self.t_market_s <= 0 or DAY_S % self.t_market_s != 0:
-            raise ValueError("t_market_s must be positive and divide a day")
+        if not all(float(v).is_integer() for v in self.pv_panels_range):
+            raise ValueError("pv_panels_range must be whole numbers")
         if self.weather_mode not in WEATHER_MODES:
             raise ValueError(f"unknown weather mode {self.weather_mode!r}")
         if self.weather_mode == "csv" and not self.weather_csv_path:
@@ -182,7 +178,9 @@ _KEY_MAP = {
 } | {"houses.count": "n_houses", "ev.count": "n_ev", "kernel.step_s": "step_s",
      "market.t_market_s": "t_market_s"}
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+# field -> (kind, whether it may be None), parsed from its annotation
+_KINDS = {f.name: (f.type.partition(" | ")[0], f.type.endswith(" | None"))
+          for f in dataclasses.fields(ScenarioConfig)}
 
 
 def builtin_config(name: str, **overrides) -> ScenarioConfig:
@@ -212,7 +210,7 @@ def _coerce(attr: str, value):
         return tuple(value)
     if not isinstance(value, str):
         return value
-    kind, _, optional = _FIELD_TYPES[attr].partition(" | ")
+    kind, optional = _KINDS[attr]
     if optional and value.lower() in ("none", "null"):
         return None
     if kind == "tuple":
@@ -224,7 +222,7 @@ def _coerce(attr: str, value):
 def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
     """Apply dotted-key settings (from a config file or --set flags)."""
     for key, value in settings.items():
-        attr = _KEY_MAP.get(key, key if key in _FIELD_TYPES else None)
+        attr = _KEY_MAP.get(key, key if key in _KINDS else None)
         if attr is None:
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, attr, _coerce(attr, value))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,23 @@ def test_run_invalid_config_value(capsys):
     assert "days" in capsys.readouterr().err
 
 
+def fails_before_any_step(args, capsys, monkeypatch, tmp_path) -> str:
+    """Run `petgrid run *args` with a federation that must not step;
+    check that it exits 1 with one `error:` line and no outputs, and
+    return that line."""
+    def no_stepping(*_):
+        raise AssertionError("the federation must not run")
+
+    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
+    code = main(["run", *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
 def _probe(setting, *extra):
     return pytest.param(setting, list(extra), id=setting)
 
@@ -51,6 +69,9 @@ def _probe(setting, *extra):
     _probe("houses.count=0"),
     _probe("houses.count=1001"),        # trader ids would collide
     _probe("grid.capacity_kw=-5"),
+    _probe("grid.capacity_kw=0.0004", "--days", "2",   # a 0 W grid order
+           "--set", "scenario.discard_days=1", "--set", "houses.count=3"),
+    _probe("grid.capacity_kw=0.0005"),
     _probe("lmp.reference_capacity_kw=0"),
     _probe("metrics.vwap_mode=bogus"),
     _probe("weather.mode=bogus"),
@@ -91,17 +112,8 @@ def _probe(setting, *extra):
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):
-    def no_stepping(*args):
-        raise AssertionError("the federation must not run")
-
-    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
-    code = main(["run", "--scenario", "s1", "--out", str(tmp_path / "out"),
-                 "--set", setting, *extra])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    fails_before_any_step(["--scenario", "s1", "--set", setting, *extra],
+                          capsys, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("text", [
@@ -112,19 +124,40 @@ def test_invalid_config_fails_before_any_step(setting, extra, capsys,
 ], ids=["houses-count-3.5", "seed-1.5", "days-2.5"])
 def test_non_integer_in_a_config_file_fails_before_any_step(
         text, capsys, monkeypatch, tmp_path):
-    def no_stepping(*args):
-        raise AssertionError("the federation must not run")
-
     cfg = tmp_path / "fractional.yaml"
     cfg.write_text(text)
-    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
-    code = main(["run", "--scenario", str(cfg), "--out",
-                 str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    err = fails_before_any_step(["--scenario", str(cfg)], capsys,
+                                monkeypatch, tmp_path)
     assert "must be an integer" in err
-    assert not (tmp_path / "out").exists()
+
+
+# a config file passes YAML nulls, lists and bools to validate()
+# uncoerced: each in an int, float and range field, and more in other
+# number and string fields
+WRONG_TYPES = [
+    (f"{section}: {{{name}: {value}}}", f"{key} must be ")
+    for section, name, key in (("houses", "count", "n_houses"),
+                               ("grid", "capacity_kw", "grid_capacity_kw"),
+                               ("pv", "panels_range", "pv_panels_range"))
+    for value in ("null", "[1]", "true")
+] + [
+    ("scenario: {step_s: null}", "step_s must be a finite number"),
+    ("market: {t_market_s: null}", "t_market_s must be a finite number"),
+    ("weather: {temp_min_c: null}", "weather_temp_min_c must be a finite"),
+    ("lmp: {demand_ema: [0.1]}", "lmp_demand_ema must be a finite number"),
+    ("weather: {mode: csv, csv_path: 5}", "weather_csv_path must be a string"),
+]
+
+
+@pytest.mark.parametrize("text, message", WRONG_TYPES,
+                         ids=[text for text, _ in WRONG_TYPES])
+def test_wrong_type_in_a_config_file_fails_before_any_step(
+        text, message, capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(text + "\n")
+    err = fails_before_any_step(["--scenario", str(cfg)], capsys,
+                                monkeypatch, tmp_path)
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("rows, extra", [
@@ -135,22 +168,27 @@ def test_non_integer_in_a_config_file_fails_before_any_step(
 ], ids=["nan-temp", "nan-irradiance", "inf-irradiance", "zero-rating"])
 def test_bad_weather_csv_fails_before_any_step(rows, extra, capsys,
                                                monkeypatch, tmp_path):
-    def no_stepping(*args):
-        raise AssertionError("the federation must not run")
-
     csv_path = tmp_path / "weather.csv"
     csv_path.write_text("timestamp,temp_c,irradiance_wm2\n"
                         + "\n".join(rows) + "\n")
-    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
-    code = main(["run", "--scenario", "s5", "--days", "2",
+    fails_before_any_step(
+        ["--scenario", "s5", "--days", "2",
+         "--set", "scenario.discard_days=1", "--set", "houses.count=3",
+         "--set", "ev.count=3", "--set", "scenario.n_pv=3",
+         "--set", "weather.mode=csv",
+         "--set", f"weather.csv_path={csv_path}", *extra],
+        capsys, monkeypatch, tmp_path)
+
+
+def test_the_least_valid_grid_capacity_runs(tmp_path, capsys):
+    # 0.0005 kW rounds to a 0 W grid order; the next float up bids 1 W
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "s1", "--days", "2", "--out", str(out),
                  "--set", "scenario.discard_days=1", "--set", "houses.count=3",
-                 "--set", "ev.count=3", "--set", "scenario.n_pv=3",
-                 "--set", "weather.mode=csv",
-                 "--set", f"weather.csv_path={csv_path}", *extra])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
+                 "--set", f"grid.capacity_kw={math.nextafter(0.0005, 1)!r}"])
+    assert code == 2        # a 1 W grid cannot serve the houses
+    assert json.loads((out / "summary.json").read_text())[
+        "grid_capacity_kw"] == math.nextafter(0.0005, 1)
 
 
 def test_run_with_ev_seed_override(tmp_path, capsys):

@@ -56,6 +56,7 @@ def test_setpoint_schedule_oracle():
     # DERIVED: evaluating the documented schedule directly.
     assert setpoint(13 * H) == 26.0
     assert setpoint(19 * H) == 23.0
+    assert setpoint(18.5 * H) == 23.0    # the evening setback starts at 18:30
     assert setpoint(3 * H) == 22.0
     assert setpoint(8 * H) == 24.0       # midpoint of the 07:00-09:00 ramp
     assert setpoint(23.75 * H) == 22.0
@@ -362,10 +363,12 @@ def test_household_step_matches_a_scalar_reference(t_market_s):
 
     def dispatcher(ctx):
         # scripted on/off HVAC dispatch, toggling at a different period
-        # for each house so both hysteresis bands are crossed
+        # for each house so both hysteresis bands are crossed; house 0's
+        # grants are 1 W, the least that switches its HVAC on
         k = int(ctx.t // 60.0)
         ctx.publish("dispatch/hvac_w", tuple(
-            4000.0 if (k // (3 + 4 * i)) % 2 else 0.0 for i in range(5)))
+            (4000.0 if i else 1.0) if (k // (3 + 4 * i)) % 2 else 0.0
+            for i in range(5)))
 
     def stepping(ctx):
         inputs = {}

@@ -99,9 +99,3 @@ def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
         assert list(log) == [Transaction(1, 2, 100, 0.02, 3)], column
         assert {len(getattr(log, name)) for name in FITS} == {1}, column
 
-
-def test_fill_columns_of_different_lengths_are_rejected():
-    log = TransactionLog()
-    with pytest.raises(ValueError):
-        log.extend(0, [1, 2], [3], [100, 100], [0.02, 0.02])
-    assert len(log) == 0 and len(log.round_index) == 0

@@ -17,10 +17,11 @@ import pytest
 from petgrid import evfleet, kernel
 from petgrid.market import TransactionLog
 from petgrid.metrics import ROUND_COLUMNS
-from petgrid.runner import (BUILTIN_SCENARIOS, ScenarioConfig, UNCAPPED_KW,
-                            _fmt, apply_settings, builtin_config,
+from petgrid.runner import (BUILTIN_SCENARIOS, DOMAINS, ScenarioConfig,
+                            UNCAPPED_KW, _fmt, apply_settings, builtin_config,
                             list_scenarios, load_config_file, run_scenario,
                             write_outputs)
+from petgrid.substation import formulate_grid_bid
 from petgrid.weather import DAY_S
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,12 +104,67 @@ def test_validation_errors():
                 # or bool reaches an int field
                 dict(n_houses=3.5), dict(seed=1.5),
                 dict(days=2.5, discard_days=1), dict(n_ev=2.0),
-                dict(n_pv=True), dict(discard_days=1.0), dict(ev_seed=5.0)):
+                dict(n_pv=True), dict(discard_days=1.0), dict(ev_seed=5.0),
+                # ... and a bool in a range, or a non-string in a string
+                dict(houses_rc_hours_range=(True, 2.0)), dict(name=None),
+                dict(weather_mode=0)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
-    # numpy integers are whole numbers, and ev_seed may be None
-    ScenarioConfig(seed=np.int64(3), ev_seed=np.uint32(7)).validate()
+    # numpy numbers are numbers, and ev_seed may be None
+    ScenarioConfig(seed=np.int64(3), ev_seed=np.uint32(7),
+                   houses_cop=np.float64(2.5)).validate()
     ScenarioConfig(ev_seed=None).validate()
+
+
+# number and range fields that DOMAINS leaves unbounded: only the rules
+# that relate them to another field constrain them
+UNBOUNDED_FIELDS = {"days", "weather_temp_min_c", "weather_temp_max_c"}
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+
+
+def test_every_number_field_has_a_domain_or_may_take_any_value():
+    numeric = {key for key, kind in FIELD_TYPES.items()
+               if not kind.startswith("str")}
+    assert set(DOMAINS) | UNBOUNDED_FIELDS == numeric
+    assert not set(DOMAINS) & UNBOUNDED_FIELDS
+
+
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+def test_each_domain_edge_is_accepted_exactly_when_closed(key):
+    """Each finite end of a field's domain, and the value just outside,
+    which for an int field is one past it."""
+    lo, hi, lo_allowed = DOMAINS[key]
+    whole = FIELD_TYPES[key].startswith("int")
+    default = getattr(ScenarioConfig(), key)
+
+    def validate(value, end):
+        if isinstance(default, tuple):      # the given end of a range
+            value = (value, default[1]) if end == 0 else (default[0], value)
+        ScenarioConfig(**{key: value}).validate()
+
+    edges = [(lo, 0, lo_allowed, -1)] + ([(hi, 1, True, 1)]
+                                         if hi < math.inf else [])
+    for edge, end, closed, out in edges:
+        outside = (edge + out if whole
+                   else math.nextafter(edge, out * math.inf))
+        edge = edge if whole else float(edge)
+        if closed:
+            validate(edge, end)
+        else:
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                validate(edge, end)
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            validate(outside, end)
+
+
+def test_a_grid_capacity_is_valid_exactly_when_its_order_is_1_w():
+    least = math.nextafter(0.0005, 1.0)
+    ScenarioConfig(grid_capacity_kw=least).validate()
+    assert formulate_grid_bid(least * 1000.0, 0.02).quantity == 1
+    with pytest.raises(ValueError, match="^grid_capacity_kw must be"):
+        ScenarioConfig(grid_capacity_kw=0.0005).validate()
+    with pytest.raises(ValueError):         # a 0 W order
+        formulate_grid_bid(0.0005 * 1000.0, 0.02)
 
 
 def test_apply_settings_coercion():

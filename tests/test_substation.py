@@ -118,6 +118,11 @@ def test_history_windows_and_statistics():
     for v in values:
         hist.append(v + 0.1)
     assert hist.ma_long == pytest.approx(np.mean(values) + 0.1)
+    # 30 minutes of 12-minute rounds is 2.5, which rounds half to even
+    hist = LmpHistory(t_market_s=720.0)
+    for v in (1.0, 2.0, 3.0, 4.0, 5.0):
+        hist.append(v)
+    assert hist.ma_short == 4.5
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,14 +270,16 @@ def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
 
 def test_ev_bids_are_the_fleets_buys_then_its_sells():
     strategy = (0.02, 0.03)
-    ranges = [(-11000, 0), (0, 0), (500, 11000), (-7000, 7000), (0, 3000)]
-    orders = formulate_ev_bids(ranges, strategy, CFG, [4, 3, 2, 1, 0],
-                               [0, 1, 2, 3, 4])
+    ranges = [(-11000, 0), (0, 0), (500, 11000), (-7000, 7000), (0, 3000),
+              (0, 1)]   # the least range that still buys
+    orders = formulate_ev_bids(ranges, strategy, CFG, [4, 3, 2, 1, 0, 5],
+                               [0, 1, 2, 3, 4, 5])
     assert orders == [
         Order(EV_BASE + 2, Side.BUY, 500, CFG.prices_unresponsive,
               EV_BASE + 2),
         Order(EV_BASE + 3, Side.BUY, 7000, 0.02, EV_BASE + 1),
         Order(EV_BASE + 4, Side.BUY, 3000, 0.02, EV_BASE + 0),
+        Order(EV_BASE + 5, Side.BUY, 1, 0.02, EV_BASE + 5),
         Order(EV_SELL_BASE + 0, Side.SELL, 11000, 0.03, EV_SELL_BASE + 0),
         Order(EV_SELL_BASE + 3, Side.SELL, 7000, 0.03, EV_SELL_BASE + 3)]
     assert all(type(o.quantity) is int for o in orders)
@@ -457,6 +464,18 @@ def test_unfilled_forced_charge_is_served_through_slack():
     assert last["ev_charge_w"] == 33000.0
     assert last["grid_supplied_w"] == 11000.0
     assert sub.max_imbalance_w == 0.0
+
+
+def test_an_unfilled_one_watt_appliance_load_is_unserved():
+    # an appliance bid below the grid's ask never fills
+    sub = SubstationFederate(ScenarioConfig(n_houses=1,
+                                            prices_unresponsive=0.001))
+    sub(StubContext({"houses/hvac_demand_w": (0.0,),
+                     "houses/unresponsive_w": (1.0,),
+                     "houses/pv_potential_w": (0.0,)}))
+    assert len(sub.transactions) == 0
+    assert sub.unserved_unresponsive == 1
+    assert sub.max_imbalance_w == 0.0     # served through slack
 
 
 def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
