@@ -144,32 +144,24 @@ def load_range(soc: float, home: bool, next_departure: float,
     return (charger_w, charger_w)
 
 
-@dataclass
-class EvFleet:
-    """Per-EV columns in EV order; only `soc` changes in a run."""
-
-    soc: list[float]
-    capacity_kwh: list[float]
-    itineraries: list[Itinerary]
-
-
-def build_fleet(cfg, rng: np.random.Generator) -> EvFleet:
+def build_fleet(cfg, rng: np.random.Generator) -> EvFederate:
     """Assemble the EV fleet per the config: worker/unemployed mix and
     alternating car models."""
     n_workers = int(round(cfg.n_ev * cfg.ev_worker_ratio))
     lo, hi = cfg.ev_initial_soc_range
-    fleet = EvFleet([], [], [])
+    soc, itineraries = [], []
     for j in range(cfg.n_ev):
-        fleet.itineraries.append(generate_itinerary(
+        itineraries.append(generate_itinerary(
             j < n_workers, rng, cfg.days, cfg.ev_speed_kmh))
-        fleet.capacity_kwh.append(PACK_KWH[j % len(PACK_KWH)])
-        fleet.soc.append(rng.uniform(lo, hi))
-    return fleet
+        soc.append(rng.uniform(lo, hi))
+    return EvFederate(soc, [PACK_KWH[j % len(PACK_KWH)]
+                            for j in range(cfg.n_ev)], itineraries, cfg)
 
 
 class EvFederate:
-    """Steps every EV battery and publishes the fleet's admissible load
-    ranges, SoCs and next departures, one tuple each in EV order.
+    """The EV fleet, as per-EV columns in EV order. Steps every battery
+    and publishes the fleet's admissible load ranges, SoCs and next
+    departures, one tuple each in EV order.
 
     Commands are clamped into their cleared ranges once per round. An
     EV's itinerary is searched only at the steps that reach a departure
@@ -179,13 +171,15 @@ class EvFederate:
     neither reads nor publishes.
     """
 
-    def __init__(self, fleet: EvFleet, cfg):
-        self.fleet = fleet
-        self.cfg = cfg
+    def __init__(self, soc: list[float], capacity_kwh: list[float],
+                 itineraries: list[Itinerary], cfg):
+        # pack sizes and itineraries are fixed; `soc` is replaced each step
+        self.soc, self.capacity_kwh = soc, capacity_kwh
+        self.itineraries, self.cfg = itineraries, cfg
         self.range_violations = 0
         self.soc_min_seen = 1.0
         self.soc_max_seen = 0.0
-        n = len(fleet.soc)
+        n = len(soc)
         # bus defaults before the first dispatch and the first cleared round
         self._no_dispatch = (0.0,) * n
         self._no_range = ((0.0, 0.0),) * n
@@ -197,7 +191,7 @@ class EvFederate:
         self._home, self._parked_until = [True] * n, [float("-inf")] * n
 
     def __call__(self, ctx) -> None:
-        if not self.fleet.soc:
+        if not self.soc:
             return      # no EVs: the substation's bus defaults are empty
         loads = ctx.read("dispatch/ev_load_w", self._no_dispatch)
         # the ranges the dispatch in force was cleared against
@@ -211,25 +205,25 @@ class EvFederate:
                     cmd = min(max(cmd, lo), hi)
                 self._commands.append(cmd)
         self.range_violations += self._out_of_range
-        cfg, fleet = self.cfg, self.fleet
+        cfg = self.cfg
         t, step_s = ctx.t, cfg.step_s
         kwh_per_km, eta = cfg.ev_drive_kwh_per_km, cfg.ev_efficiency
         t_end = t + step_s
         socs = []
         for j, (soc, cmd, cap, until, home) in enumerate(zip(
-                fleet.soc, self._commands, fleet.capacity_kwh,
+                self.soc, self._commands, self.capacity_kwh,
                 self._parked_until, self._home, strict=True)):
             drive_kwh = 0.0
             if t_end > until:
                 # the step reaches a departure or a trip is under way
-                itinerary = fleet.itineraries[j]
+                itinerary = self.itineraries[j]
                 parked, home, depart = itinerary.locate(t)
                 self._home[j] = home
                 self._parked_until[j] = depart if parked else t
                 drive_kwh = itinerary.driving_kwh(t, step_s, kwh_per_km)
             socs.append(step_battery(soc, cmd, drive_kwh, home, cap, step_s,
                                      eta))
-        fleet.soc = socs
+        self.soc = socs
         self.soc_min_seen = min(self.soc_min_seen, min(socs))
         self.soc_max_seen = max(self.soc_max_seen, max(socs))
 
@@ -241,7 +235,7 @@ class EvFederate:
             # found it, and its next departure is the end of its parking
             ranges, departs = [], []
             for soc, until, home, itinerary in zip(
-                    socs, self._parked_until, self._home, fleet.itineraries):
+                    socs, self._parked_until, self._home, self.itineraries):
                 if until <= window_start:
                     _, home, until = itinerary.locate(window_start)
                 ranges.append(load_range(soc, home, until, charger_w,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,35 +102,8 @@ def unresponsive_curve(t: float, mean_w: float) -> float:
     return mean_w * _unresp_shape(hour) / _UNRESP_SHAPE_MEAN
 
 
-@dataclass
-class HouseFleet:
-    """Per-house columns in house order; only `t_air` changes in a run."""
-
-    t_air: list[float]              # °C
-    r: list[float]                  # thermal resistance, °C/W
-    c: list[float]                  # thermal capacitance, J/°C
-    setpoint_offset_c: list[float]
-    setpoint_jitter_s: list[float]
-    pv_panels: list[int]            # 0: no PV
-    noise: np.ndarray               # houses x rounds, unresponsive-load noise
-    q_cool: float                   # heat removal rate while HVAC runs, W
-
-
-def unresponsive_loads(fleet: HouseFleet, index: int,
-                       cfg) -> tuple[float, ...]:
-    """Every house's unresponsive load for market round `index`.
-
-    The diurnal curve at the round's midpoint is scaled by one plus each
-    house's noise for that round, drawn at build, so values are
-    deterministic regardless of evaluation order.
-    """
-    base = unresponsive_curve((index + 0.5) * cfg.t_market_s,
-                              cfg.houses_unresponsive_mean_kw * 1000.0)
-    return tuple(base * (1.0 + x) for x in fleet.noise[:, index].tolist())
-
-
 def build_houses(cfg, rng: np.random.Generator, weather,
-                 pv_rng: np.random.Generator) -> HouseFleet:
+                 pv_rng: np.random.Generator) -> HouseholdFederate:
     """Draw per-house parameters from the config ranges.
 
     PV sizes come from their own stream so scenarios with and without
@@ -141,48 +113,64 @@ def build_houses(cfg, rng: np.random.Generator, weather,
     noise_frac = cfg.houses_unresponsive_noise_frac
     n_rounds = int(cfg.days * DAY_S / cfg.t_market_s) + 2
     t0 = weather.sample(0.0).temp_c
-    fleet = HouseFleet([], [], [], [], [], [],
-                       np.zeros((cfg.n_houses, n_rounds)),
-                       cfg.houses_hvac_kw * 1000.0 * cfg.houses_cop)
+    noise = np.zeros((cfg.n_houses, n_rounds))
+    rows = []       # one per house, in the federate's column order
     for i in range(cfg.n_houses):
         rc_s = rng.uniform(*cfg.houses_rc_hours_range) * 3600.0
         ua = rng.uniform(*cfg.houses_ua_w_per_k_range)
         offset = rng.uniform(-1.0, 1.0)
         jitter = rng.uniform(-1800.0, 1800.0)
         if noise_frac != 0.0:
-            fleet.noise[i] = rng.uniform(-noise_frac, noise_frac,
-                                         size=n_rounds)
-        fleet.pv_panels.append(int(pv_rng.integers(pv_lo, pv_hi + 1))
-                               if i < cfg.n_pv else 0)
-        fleet.t_air.append(min(t0, setpoint(0.0, offset, jitter)))
-        fleet.r.append(1.0 / ua)
-        fleet.c.append(rc_s * ua)
-        fleet.setpoint_offset_c.append(offset)
-        fleet.setpoint_jitter_s.append(jitter)
-    return fleet
+            noise[i] = rng.uniform(-noise_frac, noise_frac, size=n_rounds)
+        rows.append((min(t0, setpoint(0.0, offset, jitter)), 1.0 / ua,
+                     rc_s * ua, offset, jitter,
+                     int(pv_rng.integers(pv_lo, pv_hi + 1)) if i < cfg.n_pv
+                     else 0))
+    return HouseholdFederate(*map(list, zip(*rows)), noise, weather, cfg)
 
 
 class HouseholdFederate:
-    """Steps every house and publishes per-round bid inputs.
+    """The houses, as per-house columns in house order. Steps every house
+    and publishes per-round bid inputs.
 
     The fleet's demand forecasts are published on the last physics step
     of each market round so the substation sees them at the round
     barrier: one tuple per quantity, in house order.
     """
 
-    def __init__(self, fleet: HouseFleet, weather, cfg):
-        self.fleet = fleet
-        self.weather = weather
-        self.cfg = cfg
+    def __init__(self, t_air, r, c, setpoint_offset_c, setpoint_jitter_s,
+                 pv_panels, noise: np.ndarray, weather, cfg):
+        # fixed at build but `t_air`, which is replaced each step
+        self.t_air = t_air                  # °C
+        self.r, self.c = r, c               # °C/W and J/°C
+        self.setpoint_offset_c = setpoint_offset_c
+        self.setpoint_jitter_s = setpoint_jitter_s
+        self.pv_panels = pv_panels          # 0: no PV
+        self.noise = noise                  # houses x rounds, load noise
+        self.weather, self.cfg = weather, cfg
+        # heat removal rate while HVAC runs, W
+        self.q_cool = cfg.houses_hvac_kw * 1000.0 * cfg.houses_cop
         # bus defaults before the first weather step, the first dispatch
         # and the first cleared round
         self._temp0 = weather.sample(0.0).temp_c
-        self._no_dispatch = (0.0,) * len(fleet.t_air)
-        self._loads0 = unresponsive_loads(fleet, 0, cfg)
-        self._decay = [thermal_decay(r, c, cfg.step_s)
-                       for r, c in zip(fleet.r, fleet.c)]
+        self._no_dispatch = (0.0,) * len(t_air)
+        self._loads0 = self.unresponsive_loads(0)
+        self._decay = [thermal_decay(r_i, c_i, cfg.step_s)
+                       for r_i, c_i in zip(r, c)]
         # each house's q_net and the dispatch and loads it is built from
         self._q_net = self._hvac_w = self._loads = None
+
+    def unresponsive_loads(self, index: int) -> tuple[float, ...]:
+        """Every house's unresponsive load for market round `index`.
+
+        The diurnal curve at the round's midpoint is scaled by one plus
+        each house's noise for that round, drawn at build, so values are
+        deterministic regardless of evaluation order.
+        """
+        cfg = self.cfg
+        base = unresponsive_curve((index + 0.5) * cfg.t_market_s,
+                                  cfg.houses_unresponsive_mean_kw * 1000.0)
+        return tuple(base * (1.0 + x) for x in self.noise[:, index].tolist())
 
     def __call__(self, ctx) -> None:
         # Unresponsive loads are held at the values their round cleared
@@ -192,15 +180,15 @@ class HouseholdFederate:
         temp_out = ctx.read("weather/temp_c", self._temp0)
         hvac_w = ctx.read("dispatch/hvac_w", self._no_dispatch)
         loads = ctx.read_cleared("houses/unresponsive_w", self._loads0)
-        cfg, fleet = self.cfg, self.fleet
+        cfg = self.cfg
         if hvac_w is not self._hvac_w or loads is not self._loads:
-            q_cool = fleet.q_cool
+            q_cool = self.q_cool
             self._hvac_w, self._loads = hvac_w, loads
             self._q_net = [q - (q_cool if granted > 0.0 else 0.0) for
                            granted, q in zip(hvac_w, loads, strict=True)]
-        fleet.t_air = [step_thermal(t_air, temp_out, q_net, r, decay)
-                       for t_air, q_net, r, decay in zip(
-                           fleet.t_air, self._q_net, fleet.r, self._decay)]
+        self.t_air = [step_thermal(t_air, temp_out, q_net, r, decay)
+                      for t_air, q_net, r, decay in zip(
+                          self.t_air, self._q_net, self.r, self._decay)]
         step_s = cfg.step_s
         next_round = ctx.next_round
         if next_round is None:
@@ -217,7 +205,7 @@ class HouseholdFederate:
         demand = []
         sum_air = sum_set = sum_ex2 = 0.0
         for t_air, offset, jitter, granted in zip(
-                fleet.t_air, fleet.setpoint_offset_c, fleet.setpoint_jitter_s,
+                self.t_air, self.setpoint_offset_c, self.setpoint_jitter_s,
                 hvac_w):
             t_sp = setpoint(t_next, offset, jitter)
             demand.append(hvac_demand(t_air, t_sp, granted > 0.0, deadband,
@@ -227,10 +215,10 @@ class HouseholdFederate:
             sum_ex2 += t_excess2(t_air, t_sp)
         ctx.publish("houses/hvac_demand_w", tuple(demand))
         ctx.publish("houses/unresponsive_w",
-                    unresponsive_loads(fleet, next_round, cfg))
+                    self.unresponsive_loads(next_round))
         panel_w = cfg.pv_panel_w
         ctx.publish("houses/pv_potential_w", tuple(
-            n * panel_w * frac if n else 0.0 for n in fleet.pv_panels))
+            n * panel_w * frac if n else 0.0 for n in self.pv_panels))
         n = len(demand)
         ctx.publish("houses/mean_t_air_c", sum_air / n)
         ctx.publish("houses/mean_t_set_c", sum_set / n)

@@ -31,6 +31,14 @@ class FederateFailure(FederationError):
     """Raised when a federate's step handler signals fatal failure."""
 
 
+def whole_steps(span: float, step: float) -> int:
+    """The n >= 1 for which n * step == span exactly, else 0. Unlike
+    `span % step` it takes a decimal step (3000 * 0.1 == 300.0), and it
+    refuses a near multiple (3 * 0.3 != 0.9), whose step times drift."""
+    n = round(span / step) if span / step < 2**53 else 0
+    return n if n >= 1 and n * step == span else 0
+
+
 @dataclass(frozen=True)
 class SimClock:
     """Simulation clock: physics step and market period, both in seconds."""
@@ -41,7 +49,7 @@ class SimClock:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.t_market <= 0 or self.t_market % self.step != 0:
+        if not whole_steps(self.t_market, self.step):
             raise ValueError(
                 f"t_market ({self.t_market}) must be a positive integer "
                 f"multiple of step ({self.step})"
@@ -126,14 +134,14 @@ class Federation:
 
     def run(self, until_s: float) -> None:
         step = self.clock.step
-        if until_s % step != 0:
+        if not (n := whole_steps(until_s, step)):
             raise ValueError("run horizon must be a multiple of the step")
         self._running = True
-        per_round = int(round(self.clock.t_market / step))
+        per_round = whole_steps(self.clock.t_market, step)
         start = self._k
         steps = [(StepContext(self, fed_id), handler)
                  for fed_id, handler in enumerate(self._handlers)]
-        for k in range(start, start + int(round(until_s / step))):
+        for k in range(start, start + n):
             t = k * step
             clearing = k // per_round if k % per_round == 0 else None
             upcoming = (k + 1) // per_round if (k + 1) % per_round == 0 else None

@@ -8,14 +8,14 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import evfleet, household, metrics, substation, weather
-from .kernel import Federation
+from .kernel import Federation, whole_steps
 from .market import TransactionLog
 from .weather import DAY_S
 
@@ -135,7 +135,8 @@ class ScenarioConfig:
             raise ValueError("n_ev and n_pv must not exceed n_houses")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
-        if self.t_market_s % self.step_s or DAY_S % self.t_market_s:
+        if not (whole_steps(self.t_market_s, self.step_s)
+                and whole_steps(DAY_S, self.t_market_s)):
             raise ValueError("t_market_s must be a multiple of step_s and "
                              "divide a day")
         if self.weather_temp_min_c > self.weather_temp_max_c:
@@ -246,10 +247,10 @@ class RunResult:
     rounds: dict
     transactions: TransactionLog
     average_day: tuple
-    violations: dict = field(default_factory=dict)
-    max_imbalance_w: float = 0.0
-    soc_min: float = 1.0
-    soc_max: float = 0.0
+    violations: dict
+    max_imbalance_w: float
+    soc_min: float
+    soc_max: float
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
@@ -268,15 +269,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
                                            cfg.weather_temp_max_c)
 
     houses = household.build_houses(cfg, np.random.default_rng(houses_ss),
-                                    profile,
-                                    pv_rng=np.random.default_rng(pv_ss))
-    fleet = evfleet.build_fleet(cfg, np.random.default_rng(ev_ss))
+                                    profile, np.random.default_rng(pv_ss))
+    ev_fed = evfleet.build_fleet(cfg, np.random.default_rng(ev_ss))
 
     fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("weather", weather.WeatherFederate(profile))
-    fed.register_federate("households",
-                          household.HouseholdFederate(houses, profile, cfg))
-    ev_fed = evfleet.EvFederate(fleet, cfg)
+    fed.register_federate("households", houses)
     fed.register_federate("ev-fleet", ev_fed)
     sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)

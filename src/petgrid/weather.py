@@ -21,7 +21,6 @@ DAY_S = 86400.0
 
 
 class WeatherSample(NamedTuple):
-    t: float
     temp_c: float
     irradiance_frac: float
 
@@ -68,7 +67,7 @@ class SyntheticWeather:
         return 0.5 * (1.0 - math.cos(math.pi * phase))
 
     def sample(self, t: float) -> WeatherSample:
-        return WeatherSample(t, self.temp(t), self.irradiance_frac(t))
+        return WeatherSample(self.temp(t), self.irradiance_frac(t))
 
 
 class CsvWeather:
@@ -120,9 +119,8 @@ class CsvWeather:
         return cls(times, temps, fracs)
 
     def sample(self, t: float) -> WeatherSample:
-        query = t
         span_start, span_end = self.times[0], self.times[-1]
-        if query > span_end or query < span_start:
+        if t > span_end or t < span_start:
             if not self._warned_wrap:
                 log.warning(
                     "weather sample t=%.0fs outside CSV range "
@@ -130,19 +128,18 @@ class CsvWeather:
                     t, span_start, span_end,
                 )
                 self._warned_wrap = True
-            query = span_start + (query - span_start) % max(
-                DAY_S, span_end - span_start
-            )
-            query = min(max(query, span_start), span_end)
-        # the query lies in [times[0], times[-1]], so i >= 1
-        i = bisect.bisect_right(self.times, query)
+            t = span_start + (t - span_start) % max(DAY_S,
+                                                    span_end - span_start)
+            t = min(max(t, span_start), span_end)
+        # t now lies in [times[0], times[-1]], so i >= 1
+        i = bisect.bisect_right(self.times, t)
         if i >= len(self.times):
-            return WeatherSample(t, self.temps[-1], self.fracs[-1])
+            return WeatherSample(self.temps[-1], self.fracs[-1])
         t0, t1 = self.times[i - 1], self.times[i]
-        w = (query - t0) / (t1 - t0)
+        w = (t - t0) / (t1 - t0)
         temp = self.temps[i - 1] * (1 - w) + self.temps[i] * w
         frac = self.fracs[i - 1] * (1 - w) + self.fracs[i] * w
-        return WeatherSample(t, temp, frac)
+        return WeatherSample(temp, frac)
 
 
 def _parse_timestamp(text: str) -> float:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from petgrid import __version__, kernel
+from petgrid import __version__, kernel, runner
 from petgrid.cli import main
 
 
@@ -178,6 +178,44 @@ def test_bad_weather_csv_fails_before_any_step(rows, extra, capsys,
          "--set", "weather.mode=csv",
          "--set", f"weather.csv_path={csv_path}", *extra],
         capsys, monkeypatch, tmp_path)
+
+
+def write_hourly_weather_csv(path) -> None:
+    """One day of hourly samples: 26-35 °C, sunlit from 07:00 to 20:00."""
+    rows = [f"{h * 3600},{30.5 - 4.5 * math.cos((h - 3) * math.pi / 12):.2f},"
+            f"{max(0.0, 900.0 * math.sin((h - 6) * math.pi / 14)):.1f}"
+            for h in range(24)]
+    path.write_text("timestamp,temp_c,irradiance_wm2\n" + "\n".join(rows)
+                    + "\n")
+
+
+def test_a_csv_weather_scenario_runs_end_to_end(tmp_path, capsys,
+                                                monkeypatch):
+    csv_path, out = tmp_path / "weather.csv", tmp_path / "out"
+    write_hourly_weather_csv(csv_path)
+    results = []
+    run = runner.run_scenario
+    monkeypatch.setattr(runner, "run_scenario",
+                        lambda *a, **kw: results.append(run(*a, **kw))
+                        or results[-1])
+    code = main(["run", "--scenario", "s5", "--days", "2", "--out", str(out),
+                 "--set", "scenario.discard_days=1", "--set", "houses.count=3",
+                 "--set", "ev.count=3", "--set", "scenario.n_pv=3",
+                 "--set", "weather.mode=csv",
+                 "--set", f"weather.csv_path={csv_path}"])
+    assert code == 0
+    for name in ("time_series.csv", "transactions.csv", "average_day.csv",
+                 "summary.json"):
+        assert (out / name).exists()
+    (result,) = results
+    assert result.max_imbalance_w <= 1.0
+    # the CSV's sun, which sets at 20:00, drives the PV; the synthetic
+    # sun would still shine until 21:30
+    rounds = result.rounds
+    evening = [p for t, p in zip(rounds["t_s"], rounds["pv_potential_w"])
+               if 20 * 3600 <= t % 86400 <= 21 * 3600]
+    assert len(evening) == 2 * 13 and not any(evening)
+    assert max(rounds["pv_supplied_w"]) > 0
 
 
 def test_the_least_valid_grid_capacity_runs(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from petgrid import evfleet, kernel
-from petgrid.evfleet import (PACK_KWH, EvFederate, EvFleet, Itinerary, Trip,
+from petgrid.evfleet import (PACK_KWH, EvFederate, Itinerary, Trip,
                              build_fleet, generate_itinerary, load_range,
                              step_battery)
 from petgrid.kernel import Federation
@@ -40,7 +40,7 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
         def publish(self, key, value):
             pass
 
-    EvFederate(fleet, cfg)(Ctx())
+    fleet(Ctx())
     assert chargers == [11000.0] * 4
 
 
@@ -247,8 +247,8 @@ def test_build_fleet_mix_models_and_initial_soc():
 
 
 def test_federate_counts_out_of_range_commands(monkeypatch):
-    fleet = EvFleet([0.5], [75.0], [Itinerary([])])
-    fed = EvFederate(fleet, ScenarioConfig(ev_charger_kw=7.0))
+    fed = EvFederate([0.5], [75.0], [Itinerary([])],
+                     ScenarioConfig(ev_charger_kw=7.0))
     commands = []
     step = evfleet.step_battery
 
@@ -274,7 +274,7 @@ def test_federate_counts_out_of_range_commands(monkeypatch):
     fed(Ctx())
     assert fed.range_violations == 1
     assert commands == [0.0]  # clamped back into range
-    assert fleet.soc == [0.5]
+    assert fed.soc == [0.5]
     # the command stays in force, and out of range, at the next step
     Ctx.t = 120.0
     fed(Ctx())
@@ -304,7 +304,6 @@ def test_federate_steps_match_a_search_at_every_step(monkeypatch):
         for worker in (True, True, False, False)]
     n = len(itineraries)
     cfg = ScenarioConfig(n_houses=n, n_ev=n, days=2, discard_days=1)
-    fleet = EvFleet([0.6] * n, [75.0] * n, itineraries)
     calls = []
     step = evfleet.step_battery
 
@@ -314,7 +313,8 @@ def test_federate_steps_match_a_search_at_every_step(monkeypatch):
 
     monkeypatch.setattr(evfleet, "step_battery", recording)
     fed = Federation(cfg.step_s, cfg.t_market_s)
-    fed.register_federate("ev-fleet", EvFederate(fleet, cfg))
+    fed.register_federate("ev-fleet", EvFederate([0.6] * n, [75.0] * n,
+                                                 itineraries, cfg))
     fed.run(cfg.days * DAY_S)
     expected = []
     for t in np.arange(0.0, cfg.days * DAY_S, cfg.step_s).tolist():
@@ -403,6 +403,6 @@ def test_a_departure_at_a_window_start_is_published_as_searched(monkeypatch):
     published = recording_publish(monkeypatch)
     fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("ev-fleet", EvFederate(
-        EvFleet([0.6, 0.6], [75.0, 58.0], itineraries), cfg))
+        [0.6, 0.6], [75.0, 58.0], itineraries, cfg))
     fed.run(cfg.days * DAY_S)
     assert_published_as_searched(published, itineraries, cfg)

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from petgrid import household
-from petgrid.household import (HouseFleet, HouseholdFederate, build_houses,
-                               hvac_demand, setpoint, step_thermal,
-                               thermal_decay, unresponsive_curve,
-                               unresponsive_loads)
+from petgrid.household import (HouseholdFederate, build_houses, hvac_demand,
+                               setpoint, step_thermal, thermal_decay,
+                               unresponsive_curve)
 from petgrid.kernel import Federation
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.weather import DAY_S, SyntheticWeather, WeatherFederate
@@ -123,8 +122,8 @@ def test_unresponsive_profile_noise_bounded_and_deterministic():
     base = _houses(quiet, seed=3)
     assert not base.noise.any()
     for i in range(0, 1400, 37):
-        v1, v2 = unresponsive_loads(a, i, cfg), unresponsive_loads(b, i, cfg)
-        v0 = unresponsive_loads(base, i, quiet)
+        v1, v2 = a.unresponsive_loads(i), b.unresponsive_loads(i)
+        v0 = base.unresponsive_loads(i)
         curve = unresponsive_curve((i + 0.5) * 300.0, 1150.0)
         assert v1 == v2
         assert v0 == (curve,) * 6
@@ -137,9 +136,11 @@ def test_loads_at_full_noise_never_go_below_zero():
     # the lowest, scales a load to +0.0 and no clip is needed
     cfg = _cfg(n_houses=4, houses_unresponsive_noise_frac=1.0)
     fleet = _houses(cfg, seed=5)
+    # each house draws its noise at full noise too
+    assert fleet.noise.any() and np.abs(fleet.noise).max() <= 1.0
     fleet.noise[:] = -1.0
     for i in range(0, 300, 7):
-        loads = unresponsive_loads(fleet, i, cfg)
+        loads = fleet.unresponsive_loads(i)
         assert [(x, math.copysign(1.0, x)) for x in loads] == [(0.0, 1.0)] * 4
 
 
@@ -147,7 +148,7 @@ def test_fleet_daily_mean_close_to_target():
     cfg = _cfg(n_houses=30)
     fleet = _houses(cfg, seed=11)
     rounds = int(DAY_S / 300.0)
-    total = np.mean([unresponsive_loads(fleet, i, cfg)
+    total = np.mean([fleet.unresponsive_loads(i)
                      for i in range(rounds)]) * 30
     assert total == pytest.approx(34500.0, rel=0.10)
 
@@ -171,8 +172,6 @@ class Ctx:
 
 def test_pv_potential_examples():
     panels = [10, 17, 8, 20, 0]
-    fleet = HouseFleet([25.0] * 5, [R] * 5, [C] * 5, [0.0] * 5, [0.0] * 5,
-                       panels, np.zeros((5, 10)), Q_COOL)
     cfg = _cfg(n_houses=5, n_pv=4)
     for frac, expected in ((1.0, (4800.0, 8160.0, 3840.0, 9600.0, 0.0)),
                            (0.5, (2400.0, 4080.0, 1920.0, 4800.0, 0.0)),
@@ -180,7 +179,8 @@ def test_pv_potential_examples():
         weather = SimpleNamespace(sample=lambda t, f=frac: SimpleNamespace(
             temp_c=30.0, irradiance_frac=f))
         ctx = Ctx(240.0, 1)
-        HouseholdFederate(fleet, weather, cfg)(ctx)
+        HouseholdFederate([25.0] * 5, [R] * 5, [C] * 5, [0.0] * 5, [0.0] * 5,
+                          panels, np.zeros((5, 10)), weather, cfg)(ctx)
         assert ctx.published["houses/pv_potential_w"] == expected
 
 
@@ -235,15 +235,13 @@ def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         visible.append(ctx.read("houses/unresponsive_w", None))
 
     fed = Federation(60.0, t_market_s)
-    fed.register_federate(
-        "households",
-        HouseholdFederate(houses, SyntheticWeather(23.0, 35.0), cfg))
+    fed.register_federate("households", houses)
     fed.register_federate("recorder", recorder)
     fed.run((14 * spr + 1) * 60.0)
     # no HVAC is dispatched, so q_net is the load each house held
     n = cfg.n_houses
     held = [tuple(q_nets[k:k + n]) for k in range(0, len(q_nets), n)]
-    round0 = unresponsive_loads(houses, 0, cfg)
+    round0 = houses.unresponsive_loads(0)
     assert held[:spr + 1] == [round0] * (spr + 1)
     for r in range(1, 14):
         # round r's loads become visible at step spr*r, when it clears,
@@ -251,7 +249,7 @@ def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         k = spr * r
         loads = visible[k]
         assert visible[k - 1] != loads
-        assert loads == unresponsive_loads(houses, r, cfg)
+        assert loads == houses.unresponsive_loads(r)
         assert held[k + 1:k + spr + 1] == [loads] * spr
 
 
@@ -259,13 +257,13 @@ def test_unresponsive_loads_are_evaluated_once_per_house_per_round(
         monkeypatch):
     cfg = builtin_config("s1", n_houses=3, days=2, discard_days=1)
     calls = Counter()
-    loads = household.unresponsive_loads
+    loads = HouseholdFederate.unresponsive_loads
 
-    def counting(fleet, index, cfg):
+    def counting(houses, index):
         calls[index] += 1
-        return loads(fleet, index, cfg)
+        return loads(houses, index)
 
-    monkeypatch.setattr(household, "unresponsive_loads", counting)
+    monkeypatch.setattr(HouseholdFederate, "unresponsive_loads", counting)
     run_scenario(cfg)
     n_rounds = 2 * 288
     # one fleet evaluation, a value per house, for each of rounds
@@ -355,10 +353,8 @@ def reference_publications(fleet, cfg, steps):
 def test_household_step_matches_a_scalar_reference(t_market_s):
     cfg = _cfg(n_houses=5, n_pv=3, t_market_s=t_market_s, pv_panel_w=400.0)
     weather = SyntheticWeather(23.0, 35.0)
-    fleet = _houses(cfg, seed=7)
-    start = build_houses(cfg, np.random.default_rng(7), weather,
-                         pv_rng=np.random.default_rng(8))
-    houses = HouseholdFederate(fleet, weather, cfg)
+    # two draws of the same houses: one to step, one that keeps the start
+    houses, start = _houses(cfg, seed=7), _houses(cfg, seed=7)
     steps, published = [], []
 
     def dispatcher(ctx):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from petgrid.kernel import Federation, FederationError, SimClock
+from petgrid.kernel import Federation, FederationError, SimClock, whole_steps
 from petgrid.kernel import FederateFailure
 
 
@@ -47,6 +47,48 @@ def test_clock_rejects_market_period_not_multiple_of_step():
 def test_clock_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         SimClock(step=0.0, t_market=300.0)
+
+
+# (step, span, whole steps or 0): float `%` refuses the decimal steps,
+# since 300 % 0.1 is 0.0999...; 5e-324 would overflow round(span / step)
+WHOLE_STEPS = [(0.1, 300.0, 3000), (0.2, 300.0, 1500),
+               (0.001, 300.0, 300000), (0.25, 300.0, 1200),
+               (60.0, 300.0, 5), (300.0, 300.0, 1),
+               (70.0, 300.0, 0), (7.0, 300.0, 0), (0.07, 300.0, 0),
+               (60.0, 250.0, 0), (60.0, 90.0, 0), (0.3, 0.9, 0),
+               (5e-324, 300.0, 0), (60.0, 0.0, 0), (60.0, -300.0, 0),
+               (600.0, 300.0, 0)]
+
+
+@pytest.mark.parametrize("step, span, n", WHOLE_STEPS)
+def test_whole_steps_is_exact_in_floats(step, span, n):
+    assert whole_steps(span, step) == n
+    if n:
+        assert SimClock(step=step, t_market=span).t_market == span
+        fed = Federation(step, span)
+        fed.register_federate("a", lambda ctx: None)
+        fed.run(span)
+    else:
+        with pytest.raises(ValueError):
+            SimClock(step=step, t_market=span)
+        with pytest.raises(ValueError):
+            Federation(step, 2 * step).run(span)
+
+
+def test_a_decimal_step_clears_rounds_at_their_step():
+    seen = []
+
+    def handler(ctx):
+        seen.append((ctx.clearing_round, ctx.next_round))
+
+    fed = Federation(0.1, 300.0)
+    fed.register_federate("a", handler)
+    fed.run(600.0)
+    assert len(seen) == 6000
+    assert [(k, r) for k, (r, _) in enumerate(seen) if r is not None] == \
+        [(0, 0), (3000, 1)]
+    assert [(k, r) for k, (_, r) in enumerate(seen) if r is not None] == \
+        [(2999, 1), (5999, 2)]
 
 
 def test_handler_invocation_count():

@@ -116,6 +116,22 @@ def test_validation_errors():
     ScenarioConfig(ev_seed=None).validate()
 
 
+@pytest.mark.parametrize("step_s, t_market_s, valid", [
+    (0.1, 300.0, True), (0.2, 300.0, True), (0.001, 300.0, True),
+    (0.25, 300.0, True), (60.0, DAY_S, True),
+    (70.0, 300.0, False), (7.0, 300.0, False), (0.07, 300.0, False),
+    (60.0, 250.0, False), (60.0, 90.0, False), (60.0, 420.0, False),
+    # 3 * 0.3 != 0.9: clearing times k * 0.3 would fall short of r * 0.9
+    (0.3, 0.9, False), (5e-324, 300.0, False)])
+def test_step_and_period_must_be_whole_multiples(step_s, t_market_s, valid):
+    cfg = ScenarioConfig(step_s=step_s, t_market_s=t_market_s)
+    if valid:
+        cfg.validate()
+    else:
+        with pytest.raises(ValueError, match="multiple of step_s"):
+            cfg.validate()
+
+
 # number and range fields that DOMAINS leaves unbounded: only the rules
 # that relate them to another field constrain them
 UNBOUNDED_FIELDS = {"days", "weather_temp_min_c", "weather_temp_max_c"}
