@@ -78,13 +78,11 @@ def main(argv=None) -> int:
         for line in runner.list_scenarios():
             print(line)
         return 0
-    if args.command == "run":
-        try:
-            return _cmd_run(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 1
+    try:                # argparse leaves only "run"
+        return _cmd_run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

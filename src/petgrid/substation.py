@@ -49,10 +49,9 @@ class LmpHistory:
     default, so no call sorts the window again.
     """
 
-    def __init__(self, t_market_s: float, long_window_s: float = DAY_S,
-                 short_window_s: float = 1800.0):
-        self._n_long = max(int(round(long_window_s / t_market_s)), 1)
-        self._n_short = max(int(round(short_window_s / t_market_s)), 1)
+    def __init__(self, t_market_s: float):
+        self._n_long = max(int(round(LONG_WINDOW_S / t_market_s)), 1)
+        self._n_short = max(int(round(SHORT_WINDOW_S / t_market_s)), 1)
         self._ring = np.zeros(2 * self._n_long)
         self._next = self._len = 0  # next write index, values held
         self._sorted: list[float] = []
@@ -129,17 +128,18 @@ def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
     return orders
 
 
+# the long and short LMP windows of `ev_strategy_prices`
+LONG_WINDOW_S, SHORT_WINDOW_S = DAY_S, 1800.0
+
+
 def ev_strategy_prices(hist: LmpHistory) -> tuple[float, float]:
     """Buy/sell prices for the two-sided EV bid.
 
     The buy price tracks the 24 h LMP mean; the sell price sits at least
     a small IQR margin above it so the EV never undercuts itself.
     """
-    ma_long = hist.ma_long
-    iqr = hist.iqr_long
-    buy = ma_long
-    sell = max(buy + 0.05 * iqr, hist.ma_short + 0.1 * iqr)
-    return buy, sell
+    buy, iqr = hist.ma_long, hist.iqr_long
+    return buy, max(buy + 0.05 * iqr, hist.ma_short + 0.1 * iqr)
 
 
 def ev_bids_two_sided(lo: int, hi: int) -> bool:
@@ -147,26 +147,34 @@ def ev_bids_two_sided(lo: int, hi: int) -> bool:
     return lo <= 0 <= hi and lo != hi
 
 
-def formulate_ev_bids(ranges: list[tuple[int, int]],
-                      strategy: tuple[float, float] | None, cfg,
-                      buy_rank: list[int],
-                      sell_rank: list[int]) -> list[Order]:
+def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
+                      strategy: tuple[float, float] | None,
+                      cfg) -> list[Order]:
     """Orders of the EV fleet for its load ranges `lo`..`hi` in W, each
-    the idle (0, 0) or with `hi` 0 or the charger rating: every EV's buy
-    in EV order, then every EV's sell. An EV with `lo` > 0 buys `lo` at
-    the unresponsive price (a forced charge); any other buys `hi` and
-    sells `-lo`, each when positive, at `strategy`, the
-    `ev_strategy_prices` pair. An EV's ranks set its orders' priority
-    among EVs (lower fills first); trader ids stay stable."""
+    the idle (0, 0) or with `hi` 0 or the charger rating. An EV with
+    `lo` > 0 buys `lo` at the unresponsive price (a forced charge); any
+    other buys `hi` and sells `-lo`, each when positive, at `strategy`,
+    the `ev_strategy_prices` pair.
+
+    EVs all bid the same strategy prices, so a tie-break on trader id
+    would ration scarce supply or demand to the same EVs every round.
+    Instead an order's priority is its class base plus its EV's rank,
+    lower first: buys by urgency (soonest departure in `departs`, then
+    lowest SoC in `socs`, then index) so commuters refill before idle
+    vehicles, sells by fullness (highest SoC, then index) so the
+    emptiest EVs keep their reserve. Orders come out in rank order."""
     buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
     buy_price, sell_price = strategy or (None, None)
     forced = cfg.prices_unresponsive
+    evs = range(len(ranges))
     orders = [_order((EV_BASE + j, buy, lo if lo > 0 else hi,
-                      forced if lo > 0 else buy_price, EV_BASE + buy_rank[j]))
-              for j, (lo, hi) in enumerate(ranges) if hi > 0]
+                      forced if lo > 0 else buy_price, EV_BASE + r))
+              for r, (_, _, j, (lo, hi)) in enumerate(sorted(
+                  zip(departs, socs, evs, ranges))) if hi > 0]
     orders += [_order((EV_SELL_BASE + j, sell, -lo, sell_price,
-                       EV_SELL_BASE + sell_rank[j]))
-               for j, (lo, _) in enumerate(ranges) if lo < 0]
+                       EV_SELL_BASE + r))
+               for r, (_, j, (lo, _)) in enumerate(sorted(
+                   zip([-soc for soc in socs], evs, ranges))) if lo < 0]
     return orders
 
 
@@ -212,26 +220,12 @@ class SubstationFederate:
         if n_ev:
             ranges = [(round(lo), round(hi)) for lo, hi in
                       ctx.read("evs/load_range_w", ((0.0, 0.0),) * n_ev)]
-            socs = ctx.read("evs/soc", (0.0,) * n_ev)
-            departs = ctx.read("evs/next_depart_s", (float("inf"),) * n_ev)
-            # EVs all bid the same strategy prices, so a tie-break on
-            # trader id would ration scarce supply/demand to the same EVs
-            # every round. Instead each EV order carries a priority rank:
-            # buys by urgency (soonest next departure, then lowest SoC) so
-            # commuters refill before idle vehicles, sells by fullness
-            # (descending SoC) so the emptiest EVs keep their reserve.
-            buy_rank = [0] * n_ev
-            for r, (_, _, j) in enumerate(sorted(zip(departs, socs,
-                                                     range(n_ev)))):
-                buy_rank[j] = r
-            sell_rank = [0] * n_ev
-            for r, (_, j) in enumerate(sorted(zip([-soc for soc in socs],
-                                                  range(n_ev)))):
-                sell_rank[j] = r
             two_sided = any(ev_bids_two_sided(*r) for r in ranges)
             strategy = ev_strategy_prices(self.hist) if two_sided else None
-            orders += formulate_ev_bids(ranges, strategy, self.cfg, buy_rank,
-                                        sell_rank)
+            orders += formulate_ev_bids(
+                ranges, ctx.read("evs/soc", (0.0,) * n_ev),
+                ctx.read("evs/next_depart_s", (float("inf"),) * n_ev),
+                strategy, self.cfg)
 
         result = match_orders(orders, round_index)
         self.transactions.extend(round_index, result.buyer, result.seller,

@@ -75,8 +75,8 @@ class CsvWeather:
 
     Expected columns: timestamp (seconds or HH:MM[:SS]), temp_c,
     irradiance_wm2. Irradiance is normalized by the rated irradiance and
-    clamped to [0, 1]. Sampling beyond the file's range wraps by
-    day-of-data with a logged warning.
+    clamped to [0, 1]. The data repeat every whole number of days (at
+    least one); sampling outside the first period logs a warning.
     """
 
     def __init__(self, times_s, temps_c, irradiance_frac):
@@ -85,6 +85,12 @@ class CsvWeather:
         self.times = list(times_s)
         self.temps = list(temps_c)
         self.fracs = list(irradiance_frac)
+        first, span = self.times[0], self.times[-1] - self.times[0]
+        self.period = DAY_S * max(math.ceil(span / DAY_S), 1)
+        if self.times[-1] < first + self.period:    # no sample there yet
+            self.times.append(first + self.period)
+            self.temps.append(self.temps[0])
+            self.fracs.append(self.fracs[0])
         self._warned_wrap = False
 
     @classmethod
@@ -119,22 +125,16 @@ class CsvWeather:
         return cls(times, temps, fracs)
 
     def sample(self, t: float) -> WeatherSample:
-        span_start, span_end = self.times[0], self.times[-1]
-        if t > span_end or t < span_start:
+        first, period = self.times[0], self.period
+        if not first <= t < first + period:
             if not self._warned_wrap:
-                log.warning(
-                    "weather sample t=%.0fs outside CSV range "
-                    "[%.0f, %.0f]; wrapping by day-of-data",
-                    t, span_start, span_end,
-                )
+                log.warning("weather sample t=%.0fs outside CSV period "
+                            "[%.0f, %.0f); wrapping by day-of-data", t,
+                            first, first + period)
                 self._warned_wrap = True
-            t = span_start + (t - span_start) % max(DAY_S,
-                                                    span_end - span_start)
-            t = min(max(t, span_start), span_end)
-        # t now lies in [times[0], times[-1]], so i >= 1
-        i = bisect.bisect_right(self.times, t)
-        if i >= len(self.times):
-            return WeatherSample(self.temps[-1], self.fracs[-1])
+            t = first + (t - first) % period
+        # the samples span [first, first + period]: t lies between two
+        i = bisect.bisect_right(self.times, t, 1, len(self.times) - 1)
         t0, t1 = self.times[i - 1], self.times[i]
         w = (t - t0) / (t1 - t0)
         temp = self.temps[i - 1] * (1 - w) + self.temps[i] * w
@@ -148,9 +148,7 @@ def _parse_timestamp(text: str) -> float:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad timestamp {text!r}")
-        h, m = int(parts[0]), int(parts[1])
-        s = int(parts[2]) if len(parts) == 3 else 0
-        return h * 3600.0 + m * 60.0 + s
+        return sum(int(p) * f for p, f in zip(parts, (3600.0, 60.0, 1)))
     return float(text)
 
 

@@ -63,6 +63,12 @@ def _probe(setting, *extra):
     return pytest.param(setting, list(extra), id=setting)
 
 
+# 2 days, 3 houses, each with an EV and PV
+TINY_FLEET = ("--days", "2", "--set", "scenario.discard_days=1",
+              "--set", "houses.count=3", "--set", "ev.count=3",
+              "--set", "scenario.n_pv=3")
+
+
 @pytest.mark.parametrize("setting, extra", [
     _probe("kernel.step_s=0"),
     _probe("market.t_market_s=420"),    # a multiple of step_s, not of a day
@@ -72,6 +78,10 @@ def _probe(setting, *extra):
     _probe("grid.capacity_kw=0.0004", "--days", "2",   # a 0 W grid order
            "--set", "scenario.discard_days=1", "--set", "houses.count=3"),
     _probe("grid.capacity_kw=0.0005"),
+    # a 1e23 W fill would overflow the transaction log's int64 watts
+    _probe("grid.capacity_kw=1e20", "--set", "houses.hvac_kw=1e20",
+           *TINY_FLEET),
+    _probe("lmp.p_base=1e306", *TINY_FLEET),     # an infinite VWAP
     _probe("lmp.reference_capacity_kw=0"),
     _probe("metrics.vwap_mode=bogus"),
     _probe("weather.mode=bogus"),
@@ -165,7 +175,9 @@ def test_wrong_type_in_a_config_file_fails_before_any_step(
     (["0,20,nan", "3600,21,0"], []),
     (["0,20,0", "3600,21,inf"], []),
     (["0,20,0", "3600,21,500"], ["--set", "weather.rated_irradiance_wm2=0"]),
-], ids=["nan-temp", "nan-irradiance", "inf-irradiance", "zero-rating"])
+    (["0,20,0", "1:2:3:4,21,0"], []),
+], ids=["nan-temp", "nan-irradiance", "inf-irradiance", "zero-rating",
+        "four-part-timestamp"])
 def test_bad_weather_csv_fails_before_any_step(rows, extra, capsys,
                                                monkeypatch, tmp_path):
     csv_path = tmp_path / "weather.csv"
@@ -227,6 +239,25 @@ def test_the_least_valid_grid_capacity_runs(tmp_path, capsys):
     assert code == 2        # a 1 W grid cannot serve the houses
     assert json.loads((out / "summary.json").read_text())[
         "grid_capacity_kw"] == math.nextafter(0.0005, 1)
+
+
+def test_sellers_and_asks_at_their_upper_edges_run(tmp_path, capsys):
+    """Every field that sets a seller's watts or ask at the highest
+    value validate() accepts: the fills fit the transaction log and the
+    summary is finite."""
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "s5", "--out", str(out), *TINY_FLEET,
+                 "--set", "grid.capacity_kw=1e9", "--set", "ev.charger_kw=1e9",
+                 "--set", "pv.panel_w=1e6", "--set", "pv.panels_range=1e6,1e6",
+                 "--set", "lmp.p_base=1e6", "--set", "lmp.alpha=1e6",
+                 "--set", "prices.pv_sell=1e6"])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    numbers = [v for v in summary.values() if isinstance(v, (int, float))]
+    numbers += [v for v in summary["violations"].values()]
+    assert all(math.isfinite(v) for v in numbers)
+    assert summary["vwap_bar"] > 0
 
 
 def test_run_with_ev_seed_override(tmp_path, capsys):

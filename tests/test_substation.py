@@ -1,6 +1,7 @@
 """Bid formulation, grid pricing and the EV bidding strategy."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,8 +167,9 @@ def test_history_matches_numpy_bit_for_bit(series_n_long, n_short):
     # at least three windows' worth, so the ring wraps at least twice
     series, n_long = series_n_long
     assert len(series) >= 3 * n_long
-    hist = LmpHistory(300.0, long_window_s=300.0 * n_long,
-                      short_window_s=300.0 * n_short)
+    with mock.patch.multiple(substation, LONG_WINDOW_S=300.0 * n_long,
+                             SHORT_WINDOW_S=300.0 * n_short):
+        hist = LmpHistory(300.0)
     for k, lmp in enumerate(series):
         hist.append(lmp)
         window = np.array(series[max(k + 1 - n_long, 0):k + 1])
@@ -228,25 +230,28 @@ def test_every_order_of_a_run_passes_the_order_checks(monkeypatch):
 
 def test_ev_bids_forced_charge():
     ranges = [(0, 0)] * 4 + [(11000, 11000)]
-    orders = formulate_ev_bids(ranges, None, CFG, [0, 1, 2, 3, 4],
-                               [4, 3, 2, 1, 0])
+    # equal departures: the emptiest EV, the forced one, ranks first
+    orders = formulate_ev_bids(ranges, [0.9, 0.8, 0.7, 0.6, 0.15],
+                               [H] * 5, None, CFG)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price, o.priority) == \
-        (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive, EV_BASE + 4)
+        (EV_BASE + 4, Side.BUY, 11000, CFG.prices_unresponsive, EV_BASE + 0)
 
 
 def test_ev_bids_two_sided_with_strategy_prices():
     strategy = ev_strategy_prices(StubHistory(0.020, 0.030, 0.010))
-    orders = formulate_ev_bids([(0, 0), (0, 0), (-11000, 11000)], strategy,
-                               CFG, buy_rank=[0, 1, 5], sell_rank=[0, 1, 7])
+    # the last to depart buys last; the fullest sells first
+    orders = formulate_ev_bids([(0, 0), (0, 0), (-11000, 11000)],
+                               [0.3, 0.5, 0.8], [H, 2 * H, 3 * H], strategy,
+                               CFG)
     by_side = {o.side: o for o in orders}
     assert by_side[Side.BUY].trader == EV_BASE + 2
-    assert by_side[Side.BUY].priority == EV_BASE + 5
+    assert by_side[Side.BUY].priority == EV_BASE + 2
     assert by_side[Side.BUY].quantity == 11000
     assert by_side[Side.BUY].price == 0.020
     assert by_side[Side.SELL].trader == EV_SELL_BASE + 2
-    assert by_side[Side.SELL].priority == EV_SELL_BASE + 7
+    assert by_side[Side.SELL].priority == EV_SELL_BASE + 0
     assert by_side[Side.SELL].quantity == 11000
     assert by_side[Side.SELL].price == pytest.approx(0.031)
 
@@ -264,7 +269,7 @@ def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
     """With any price spread the sell sits strictly above the buy, so an
     EV's own ask is never eligible against its own bid."""
     strategy = ev_strategy_prices(StubHistory(0.020, 0.020, 0.004))
-    orders = formulate_ev_bids([(-11000, 11000)], strategy, CFG, [0], [0])
+    orders = formulate_ev_bids([(-11000, 11000)], [0.5], [H], strategy, CFG)
     assert match_orders(orders).transactions == []
 
 
@@ -272,19 +277,42 @@ def test_ev_bids_are_the_fleets_buys_then_its_sells():
     strategy = (0.02, 0.03)
     ranges = [(-11000, 0), (0, 0), (500, 11000), (-7000, 7000), (0, 3000),
               (0, 1)]   # the least range that still buys
-    orders = formulate_ev_bids(ranges, strategy, CFG, [4, 3, 2, 1, 0, 5],
-                               [0, 1, 2, 3, 4, 5])
+    # buys rank by departure, EV 4 first and EV 5 last; sells by SoC,
+    # which falls with the EV index
+    socs = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
+    departs = [5 * H, 4 * H, 3 * H, 2 * H, H, 6 * H]
+    orders = formulate_ev_bids(ranges, socs, departs, strategy, CFG)
     assert orders == [
+        Order(EV_BASE + 4, Side.BUY, 3000, 0.02, EV_BASE + 0),
+        Order(EV_BASE + 3, Side.BUY, 7000, 0.02, EV_BASE + 1),
         Order(EV_BASE + 2, Side.BUY, 500, CFG.prices_unresponsive,
               EV_BASE + 2),
-        Order(EV_BASE + 3, Side.BUY, 7000, 0.02, EV_BASE + 1),
-        Order(EV_BASE + 4, Side.BUY, 3000, 0.02, EV_BASE + 0),
         Order(EV_BASE + 5, Side.BUY, 1, 0.02, EV_BASE + 5),
         Order(EV_SELL_BASE + 0, Side.SELL, 11000, 0.03, EV_SELL_BASE + 0),
         Order(EV_SELL_BASE + 3, Side.SELL, 7000, 0.03, EV_SELL_BASE + 3)]
     assert all(type(o.quantity) is int for o in orders)
-    assert formulate_ev_bids([(0, 0)] * 3, None, CFG, [0, 1, 2],
-                             [0, 1, 2]) == []
+    assert formulate_ev_bids([(0, 0)] * 3, socs[:3], departs[:3], None,
+                             CFG) == []
+
+
+def test_ev_ties_serve_the_lower_ev_index_first():
+    """Equal departure and SoC rank by EV index, on both sides, and a
+    scarce round serves the first in rank."""
+    strategy = (0.02, 0.03)
+    ranges = [(0, 11000), (0, 11000), (-11000, 0), (-11000, 0)]
+    orders = formulate_ev_bids(ranges, [0.5] * 4, [H] * 4, strategy, CFG)
+    assert [(o.trader, o.priority) for o in orders] == [
+        (EV_BASE + 0, EV_BASE + 0), (EV_BASE + 1, EV_BASE + 1),
+        (EV_SELL_BASE + 2, EV_SELL_BASE + 2),
+        (EV_SELL_BASE + 3, EV_SELL_BASE + 3)]
+    # 11 kW of supply at the buy price fills one buyer, the lower index
+    result = match_orders(orders[:2] + [Order(GRID_TRADER, Side.SELL, 11000,
+                                              0.02)])
+    assert result.bought == {EV_BASE + 0: 11000}
+    # 11 kW of demand at the sell price fills one seller, the lower index
+    result = match_orders(orders[2:] + [Order(UNRESP_BASE, Side.BUY, 11000,
+                                              0.03)])
+    assert result.sold == {EV_SELL_BASE + 2: 11000}
 
 
 # ---------------------------------------------------------------------------

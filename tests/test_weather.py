@@ -135,3 +135,29 @@ def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
         beyond = profile.sample(DAY_S + 7200.0)
     assert beyond.temp_c == pytest.approx(profile.sample(7200.0).temp_c)
     assert any("wrapping" in rec.message for rec in caplog.records)
+
+
+def test_csv_day_interpolates_across_midnight(tmp_path, caplog):
+    """A day of hourly samples repeats daily: 23:00-24:00 interpolates
+    from the 23:00 sample toward the next 00:00, with no warning before
+    the second day starts."""
+    rows = [f"{h * 3600},{20 + h},0" for h in range(24)]
+    profile = CsvWeather.from_csv(_write_csv(tmp_path, rows), 1000.0)
+    with caplog.at_level("WARNING"):
+        assert profile.sample(84600.0).temp_c == 31.5     # 23:30
+        assert profile.sample(86399.0).temp_c == pytest.approx(
+            43.0 + (20.0 - 43.0) * 3599 / 3600)
+        for t in range(0, 86400, 60):
+            profile.sample(float(t))
+        assert not caplog.records
+        assert profile.sample(DAY_S).temp_c == 20.0
+        assert profile.sample(DAY_S + 84600.0).temp_c == 31.5
+    assert len([rec for rec in caplog.records
+                if "wrapping" in rec.message]) == 1
+
+
+def test_csv_single_sample_is_constant(tmp_path):
+    profile = CsvWeather.from_csv(_write_csv(tmp_path, ["3600,25,500"]),
+                                  1000.0)
+    for t in (0.0, 3600.0, 50000.0, DAY_S + 3600.0):
+        assert profile.sample(t) == (25.0, 0.5)
