@@ -124,8 +124,8 @@ def step_battery(soc: float, command_w: float, drive_kwh: float,
 
 
 def load_range(soc: float, home: bool, next_departure: float,
-               charger_w: float, t: float,
-               t_market: float) -> tuple[float, float]:
+               charger_w: int, t: float,
+               t_market: float) -> tuple[int, int]:
     """Admissible (load_min, load_max) in W for the round starting at t,
     with `home` and `next_departure` as `Itinerary.locate(t)` gives them.
 
@@ -134,13 +134,13 @@ def load_range(soc: float, home: bool, next_departure: float,
     <20% forced charge at the maximum rate.
     """
     if not home or next_departure < t + t_market:
-        return (0.0, 0.0)
+        return (0, 0)
     if soc > 0.90:
-        return (-charger_w, 0.0)
+        return (-charger_w, 0)
     if soc >= 0.30:
         return (-charger_w, charger_w)
     if soc >= 0.20:
-        return (0.0, charger_w)
+        return (0, charger_w)
     return (charger_w, charger_w)
 
 
@@ -163,7 +163,8 @@ class EvFederate:
     and publishes the fleet's admissible load ranges, SoCs and next
     departures, one tuple each in EV order.
 
-    Commands are clamped into their cleared ranges once per round. An
+    Ranges are whole watts, from the charger rating rounded once, and
+    commands are clamped into their cleared ranges once per round. An
     EV's itinerary is searched only at the steps that reach a departure
     or overlap a trip; in between, the EV is parked and drives nothing.
     A round's range and next departure reuse that search while the EV
@@ -180,9 +181,10 @@ class EvFederate:
         self.soc_min_seen = 1.0
         self.soc_max_seen = 0.0
         n = len(soc)
+        self.charger_w = round(cfg.ev_charger_kw * 1000.0)
         # bus defaults before the first dispatch and the first cleared round
-        self._no_dispatch = (0.0,) * n
-        self._no_range = ((0.0, 0.0),) * n
+        self._no_dispatch = (0,) * n
+        self._no_range = ((0, 0),) * n
         # the round's clamped commands and the bus values they come from
         self._commands = self._loads = self._ranges = None
         self._out_of_range = 0
@@ -200,7 +202,7 @@ class EvFederate:
             self._loads, self._ranges = loads, ranges
             self._commands, self._out_of_range = [], 0
             for cmd, (lo, hi) in zip(loads, ranges, strict=True):
-                if cmd < lo - 0.5 or cmd > hi + 0.5:
+                if cmd < lo or cmd > hi:
                     self._out_of_range += 1
                     cmd = min(max(cmd, lo), hi)
                 self._commands.append(cmd)
@@ -230,7 +232,6 @@ class EvFederate:
         if ctx.next_round is not None:
             t_market = cfg.t_market_s
             window_start = ctx.next_round * t_market + step_s
-            charger_w = cfg.ev_charger_kw * 1000.0
             # an EV parked past the window start is where the last search
             # found it, and its next departure is the end of its parking
             ranges, departs = [], []
@@ -238,7 +239,7 @@ class EvFederate:
                     socs, self._parked_until, self._home, self.itineraries):
                 if until <= window_start:
                     _, home, until = itinerary.locate(window_start)
-                ranges.append(load_range(soc, home, until, charger_w,
+                ranges.append(load_range(soc, home, until, self.charger_w,
                                          window_start, t_market))
                 departs.append(until)
             ctx.publish("evs/load_range_w", tuple(ranges))

@@ -86,15 +86,20 @@ class TransactionLog:
 
     def extend(self, round_index: int, buyer, seller, quantity,
                price) -> None:
-        """Append one round's fills, given as equal-length columns."""
-        # build every column before extending any, so an overflow adds none
-        arrays = [array(column.typecode, values) for column, values in (
-            (self.buyer, buyer), (self.seller, seller),
-            (self.quantity, quantity), (self.price, price))]
-        arrays.append(array("i", (round_index,)) * len(buyer))
-        for column, values in zip((self.buyer, self.seller, self.quantity,
-                                   self.price, self.round_index), arrays):
-            column.extend(values)
+        """Append one round's fills, given as equal-length lists."""
+        columns = (self.buyer, self.seller, self.quantity, self.price,
+                   self.round_index)
+        n = len(self.buyer)
+        try:
+            # fromlist adds all of a list or none of it
+            for column, values in zip(columns, (buyer, seller, quantity, price,
+                                                [round_index] * len(buyer))):
+                column.fromlist(values)
+        except OverflowError:
+            # cut back what was added: a value that does not fit adds no fill
+            for column in columns:
+                del column[n:]
+            raise
 
     def __len__(self) -> int:
         return len(self.buyer)

@@ -24,27 +24,35 @@ WEATHER_MODES = ("synthetic", "csv")
 # field -> (lowest, highest, whether lowest is allowed): the values a number
 # field, or each end of a range field, may take. A field not listed may
 # take any finite value. Negative prices, loads or panels would run but
-# break the physics silently, noise above 1 drives loads below 0 W, and a
-# grid capacity of 0.0005 kW or less rounds to a 0 W grid order. A fill is
+# break the physics silently, noise above 1 drives loads below 0 W, a grid
+# capacity of 0.0005 kW or less rounds to a 0 W grid order, and a charger
+# rating that low to a 0 W charger, which never charges. A fill is
 # at most its seller's watts, at its ask: sellers of at most 1e12 W and
 # asks of at most about 2e12 $/kWh keep fills in int64 and the VWAP finite.
+# House loads of at most 1e12 W, a COP of at most 1e6, a UA of at least
+# 1 W/K and the weather's temperature bounds keep every zone temperature,
+# and the square of its excess, finite.
 DOMAINS = {
     "n_houses": (1, substation.MAX_HOUSES, True),
     "grid_capacity_kw": (0.0005, 1e9, False),
     "t_market_s": (0, DAY_S, False),
     "pv_panels_range": (1, 1e6, True),
     "ev_efficiency": (0, 1, False),
-    "ev_charger_kw": (0, 1e9, False),
+    "ev_charger_kw": (0.0005, 1e9, False),
     "pv_panel_w": (0, 1e6, True),
+    "houses_hvac_kw": (0, 1e9, False),
+    "houses_unresponsive_mean_kw": (0, 1e9, True),
+    "houses_cop": (0, 1e6, False),
+    "houses_ua_w_per_k_range": (1, math.inf, True),
+    "weather_temp_min_c": (weather.TEMP_MIN_C, weather.TEMP_MAX_C, True),
+    "weather_temp_max_c": (weather.TEMP_MIN_C, weather.TEMP_MAX_C, True),
 } | dict.fromkeys(("lmp_p_base", "lmp_alpha", "prices_pv_sell"),
                   (0, 1e6, True)) | dict.fromkeys((
     "step_s", "weather_rated_irradiance_wm2", "houses_rc_hours_range",
-    "houses_ua_w_per_k_range", "houses_hvac_kw", "houses_cop",
     "ev_speed_kmh", "lmp_reference_capacity_kw",
 ), (0, math.inf, False)) | dict.fromkeys((
     "n_ev", "n_pv", "discard_days", "seed", "ev_seed", "houses_deadband_c",
-    "houses_unresponsive_mean_kw", "ev_drive_kwh_per_km",
-    "prices_unresponsive", "prices_hvac",
+    "ev_drive_kwh_per_km", "prices_unresponsive", "prices_hvac",
 ), (0, math.inf, True)) | dict.fromkeys((
     "houses_unresponsive_noise_frac", "ev_worker_ratio",
     "ev_initial_soc_range", "lmp_diurnal_amplitude", "lmp_demand_ema",

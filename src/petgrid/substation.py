@@ -142,14 +142,8 @@ def ev_strategy_prices(hist: LmpHistory) -> tuple[float, float]:
     return buy, max(buy + 0.05 * iqr, hist.ma_short + 0.1 * iqr)
 
 
-def ev_bids_two_sided(lo: int, hi: int) -> bool:
-    """True when the EV bids at the strategy prices (range straddles 0)."""
-    return lo <= 0 <= hi and lo != hi
-
-
 def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
-                      strategy: tuple[float, float] | None,
-                      cfg) -> list[Order]:
+                      strategy: tuple[float, float], cfg) -> list[Order]:
     """Orders of the EV fleet for its load ranges `lo`..`hi` in W, each
     the idle (0, 0) or with `hi` 0 or the charger rating. An EV with
     `lo` > 0 buys `lo` at the unresponsive price (a forced charge); any
@@ -164,7 +158,7 @@ def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
     vehicles, sells by fullness (highest SoC, then index) so the
     emptiest EVs keep their reserve. Orders come out in rank order."""
     buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
-    buy_price, sell_price = strategy or (None, None)
+    buy_price, sell_price = strategy
     forced = cfg.prices_unresponsive
     evs = range(len(ranges))
     orders = [_order((EV_BASE + j, buy, lo if lo > 0 else hi,
@@ -181,10 +175,10 @@ def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
 class SubstationFederate:
     """Runs one clearing round at every market period boundary.
 
-    At the top of each round the households' and EVs' bus values become
-    whole-watt packets, once: bids, dispatch, slack and every round-log sum
-    read those integers, so the round trades, dispatches and accounts in
-    the same watts.
+    At the top of each round the households' bus values become whole-watt
+    packets, once, and the EV fleet publishes whole-watt ranges: bids,
+    dispatch, slack and every round-log sum read those integers, so the
+    round trades, dispatches and accounts in the same watts.
     """
 
     def __init__(self, cfg):
@@ -216,16 +210,13 @@ class SubstationFederate:
                                         "houses/pv_potential_w"))
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
         orders += formulate_house_bids(unresp, hvac, pv, self.cfg)
-        ranges = []
+        ranges = ()
         if n_ev:
-            ranges = [(round(lo), round(hi)) for lo, hi in
-                      ctx.read("evs/load_range_w", ((0.0, 0.0),) * n_ev)]
-            two_sided = any(ev_bids_two_sided(*r) for r in ranges)
-            strategy = ev_strategy_prices(self.hist) if two_sided else None
+            ranges = ctx.read("evs/load_range_w", ((0, 0),) * n_ev)
             orders += formulate_ev_bids(
                 ranges, ctx.read("evs/soc", (0.0,) * n_ev),
                 ctx.read("evs/next_depart_s", (float("inf"),) * n_ev),
-                strategy, self.cfg)
+                ev_strategy_prices(self.hist), self.cfg)
 
         result = match_orders(orders, round_index)
         self.transactions.extend(round_index, result.buyer, result.seller,
@@ -263,7 +254,7 @@ class SubstationFederate:
         pv_potential_total = float(sum(pv))
         # an array sells at most what it offered
         pv_surplus = pv_potential_total - pv_supplied
-        ctx.publish("dispatch/hvac_w", tuple(map(float, hvac_granted)))
+        ctx.publish("dispatch/hvac_w", tuple(hvac_granted))
 
         ev_charge = ev_discharge = ev_surplus = must_charge_w = 0.0
         ev_loads = []
@@ -276,7 +267,7 @@ class SubstationFederate:
                     self.ev_unfilled_must_charge += 1
                     charged = lo
                     slack_w += lo
-            net = float(charged - discharged)
+            net = charged - discharged
             ev_loads.append(net)
             if net > 0:
                 ev_charge += net

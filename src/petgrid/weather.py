@@ -18,6 +18,9 @@ from typing import NamedTuple
 log = logging.getLogger(__name__)
 
 DAY_S = 86400.0
+# the outdoor temperatures a profile may give, °C: from absolute zero up to
+# a cap that keeps every zone temperature's squared excess finite
+TEMP_MIN_C, TEMP_MAX_C = -273.15, 1e6
 
 
 class WeatherSample(NamedTuple):
@@ -74,9 +77,10 @@ class CsvWeather:
     """Weather profile interpolated from a CSV file.
 
     Expected columns: timestamp (seconds or HH:MM[:SS]), temp_c,
-    irradiance_wm2. Irradiance is normalized by the rated irradiance and
-    clamped to [0, 1]. The data repeat every whole number of days (at
-    least one); sampling outside the first period logs a warning.
+    irradiance_wm2. Temperatures must lie in [TEMP_MIN_C, TEMP_MAX_C].
+    Irradiance is normalized by the rated irradiance and clamped to
+    [0, 1]. The data repeat every whole number of days (at least one);
+    sampling outside the first period logs a warning.
     """
 
     def __init__(self, times_s, temps_c, irradiance_frac):
@@ -115,6 +119,9 @@ class CsvWeather:
                     if not math.isfinite(value):
                         raise ValueError(
                             f"weather CSV row {i}: {name} must be finite")
+                if not TEMP_MIN_C <= temp <= TEMP_MAX_C:
+                    raise ValueError(f"weather CSV row {i}: temp_c must be "
+                                     f"within [{TEMP_MIN_C}, {TEMP_MAX_C:g}]")
                 if times and t <= times[-1]:
                     raise ValueError(
                         f"weather CSV row {i}: non-monotonic timestamp {t}"

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
+import csv
 import json
 import math
 
@@ -107,6 +108,8 @@ TINY_FLEET = ("--days", "2", "--set", "scenario.discard_days=1",
     _probe("ev.efficiency=1.5"),
     _probe("ev.speed_kmh=0"),
     _probe("ev.charger_kw=-5"),
+    # a 0 W charger: an EV under the 20% gate has no forced charge
+    _probe("ev.charger_kw=0.0004", *TINY_FLEET),
     _probe("ev.drive_kwh_per_km=-0.1"),
     _probe("weather.rated_irradiance_wm2=0", "--set", "weather.mode=csv",
            "--set", "weather.csv_path=weather.csv"),
@@ -119,6 +122,14 @@ TINY_FLEET = ("--days", "2", "--set", "scenario.discard_days=1",
     _probe("ev.worker_ratio=3"),
     _probe("lmp.demand_ema=5"),
     _probe("weather.temp_min_c=40"),    # above weather.temp_max_c
+    # the substation would round infinite watts at the first round
+    _probe("houses.hvac_kw=1e306", *TINY_FLEET),
+    _probe("houses.unresponsive_mean_kw=1e306", *TINY_FLEET),
+    # a zone temperature whose squared excess overflows at t=240 s
+    _probe("weather.temp_max_c=1e160", *TINY_FLEET),
+    _probe("houses.ua_w_per_k_range=1e-300,1e-300", *TINY_FLEET),
+    # an infinite heat removal, which ran to exit 0 with NaN temperatures
+    _probe("houses.cop=1e306", *TINY_FLEET),
 ])
 def test_invalid_config_fails_before_any_step(setting, extra, capsys,
                                               monkeypatch, tmp_path):
@@ -176,8 +187,11 @@ def test_wrong_type_in_a_config_file_fails_before_any_step(
     (["0,20,0", "3600,21,inf"], []),
     (["0,20,0", "3600,21,500"], ["--set", "weather.rated_irradiance_wm2=0"]),
     (["0,20,0", "1:2:3:4,21,0"], []),
+    # a zone temperature whose squared excess overflows at t=39,840 s
+    (["0,30,0", "43200,1e160,0"], []),
+    (["0,-273.16,0"], []),                  # below absolute zero
 ], ids=["nan-temp", "nan-irradiance", "inf-irradiance", "zero-rating",
-        "four-part-timestamp"])
+        "four-part-timestamp", "hot-temp", "cold-temp"])
 def test_bad_weather_csv_fails_before_any_step(rows, extra, capsys,
                                                monkeypatch, tmp_path):
     csv_path = tmp_path / "weather.csv"
@@ -244,20 +258,37 @@ def test_the_least_valid_grid_capacity_runs(tmp_path, capsys):
 def test_sellers_and_asks_at_their_upper_edges_run(tmp_path, capsys):
     """Every field that sets a seller's watts or ask at the highest
     value validate() accepts: the fills fit the transaction log and the
-    summary is finite."""
-    out = tmp_path / "out"
-    code = main(["run", "--scenario", "s5", "--out", str(out), *TINY_FLEET,
-                 "--set", "grid.capacity_kw=1e9", "--set", "ev.charger_kw=1e9",
-                 "--set", "pv.panel_w=1e6", "--set", "pv.panels_range=1e6,1e6",
-                 "--set", "lmp.p_base=1e6", "--set", "lmp.alpha=1e6",
-                 "--set", "prices.pv_sell=1e6"])
-    assert code in (0, 2)
-    assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
-    numbers = [v for v in summary.values() if isinstance(v, (int, float))]
-    numbers += [v for v in summary["violations"].values()]
-    assert all(math.isfinite(v) for v in numbers)
-    assert summary["vwap_bar"] > 0
+    summary is finite. So is every bound on the houses and the weather,
+    with the grid at its cap and the default asks, so that the HVAC
+    packets clear and cool at the highest COP."""
+    sellers = ("--set", "grid.capacity_kw=1e9", "--set", "ev.charger_kw=1e9",
+               "--set", "pv.panel_w=1e6", "--set", "pv.panels_range=1e6,1e6",
+               "--set", "lmp.p_base=1e6", "--set", "lmp.alpha=1e6",
+               "--set", "prices.pv_sell=1e6")
+    houses = ("--set", "houses.hvac_kw=1e9",
+              "--set", "houses.unresponsive_mean_kw=1e9",
+              "--set", "houses.cop=1e6",
+              "--set", "houses.ua_w_per_k_range=1,1",
+              "--set", "weather.temp_min_c=-273.15",
+              "--set", "weather.temp_max_c=1e6",
+              "--set", "grid.capacity_kw=1e9")
+    for name, settings in (("sellers", sellers), ("houses", houses)):
+        out = tmp_path / name
+        code = main(["run", "--scenario", "s5", "--out", str(out),
+                     *TINY_FLEET, *settings])
+        assert code in (0, 2), name
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        numbers = [v for v in summary.values() if isinstance(v, (int, float))]
+        numbers += [v for v in summary["violations"].values()]
+        assert all(math.isfinite(v) for v in numbers), name
+        assert summary["vwap_bar"] > 0, name
+        with open(out / "time_series.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert not [v for row in rows for v in row.values()
+                    if v and not math.isfinite(float(v))], name
+    # the HVAC packets cleared, so the 1e6 COP cooled the zones
+    assert any(float(row["hvac_load_w"]) > 0 for row in rows)
 
 
 def test_run_with_ev_seed_override(tmp_path, capsys):

@@ -22,11 +22,12 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
     cfg = ScenarioConfig(n_houses=4, n_ev=4, days=2, discard_days=1)
     fleet = build_fleet(cfg, np.random.default_rng(0))
     assert fleet.capacity_kwh == [75.0, 58.0, 75.0, 58.0]
-    # the federate gates every EV by the configured 11 kW charger
+    # the federate gates every EV by the configured 11 kW charger, in
+    # whole watts
     chargers = []
     monkeypatch.setattr(evfleet, "load_range",
                         lambda soc, home, depart, charger_w, t, t_market:
-                        chargers.append(charger_w) or (0.0, 0.0))
+                        chargers.append(charger_w) or (0, 0))
 
     class Ctx:
         t, next_round = 240.0, 1
@@ -41,7 +42,8 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
             pass
 
     fleet(Ctx())
-    assert chargers == [11000.0] * 4
+    assert chargers == [11000] * 4
+    assert all(type(w) is int for w in chargers)
 
 
 def test_worker_home_at_night_every_day():
@@ -158,11 +160,13 @@ def test_driving_drain_apportioned_across_windows():
 
 
 def test_charge_efficiency_oracle():
-    # +7000 W for 300 s at 95% efficiency stores 0.5542 kWh.
-    out = step_battery(0.5, 7000.0, 0.0, True, 75.0, 300.0, ETA)
-    gained_kwh = (out - 0.5) * 75.0
-    assert gained_kwh == pytest.approx(7.0 * (300.0 / 3600.0) * 0.95,
-                                       abs=1e-9)
+    # +7000 W for 300 s at 95% efficiency stores 0.5542 kWh, and a
+    # command under 1 kW charges at the same efficiency
+    for command_w in (7000.0, 500.0):
+        out = step_battery(0.5, command_w, 0.0, True, 75.0, 300.0, ETA)
+        gained_kwh = (out - 0.5) * 75.0
+        assert gained_kwh == pytest.approx(
+            command_w / 1000.0 * (300.0 / 3600.0) * 0.95, abs=1e-9)
 
 
 def test_discharge_efficiency_oracle():
@@ -206,17 +210,19 @@ def test_load_range_soc_gates():
     # the gates themselves: 0.90 still trades both ways, 0.30 too, and
     # 0.20 charges only
     cases = [
-        (0.95, (-11000.0, 0.0)),
-        (0.90, (-11000.0, 11000.0)),
-        (0.60, (-11000.0, 11000.0)),
-        (0.30, (-11000.0, 11000.0)),
-        (0.25, (0.0, 11000.0)),
-        (0.20, (0.0, 11000.0)),
-        (0.15, (11000.0, 11000.0)),
+        (0.95, (-11000, 0)),
+        (0.90, (-11000, 11000)),
+        (0.60, (-11000, 11000)),
+        (0.30, (-11000, 11000)),
+        (0.25, (0, 11000)),
+        (0.20, (0, 11000)),
+        (0.15, (11000, 11000)),
     ]
     for soc, expected in cases:
-        got = load_range(soc, True, float("inf"), 11000.0, 0.0, 300.0)
+        got = load_range(soc, True, float("inf"), 11000, 0.0, 300.0)
         assert got == expected, soc
+        # an integer rating gives whole-watt packets
+        assert all(type(w) is int for w in got), soc
 
 
 def test_load_range_zero_when_away_or_departing():
@@ -224,11 +230,11 @@ def test_load_range_zero_when_away_or_departing():
 
     def at(t):
         _, home, depart = it.locate(t)
-        return load_range(0.5, home, depart, 7000.0, t, 300.0)
+        return load_range(0.5, home, depart, 7000, t, 300.0)
 
-    assert at(10.5 * H) == (0.0, 0.0)
+    assert at(10.5 * H) == (0, 0)
     # departing before the round ends
-    assert at(10 * H - 100.0) == (0.0, 0.0)
+    assert at(10 * H - 100.0) == (0, 0)
     # long dwell before departure: normal gates apply
     assert at(5 * H)[1] > 0
 
@@ -280,6 +286,41 @@ def test_federate_counts_out_of_range_commands(monkeypatch):
     fed(Ctx())
     assert fed.range_violations == 2
     assert commands == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("command_w, clamped_w", [(7000.25, 7000),
+                                                  (-0.25, 0)])
+def test_a_command_a_quarter_watt_outside_its_range_is_out_of_range(
+        monkeypatch, command_w, clamped_w):
+    """The cleared range is whole watts, so the fleet checks each command
+    against it exactly, with no rounding slack."""
+    fed = EvFederate([0.25], [75.0], [Itinerary([])],
+                     ScenarioConfig(ev_charger_kw=7.0))
+    commands = []
+    step = evfleet.step_battery
+
+    def recording(soc, command_w, *args):
+        commands.append(command_w)
+        return step(soc, command_w, *args)
+
+    monkeypatch.setattr(evfleet, "step_battery", recording)
+
+    class Ctx:
+        t, next_round = 60.0, None
+
+        def read(self, key, default=0.0):
+            return (command_w,) if key == "dispatch/ev_load_w" else default
+
+        def read_cleared(self, key, default):
+            # the charge-only range of an EV between 20% and 30% SoC
+            return ((0, 7000),) if key == "evs/load_range_w" else default
+
+        def publish(self, key, value):
+            pass
+
+    fed(Ctx())
+    assert fed.range_violations == 1
+    assert commands == [clamped_w]
 
 
 # Trips that put departures and arrivals on and between the edges of
@@ -346,7 +387,7 @@ def test_soc_extremes_are_those_of_the_stepped_series(monkeypatch):
 def assert_published_as_searched(published, itineraries, cfg):
     """Each round's published ranges and departures equal those of a
     linear-scan search of every EV at the round's window start."""
-    charger_w = cfg.ev_charger_kw * 1000.0
+    charger_w = round(cfg.ev_charger_kw * 1000.0)
     rounds = [published[k:k + 3] for k in range(0, len(published), 3)]
     assert len(rounds) == cfg.days * DAY_S / cfg.t_market_s
     for (r, _, ranges), (_, _, socs), (_, _, departs) in rounds:

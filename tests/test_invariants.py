@@ -47,6 +47,10 @@ def small_configs(draw):
 # one step per round: EV ranges must be those the round cleared against
 @example(dict(n_houses=4, n_ev=4, n_pv=4, days=2, discard_days=1,
               t_market_s=60.0))
+# a rating of 7200.5 W: the fleet's whole-watt ranges, which its dispatch
+# is checked against exactly, must be those the substation bid
+@example(dict(n_houses=4, n_ev=4, n_pv=4, days=2, discard_days=1,
+              ev_charger_kw=7.2005))
 def test_invariants_hold_on_random_small_configs(overrides):
     result = run_scenario(builtin_config("s5", **overrides))
     assert result.max_imbalance_w <= 1.0

@@ -134,7 +134,11 @@ def test_step_and_period_must_be_whole_multiples(step_s, t_market_s, valid):
 
 # number and range fields that DOMAINS leaves unbounded: only the rules
 # that relate them to another field constrain them
-UNBOUNDED_FIELDS = {"days", "weather_temp_min_c", "weather_temp_max_c"}
+UNBOUNDED_FIELDS = {"days"}
+# fields that a rule orders against a partner, which is set to the same
+# edge so that the rule holds
+PARTNERS = {"weather_temp_min_c": "weather_temp_max_c",
+            "weather_temp_max_c": "weather_temp_min_c"}
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -153,10 +157,11 @@ def test_each_domain_edge_is_accepted_exactly_when_closed(key):
     whole = FIELD_TYPES[key].startswith("int")
     default = getattr(ScenarioConfig(), key)
 
-    def validate(value, end):
+    def validate(value, end, edge):
         if isinstance(default, tuple):      # the given end of a range
             value = (value, default[1]) if end == 0 else (default[0], value)
-        ScenarioConfig(**{key: value}).validate()
+        fields = {PARTNERS[key]: edge} if key in PARTNERS else {}
+        ScenarioConfig(**fields, **{key: value}).validate()
 
     edges = [(lo, 0, lo_allowed, -1)] + ([(hi, 1, True, 1)]
                                          if hi < math.inf else [])
@@ -165,12 +170,12 @@ def test_each_domain_edge_is_accepted_exactly_when_closed(key):
                    else math.nextafter(edge, out * math.inf))
         edge = edge if whole else float(edge)
         if closed:
-            validate(edge, end)
+            validate(edge, end, edge)
         else:
             with pytest.raises(ValueError, match=f"^{key} must be"):
-                validate(edge, end)
+                validate(edge, end, edge)
         with pytest.raises(ValueError, match=f"^{key} must be"):
-            validate(outside, end)
+            validate(outside, end, edge)
 
 
 def test_a_grid_capacity_is_valid_exactly_when_its_order_is_1_w():
@@ -454,7 +459,12 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
                        for v in published[key]), key
     ranges = {r for v in published["evs/load_range_w"] for r in v}
     assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
-    assert any(r != (0.0, 0.0) for r in ranges)
+    assert any(r != (0, 0) for r in ranges)
+    # the fleet's ranges and the substation's dispatch are whole watts
+    watts = [w for r in ranges for w in r] + [
+        w for key in ("dispatch/hvac_w", "dispatch/ev_load_w")
+        for v in published[key] for w in v]
+    assert all(type(w) is int for w in watts)
 
 
 def test_a_run_without_evs_publishes_no_ev_topic(monkeypatch):

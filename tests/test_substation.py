@@ -1,6 +1,5 @@
 """Bid formulation, grid pricing and the EV bidding strategy."""
 
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,8 +14,8 @@ from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
                                 HVAC_BASE, LmpHistory, PV_BASE,
                                 SubstationFederate, UNRESP_BASE, base_price,
-                                compute_lmp, ev_bids_two_sided,
-                                ev_strategy_prices, formulate_ev_bids,
+                                compute_lmp, ev_strategy_prices,
+                                formulate_ev_bids,
                                 formulate_grid_bid, formulate_house_bids)
 
 H = 3600.0
@@ -232,7 +231,7 @@ def test_ev_bids_forced_charge():
     ranges = [(0, 0)] * 4 + [(11000, 11000)]
     # equal departures: the emptiest EV, the forced one, ranks first
     orders = formulate_ev_bids(ranges, [0.9, 0.8, 0.7, 0.6, 0.15],
-                               [H] * 5, None, CFG)
+                               [H] * 5, (0.02, 0.03), CFG)
     assert len(orders) == 1
     o = orders[0]
     assert (o.trader, o.side, o.quantity, o.price, o.priority) == \
@@ -254,15 +253,6 @@ def test_ev_bids_two_sided_with_strategy_prices():
     assert by_side[Side.SELL].priority == EV_SELL_BASE + 0
     assert by_side[Side.SELL].quantity == 11000
     assert by_side[Side.SELL].price == pytest.approx(0.031)
-
-
-def test_two_sided_classification():
-    assert ev_bids_two_sided(-11000, 11000)
-    assert ev_bids_two_sided(0, 11000)
-    assert ev_bids_two_sided(-11000, 0)
-    assert not ev_bids_two_sided(0, 0)            # idle
-    assert not ev_bids_two_sided(500, 11000)      # forced charge
-    assert not ev_bids_two_sided(-11000, -500)    # forced discharge
 
 
 def test_ev_does_not_cross_its_own_orders_when_iqr_positive():
@@ -291,7 +281,7 @@ def test_ev_bids_are_the_fleets_buys_then_its_sells():
         Order(EV_SELL_BASE + 0, Side.SELL, 11000, 0.03, EV_SELL_BASE + 0),
         Order(EV_SELL_BASE + 3, Side.SELL, 7000, 0.03, EV_SELL_BASE + 3)]
     assert all(type(o.quantity) is int for o in orders)
-    assert formulate_ev_bids([(0, 0)] * 3, socs[:3], departs[:3], None,
+    assert formulate_ev_bids([(0, 0)] * 3, socs[:3], departs[:3], strategy,
                              CFG) == []
 
 
@@ -324,9 +314,9 @@ TINY_S5 = dict(n_houses=3, n_ev=3, n_pv=3, days=2, discard_days=1)
 
 def count_strategy_rounds(monkeypatch, cfg, bid_calls=None):
     """Run `cfg`; return the round index of every `ev_strategy_prices`
-    call and the rounds in which some EV bid two-sided. The round index
-    of every `formulate_ev_bids` call goes to `bid_calls`."""
-    calls, two_sided, n_rounds = [], set(), 0
+    call and the number of rounds. The round index of every
+    `formulate_ev_bids` call goes to `bid_calls`."""
+    calls, n_rounds = [], 0
     bid_calls = [] if bid_calls is None else bid_calls
     lmp, strategy, bids = (substation.compute_lmp,
                            substation.ev_strategy_prices,
@@ -343,32 +333,30 @@ def count_strategy_rounds(monkeypatch, cfg, bid_calls=None):
 
     def recording_bids(ranges, *args):
         bid_calls.append(n_rounds)
-        if any(ev_bids_two_sided(lo, hi) for lo, hi in ranges):
-            two_sided.add(n_rounds)
         return bids(ranges, *args)
 
     monkeypatch.setattr(substation, "compute_lmp", counting_lmp)
     monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
     monkeypatch.setattr(substation, "formulate_ev_bids", recording_bids)
     run_scenario(cfg)
-    return calls, two_sided, n_rounds
+    return calls, n_rounds
 
 
-def test_strategy_prices_run_at_most_once_per_round(monkeypatch):
+def test_strategy_prices_run_once_in_every_round(monkeypatch):
+    """One EV strategy path: the prices run in every round that has EVs,
+    also round 0, where every EV is idle, and rounds without two-sided
+    ranges, whose orders do not read them."""
     cfg = builtin_config("s5", **TINY_S5)
-    calls, two_sided, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    calls, n_rounds = count_strategy_rounds(monkeypatch, cfg)
     assert n_rounds == 2 * 288
-    assert max(Counter(calls).values()) == 1
-    # and only in rounds where at least one EV bids two-sided
-    assert set(calls) == two_sided
-    assert 0 < len(calls) <= n_rounds
+    assert calls == list(range(1, n_rounds + 1))
 
 
 def test_strategy_prices_never_run_without_evs(monkeypatch):
     cfg = builtin_config("s5", **dict(TINY_S5, n_ev=0))
-    calls, two_sided, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    calls, n_rounds = count_strategy_rounds(monkeypatch, cfg)
     assert n_rounds == 2 * 288
-    assert calls == [] and two_sided == set()
+    assert calls == []
 
 
 def test_ev_bids_are_formulated_at_most_once_per_round(monkeypatch):
@@ -434,7 +422,7 @@ def test_a_round_without_evs_reads_nothing_of_evs(monkeypatch):
                             "houses/pv_potential_w": (0.0,)})
     sub(ctx)
     assert not [key for key in reads if key.startswith("evs/")]
-    assert ctx.published == {"dispatch/hvac_w": (4000.0,),
+    assert ctx.published == {"dispatch/hvac_w": (4000,),
                              "dispatch/ev_load_w": ()}
     assert len(sub.transactions) == 2
     assert sub.max_imbalance_w == 0.0
@@ -449,44 +437,44 @@ def test_ev_bids_idle_range_produces_no_orders(monkeypatch):
         return match(orders, *args)
 
     monkeypatch.setattr(substation, "match_orders", recording_match)
-    ev_round(100.0, [(0.0, 0.0, 0.95, float("inf")),
-                     (-11000.0, 11000.0, 0.50, float("inf")),
-                     (0.0, 0.0, 0.10, float("inf"))])
+    ev_round(100.0, [(0, 0, 0.95, float("inf")),
+                     (-11000, 11000, 0.50, float("inf")),
+                     (0, 0, 0.10, float("inf"))])
     assert [o.trader for o in books[-1] if o.trader >= EV_BASE] == \
         [EV_BASE + 1, EV_SELL_BASE + 1]
 
 
 def test_scarce_supply_goes_to_the_most_urgent_ev():
     # three forced charges tie on price; the grid covers only one of them
-    evs = [(11000.0, 11000.0, 0.15, float("inf")),
-           (11000.0, 11000.0, 0.10, 50_000.0),
-           (11000.0, 11000.0, 0.18, 3_600.0)]
+    evs = [(11000, 11000, 0.15, float("inf")),
+           (11000, 11000, 0.10, 50_000.0),
+           (11000, 11000, 0.18, 3_600.0)]
     sub, ctx = ev_round(11.0, evs)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(EV_BASE + 2, GRID_TRADER, 11000)]
-    assert ctx.published["dispatch/ev_load_w"] == (11000.0, 11000.0, 11000.0)
+    assert ctx.published["dispatch/ev_load_w"] == (11000, 11000, 11000)
     assert sub.ev_unfilled_must_charge == 2
 
 
 def test_scarce_demand_is_served_by_the_fullest_ev():
     # three EVs above 90% SoC offer discharge only, at a strategy price
     # that a cheap past day puts below the grid's; one 4 kW HVAC buy
-    evs = [(-11000.0, 0.0, 0.92, float("inf")),
-           (-11000.0, 0.0, 0.97, float("inf")),
-           (-11000.0, 0.0, 0.95, float("inf"))]
+    evs = [(-11000, 0, 0.92, float("inf")),
+           (-11000, 0, 0.97, float("inf")),
+           (-11000, 0, 0.95, float("inf"))]
     sub, ctx = ev_round(100.0, evs, hvac_w=4000.0, history=[0.010] * 287)
     assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
         == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
-    assert ctx.published["dispatch/ev_load_w"] == (0.0, -4000.0, 0.0)
-    assert ctx.published["dispatch/hvac_w"] == (4000.0,)
+    assert ctx.published["dispatch/ev_load_w"] == (0, -4000, 0)
+    assert ctx.published["dispatch/hvac_w"] == (4000,)
 
 
 def test_unfilled_forced_charge_is_served_through_slack():
     # the two forced charges the grid cannot cover still charge at their
     # range minimum, counted as EV charge and as out-of-market supply
-    evs = [(11000.0, 11000.0, 0.15, float("inf")),
-           (11000.0, 11000.0, 0.10, 50_000.0),
-           (11000.0, 11000.0, 0.18, 3_600.0)]
+    evs = [(11000, 11000, 0.15, float("inf")),
+           (11000, 11000, 0.10, 50_000.0),
+           (11000, 11000, 0.18, 3_600.0)]
     sub, _ = ev_round(11.0, evs)
     last = {name: column[-1] for name, column in sub.rounds.items()}
     assert last["ev_charge_w"] == 33000.0
@@ -506,6 +494,20 @@ def test_an_unfilled_one_watt_appliance_load_is_unserved():
     assert sub.max_imbalance_w == 0.0     # served through slack
 
 
+def test_an_unfilled_one_watt_forced_charge_is_served_through_slack():
+    # the least charger, 1 W: the 1 W grid serves the appliance load,
+    # which ties on price and ranks first, and the forced charge goes
+    # through slack
+    sub, ctx = ev_round(0.0006, [(1, 1, 0.10, float("inf"))], unresp_w=1.0)
+    assert [(tx.buyer, tx.quantity) for tx in sub.transactions] == \
+        [(UNRESP_BASE, 1)]
+    assert ctx.published["dispatch/ev_load_w"] == (1,)
+    assert sub.ev_unfilled_must_charge == 1
+    last = {name: column[-1] for name, column in sub.rounds.items()}
+    assert (last["p_target_w"], last["ev_charge_w"]) == (2, 1)
+    assert sub.max_imbalance_w == 0.0
+
+
 def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
         monkeypatch):
     books, strategy_calls = [], []
@@ -521,14 +523,17 @@ def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
 
     monkeypatch.setattr(substation, "match_orders", recording_match)
     monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
-    # the grid covers the 1200 W appliance packet but not the forced charge
-    evs = [(10999.6, 10999.6, 0.10, float("inf")),
-           (-0.4, 0.4, 0.50, float("inf"))]
+    # the grid covers the 1200 W appliance packet but not the forced
+    # charge; the fleet publishes whole-watt ranges, the houses do not
+    evs = [(11000, 11000, 0.10, float("inf")),
+           (0, 0, 0.50, float("inf"))]
     sub, ctx = ev_round(1.2, evs, unresp_w=1199.6, pv_w=0.4)
     assert [(o.trader, o.quantity) for o in books[-1]] == \
         [(GRID_TRADER, 1200), (UNRESP_BASE, 1200), (EV_BASE, 11000)]
-    assert strategy_calls == []     # (-0.4, 0.4) is idle once whole
-    assert ctx.published["dispatch/ev_load_w"] == (11000.0, 0.0)
+    assert len(strategy_calls) == 1     # one path, also with no two-sided EV
+    assert ctx.published["dispatch/ev_load_w"] == (11000, 0)
+    assert all(type(w) is int for w in ctx.published["dispatch/ev_load_w"]
+               + ctx.published["dispatch/hvac_w"])
     last = {name: column[-1] for name, column in sub.rounds.items()}
     assert last["p_target_w"] == 1200 + 11000
     assert (last["unresponsive_load_w"], last["ev_charge_w"]) == (1200, 11000)
@@ -536,9 +541,9 @@ def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
     assert sub.ev_unfilled_must_charge == 1
     assert sub.max_imbalance_w == 0.0
 
-    # (-11000, 0.2) is whole as (-11000, 0): a two-sided range that only
-    # sells, at the strategy price
-    sub, _ = ev_round(100.0, [(-11000.0, 0.2, 0.50, float("inf"))])
-    assert len(strategy_calls) == 1
+    # (-11000, 0) is a two-sided range that only sells, at the strategy
+    # price
+    sub, _ = ev_round(100.0, [(-11000, 0, 0.50, float("inf"))])
+    assert len(strategy_calls) == 2
     assert [(o.trader, o.side) for o in books[-1]] == \
         [(GRID_TRADER, Side.SELL), (EV_SELL_BASE, Side.SELL)]
