@@ -11,12 +11,11 @@ the bus in the step that uses it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
 from .metrics import t_excess2
-from .weather import DAY_S
+from .weather import DAY_S, interp
 
 
 def thermal_decay(r: float, c: float, dt: float) -> float:
@@ -78,16 +77,6 @@ def hvac_demand(t_air: float, t_setpoint: float, hvac_on: bool,
 _UNRESP_ANCHORS_H = [0.0, 6.0, 9.0, 12.0, 17.0, 20.0, 23.0, 24.0]
 _UNRESP_ANCHORS_V = [1.10, 0.55, 1.00, 0.95, 1.25, 1.60, 1.20, 1.10]
 
-
-def _unresp_shape(hour: float) -> float:
-    h = hour % 24.0
-    xs, vs = _UNRESP_ANCHORS_H, _UNRESP_ANCHORS_V
-    # the first segment whose right anchor is >= h; the anchors span a day
-    i = bisect_left(xs, h, 1) - 1
-    w = (h - xs[i]) / (xs[i + 1] - xs[i])
-    return vs[i] * (1 - w) + vs[i + 1] * w
-
-
 # Daily mean of the piecewise-linear shape (trapezoid over the anchors).
 _UNRESP_SHAPE_MEAN = sum(
     (_UNRESP_ANCHORS_V[i] + _UNRESP_ANCHORS_V[i + 1]) / 2.0
@@ -98,13 +87,14 @@ _UNRESP_SHAPE_MEAN = sum(
 
 def unresponsive_curve(t: float, mean_w: float) -> float:
     """Noise-free diurnal unresponsive load with the given daily mean."""
-    hour = (t % DAY_S) / 3600.0
-    return mean_w * _unresp_shape(hour) / _UNRESP_SHAPE_MEAN
+    shape = interp(_UNRESP_ANCHORS_H, _UNRESP_ANCHORS_V, (t % DAY_S) / 3600.0)
+    return mean_w * shape / _UNRESP_SHAPE_MEAN
 
 
 def build_houses(cfg, rng: np.random.Generator, weather,
                  pv_rng: np.random.Generator) -> HouseholdFederate:
-    """Draw per-house parameters from the config ranges.
+    """Draw per-house parameters from the config ranges, and the panel
+    counts of the `n_pv` arrays, which sit on the first `n_pv` houses.
 
     PV sizes come from their own stream so scenarios with and without
     PV share an identical thermal fleet.
@@ -123,10 +113,11 @@ def build_houses(cfg, rng: np.random.Generator, weather,
         if noise_frac != 0.0:
             noise[i] = rng.uniform(-noise_frac, noise_frac, size=n_rounds)
         rows.append((min(t0, setpoint(0.0, offset, jitter)), 1.0 / ua,
-                     rc_s * ua, offset, jitter,
-                     int(pv_rng.integers(pv_lo, pv_hi + 1)) if i < cfg.n_pv
-                     else 0))
-    return HouseholdFederate(*map(list, zip(*rows)), noise, weather, cfg)
+                     rc_s * ua, offset, jitter))
+    pv_panels = [int(pv_rng.integers(pv_lo, pv_hi + 1))
+                 for _ in range(cfg.n_pv)]
+    return HouseholdFederate(*map(list, zip(*rows)), pv_panels, noise,
+                             weather, cfg)
 
 
 class HouseholdFederate:
@@ -145,7 +136,7 @@ class HouseholdFederate:
         self.r, self.c = r, c               # °C/W and J/°C
         self.setpoint_offset_c = setpoint_offset_c
         self.setpoint_jitter_s = setpoint_jitter_s
-        self.pv_panels = pv_panels          # 0: no PV
+        self.pv_panels = pv_panels          # arrays of the first houses
         self.noise = noise                  # houses x rounds, load noise
         self.weather, self.cfg = weather, cfg
         # heat removal rate while HVAC runs, W
@@ -174,7 +165,8 @@ class HouseholdFederate:
 
     def __call__(self, ctx) -> None:
         # Unresponsive loads are held at the values their round cleared
-        # against, so the cleared quantity equals the power consumed;
+        # against; the round traded each rounded to whole watts, so the
+        # heat gain differs from the cleared quantity by up to 0.5 W.
         # HVAC runs while its latest dispatch is positive. Bus values are
         # immutable, so q_net is rebuilt only when either is a new tuple.
         temp_out = ctx.read("weather/temp_c", self._temp0)
@@ -218,7 +210,7 @@ class HouseholdFederate:
                     self.unresponsive_loads(next_round))
         panel_w = cfg.pv_panel_w
         ctx.publish("houses/pv_potential_w", tuple(
-            n * panel_w * frac if n else 0.0 for n in self.pv_panels))
+            n * panel_w * frac for n in self.pv_panels))
         n = len(demand)
         ctx.publish("houses/mean_t_air_c", sum_air / n)
         ctx.publish("houses/mean_t_set_c", sum_set / n)

@@ -80,13 +80,13 @@ def _window(t_s, start_s: float, end_s: float) -> slice:
 
 
 def summarize(rounds: dict, transactions: TransactionLog,
-              window_start_s: float, window_end_s: float, t_market_s: float,
+              window_start_s: float, window_end_s: float,
               violations: dict | None = None) -> ScenarioSummary:
     """Aggregate the round log and transactions over the analysis window.
 
-    The VWAP weights every window transaction by its quantity. The log's
-    rounds are in clearing order, so the window's fills are one slice,
-    found by bisection and read through memoryviews without a copy.
+    The VWAP weights every window transaction by its quantity. Row r of
+    the round log is round r, so the window's fills are those of its rows'
+    rounds: one slice, found by bisection and read through memoryviews.
     """
     window = _window(rounds["t_s"], window_start_s, window_end_s)
     ts = np.array(rounds["t_s"][window])
@@ -95,8 +95,7 @@ def summarize(rounds: dict, transactions: TransactionLog,
         return _trapz_mean(ts, np.array(rounds[name][window]))
 
     fills = transactions.round_index
-    lo = bisect_left(fills, window_start_s, key=lambda r: r * t_market_s)
-    hi = bisect_right(fills, window_end_s, key=lambda r: r * t_market_s)
+    lo, hi = bisect_left(fills, window.start), bisect_left(fills, window.stop)
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar("mean_t_excess2"),

@@ -24,9 +24,9 @@ WEATHER_MODES = ("synthetic", "csv")
 # field -> (lowest, highest, whether lowest is allowed): the values a number
 # field, or each end of a range field, may take. A field not listed may
 # take any finite value. Negative prices, loads or panels would run but
-# break the physics silently, noise above 1 drives loads below 0 W, a grid
-# capacity of 0.0005 kW or less rounds to a 0 W grid order, and a charger
-# rating that low to a 0 W charger, which never charges. A fill is
+# break the physics silently, noise above 1 drives loads below 0 W, and a
+# grid capacity or charger rating of 0.0005 kW or less rounds, once at
+# build, to a 0 W grid order or a 0 W charger, which never charges. A fill is
 # at most its seller's watts, at its ask: sellers of at most 1e12 W and
 # asks of at most about 2e12 $/kWh keep fills in int64 and the VWAP finite.
 # House loads of at most 1e12 W, a COP of at most 1e6, a UA of at least
@@ -301,7 +301,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
         "power_imbalance": int(sub.max_imbalance_w > 1.0),
     }
     summary = metrics.summarize(sub.rounds, sub.transactions, *window,
-                                cfg.t_market_s, violations=violations)
+                                violations=violations)
     avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, *window)
     result = RunResult(cfg, summary, sub.rounds, sub.transactions, avg_day,
                        violations, sub.max_imbalance_w,

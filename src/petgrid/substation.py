@@ -109,15 +109,15 @@ def compute_lmp(prev_round_demand_w: float, capacity_w: float, t: float,
     return base_price(t, p_base, amplitude) * (1.0 + alpha * u * u)
 
 
-def formulate_grid_bid(capacity_w: float, lmp: float) -> Order:
-    return Order(GRID_TRADER, Side.SELL, int(round(capacity_w)), lmp)
+def formulate_grid_bid(capacity_w: int, lmp: float) -> Order:
+    return Order(GRID_TRADER, Side.SELL, capacity_w, lmp)
 
 
 def formulate_house_bids(unresp_w: list[int], hvac_w: list[int],
                          pv_w: list[int], cfg) -> list[Order]:
     """Orders of every house, class by class in house order: appliance
-    buys, HVAC buys, then PV sells, each only when its quantity is
-    positive."""
+    buys, HVAC buys, then PV sells (the arrays sit on the first
+    len(pv_w) houses), each only when its quantity is positive."""
     orders = []
     for base, side, price, watts in (
             (UNRESP_BASE, Side.BUY, cfg.prices_unresponsive, unresp_w),
@@ -175,7 +175,8 @@ def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
 class SubstationFederate:
     """Runs one clearing round at every market period boundary.
 
-    At the top of each round the households' bus values become whole-watt
+    The grid capacity becomes a whole-watt packet once, at build. At the
+    top of each round the households' bus values become whole-watt
     packets, once, and the EV fleet publishes whole-watt ranges: bids,
     dispatch, slack and every round-log sum read those integers, so the
     round trades, dispatches and accounts in the same watts.
@@ -183,7 +184,7 @@ class SubstationFederate:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.capacity_w = cfg.grid_capacity_kw * 1000.0
+        self.capacity_w = round(cfg.grid_capacity_kw * 1000.0)
         self.lmp_capacity_w = cfg.lmp_reference_capacity_kw * 1000.0
         self.hist = LmpHistory(cfg.t_market_s)
         self.prev_demand_w = 0.0
@@ -204,10 +205,10 @@ class SubstationFederate:
 
         n_ev = self.cfg.n_ev
         no_houses = (0.0,) * self.cfg.n_houses
-        unresp, hvac, pv = (list(map(round, ctx.read(key, no_houses)))
-                            for key in ("houses/unresponsive_w",
-                                        "houses/hvac_demand_w",
-                                        "houses/pv_potential_w"))
+        unresp, hvac = (list(map(round, ctx.read(key, no_houses)))
+                        for key in ("houses/unresponsive_w",
+                                    "houses/hvac_demand_w"))
+        pv = list(map(round, ctx.read("houses/pv_potential_w", ())))
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
         orders += formulate_house_bids(unresp, hvac, pv, self.cfg)
         ranges = ()
@@ -236,7 +237,7 @@ class SubstationFederate:
         # Each fill lands in its trader id block's list, at its house or
         # EV index, in one pass.
         n, n_ev, m = self.cfg.n_houses, self.cfg.n_ev, MAX_HOUSES
-        blocks = [[0], [0] * n, [0] * n, [0] * n, [0] * n_ev, [0] * n_ev]
+        blocks = [[0] * k for k in (1, n, n, len(pv), n_ev, n_ev)]
         for fills in (result.bought, result.sold):
             for trader, quantity in fills.items():
                 blocks[trader // m][trader % m] = quantity

@@ -23,6 +23,14 @@ DAY_S = 86400.0
 TEMP_MIN_C, TEMP_MAX_C = -273.15, 1e6
 
 
+def interp(xs, ys, x: float) -> float:
+    """The piecewise-linear curve through (xs, ys), xs increasing, at x
+    within [xs[0], xs[-1]]; at each xs[k] it is ys[k] exactly."""
+    i = bisect.bisect_right(xs, x, 1, len(xs) - 1)
+    w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return ys[i - 1] * (1 - w) + ys[i] * w
+
+
 class WeatherSample(NamedTuple):
     temp_c: float
     irradiance_frac: float
@@ -141,12 +149,8 @@ class CsvWeather:
                 self._warned_wrap = True
             t = first + (t - first) % period
         # the samples span [first, first + period]: t lies between two
-        i = bisect.bisect_right(self.times, t, 1, len(self.times) - 1)
-        t0, t1 = self.times[i - 1], self.times[i]
-        w = (t - t0) / (t1 - t0)
-        temp = self.temps[i - 1] * (1 - w) + self.temps[i] * w
-        frac = self.fracs[i - 1] * (1 - w) + self.fracs[i] * w
-        return WeatherSample(temp, frac)
+        return WeatherSample(interp(self.times, self.temps, t),
+                             interp(self.times, self.fracs, t))
 
 
 def _parse_timestamp(text: str) -> float:

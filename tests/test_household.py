@@ -59,6 +59,10 @@ def test_setpoint_schedule_oracle():
     assert setpoint(3 * H) == 22.0
     assert setpoint(8 * H) == 24.0       # midpoint of the 07:00-09:00 ramp
     assert setpoint(23.75 * H) == 22.0
+    # a house's offset adds to the schedule; its jitter shifts the clock
+    assert setpoint(13 * H, offset_c=0.5) == 26.5
+    assert setpoint(3 * H, offset_c=-0.75) == 21.25
+    assert setpoint(8 * H, jitter_s=-1800.0) == 23.0
 
 
 def test_setpoint_jitter_and_offset_bounds():
@@ -94,6 +98,20 @@ def test_unresponsive_curve_mean_and_shape():
     assert np.all(values >= 0.0)
     assert unresponsive_curve(5 * H, 1150.0) == pytest.approx(
         unresponsive_curve(5 * H + DAY_S, 1150.0))
+
+
+def test_unresponsive_curve_through_its_anchors():
+    # DERIVED: the shape's anchors (hour, relative load) and its daily
+    # mean by the trapezoid rule, 25.325 / 24, written out by hand
+    anchors = ((0, 1.10), (6, 0.55), (9, 1.00), (12, 0.95), (17, 1.25),
+               (20, 1.60), (23, 1.20), (24, 1.10))
+    mean = 25.325 / 24.0
+    for hour, v in anchors:
+        assert unresponsive_curve(hour * H, 1150.0) == pytest.approx(
+            1150.0 * v / mean, rel=1e-12), hour
+    for (h0, v0), (h1, v1) in zip(anchors, anchors[1:]):
+        assert unresponsive_curve((h0 + h1) / 2 * H, 1150.0) == \
+            pytest.approx(1150.0 * (v0 + v1) / 2 / mean, rel=1e-12), h0
 
 
 def test_trough_is_daily_minimum_peak_at_evening():
@@ -171,11 +189,11 @@ class Ctx:
 
 
 def test_pv_potential_examples():
-    panels = [10, 17, 8, 20, 0]
+    panels = [10, 17, 8, 20]        # the fifth house has no array
     cfg = _cfg(n_houses=5, n_pv=4)
-    for frac, expected in ((1.0, (4800.0, 8160.0, 3840.0, 9600.0, 0.0)),
-                           (0.5, (2400.0, 4080.0, 1920.0, 4800.0, 0.0)),
-                           (0.0, (0.0,) * 5)):
+    for frac, expected in ((1.0, (4800.0, 8160.0, 3840.0, 9600.0)),
+                           (0.5, (2400.0, 4080.0, 1920.0, 4800.0)),
+                           (0.0, (0.0,) * 4)):
         weather = SimpleNamespace(sample=lambda t, f=frac: SimpleNamespace(
             temp_c=30.0, irradiance_frac=f))
         ctx = Ctx(240.0, 1)
@@ -192,8 +210,13 @@ def test_pv_array_validation():
 
 def test_build_houses_respects_pv_count_and_panel_range():
     fleet = _houses(_cfg(n_houses=12, n_pv=5))
-    assert fleet.pv_panels[5:] == [0] * 7
-    assert all(8 <= n <= 20 for n in fleet.pv_panels[:5])
+    assert len(fleet.pv_panels) == 5
+    assert all(8 <= n <= 20 for n in fleet.pv_panels)
+    # the arrays' own stream: one draw per array, in house order
+    pv_rng = np.random.default_rng(2)
+    assert fleet.pv_panels == [int(pv_rng.integers(8, 21))
+                               for _ in range(5)]
+    assert _houses(_cfg(n_houses=12, n_pv=0)).pv_panels == []
 
 
 def test_pv_sizing_does_not_perturb_thermal_fleet():
@@ -340,7 +363,7 @@ def reference_publications(fleet, cfg, steps):
                 max(curve * (1.0 + float(fleet.noise[i, next_round])), 0.0)
                 for i in range(n))),
             (t, "houses/pv_potential_w", tuple(
-                panels * cfg.pv_panel_w * frac if panels else 0.0
+                panels * cfg.pv_panel_w * frac
                 for panels in fleet.pv_panels)),
             (t, "houses/mean_t_air_c", sum_air / n),
             (t, "houses/mean_t_set_c", sum_set / n),

@@ -62,7 +62,7 @@ def fill_log(txs=()):
 
 def test_constant_integrand_average():
     samples = [sample(t, ex2=4.0) for t in np.arange(0.0, 3600.0, 300.0)]
-    out = summarize(rounds_of(samples), fill_log(), 0.0, 3600.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 3600.0)
     assert out.t_excess2_bar == pytest.approx(4.0)
 
 
@@ -70,14 +70,14 @@ def test_two_segment_trapezoid_average():
     # value 2.0 on the first half, 4.0 on the second: time average 3.0
     samples = [sample(0.0, ex2=2.0), sample(1000.0, ex2=2.0),
                sample(1000.0, ex2=4.0), sample(2000.0, ex2=4.0)]
-    out = summarize(rounds_of(samples), fill_log(), 0.0, 2000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 2000.0)
     assert out.t_excess2_bar == pytest.approx(3.0)
 
 
 def test_window_filtering_excludes_warmup():
     samples = [sample(t, ex2=100.0) for t in np.arange(0.0, 1000.0, 100.0)]
     samples += [sample(t, ex2=1.0) for t in np.arange(1000.0, 2100.0, 100.0)]
-    out = summarize(rounds_of(samples), fill_log(), 1000.0, 2000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 1000.0, 2000.0)
     assert out.t_excess2_bar == pytest.approx(1.0)
 
 
@@ -85,8 +85,9 @@ def test_vwap_volume_weighted_over_window_transactions():
     txs = [Transaction(1, 2, 2000, 0.010, round_index=10),
            Transaction(1, 3, 1000, 0.016, round_index=11),
            Transaction(1, 3, 9999, 0.500, round_index=0)]  # before window
-    samples = [sample(t) for t in np.arange(3000.0, 3700.0, 300.0)]
-    out = summarize(rounds_of(samples), fill_log(txs), 3000.0, 3600.0, 300.0)
+    # row r of a run's round log is round r, so the log starts at round 0
+    samples = [sample(t) for t in np.arange(0.0, 3700.0, 300.0)]
+    out = summarize(rounds_of(samples), fill_log(txs), 3000.0, 3600.0)
     assert out.vwap_bar == pytest.approx(0.012)
 
 
@@ -95,7 +96,7 @@ def test_vwap_bar_is_the_market_vwap_of_the_window():
            Transaction(1, 3, 1, 1.0, round_index=2),
            Transaction(1, 4, 1, 1.0, round_index=3)]
     samples = [sample(t) for t in np.arange(0.0, 1200.0, 300.0)]
-    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 900.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 900.0)
     result = MarketResult(0, *([tx[i] for tx in txs] for i in range(4)))
     assert out.vwap_bar == result.round_vwap == \
         ((1e16 + 1.0) + 1.0) / 3
@@ -107,7 +108,7 @@ def test_vwap_bounded_by_window_prices():
                        float(rng.uniform(0.01, 0.03)), round_index=k)
            for k in range(20)]
     samples = [sample(t) for t in np.arange(0.0, 6300.0, 300.0)]
-    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 6000.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(txs), 0.0, 6000.0)
     prices = [tx.price for tx in txs]
     assert min(prices) <= out.vwap_bar <= max(prices)
 
@@ -126,19 +127,19 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
     rounds = rounds_of([sample(t) for t in np.arange(0.0, 12_000.0, 300.0)])
     for start, end in ((0.0, 11_700.0), (3000.0, 9000.0), (3100.0, 3500.0)):
         window = [tx for tx in txs if start <= tx.round_index * 300.0 <= end]
-        assert summarize(rounds, log, start, end, 300.0).vwap_bar == \
+        assert summarize(rounds, log, start, end).vwap_bar == \
             vwap([tx.quantity for tx in window], [tx.price for tx in window])
 
 
 def test_vwap_no_trade_marker():
     samples = [sample(0.0, vwap=0.010), sample(300.0, vwap=None),
                sample(600.0, vwap=0.020)]
-    out = summarize(rounds_of(samples), fill_log(), 0.0, 600.0, 300.0)
+    out = summarize(rounds_of(samples), fill_log(), 0.0, 600.0)
     assert out.vwap_bar is None  # no transactions in the window
 
 
 def test_violation_count_totalled():
-    out = summarize(rounds_of([sample(0.0)]), fill_log(), 0.0, 0.0, 300.0,
+    out = summarize(rounds_of([sample(0.0)]), fill_log(), 0.0, 0.0,
                     violations={"a": 2, "b": 3})
     assert out.violation_count == 5
     assert out.violations == {"a": 2, "b": 3}

@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petgrid import evfleet, kernel
+from petgrid import evfleet, kernel, substation
 from petgrid.market import TransactionLog
 from petgrid.metrics import ROUND_COLUMNS
 from petgrid.runner import (BUILTIN_SCENARIOS, DOMAINS, ScenarioConfig,
                             UNCAPPED_KW, _fmt, apply_settings, builtin_config,
                             list_scenarios, load_config_file, run_scenario,
                             write_outputs)
-from petgrid.substation import formulate_grid_bid
+from petgrid.substation import (EV_BASE, PV_BASE, SubstationFederate,
+                                 formulate_grid_bid)
 from petgrid.weather import DAY_S
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -179,13 +180,18 @@ def test_each_domain_edge_is_accepted_exactly_when_closed(key):
 
 
 def test_a_grid_capacity_is_valid_exactly_when_its_order_is_1_w():
-    least = math.nextafter(0.0005, 1.0)
-    ScenarioConfig(grid_capacity_kw=least).validate()
-    assert formulate_grid_bid(least * 1000.0, 0.02).quantity == 1
+    # the substation rounds the capacity to whole watts once, at build
+    least = ScenarioConfig(grid_capacity_kw=math.nextafter(0.0005, 1.0))
+    least.validate()
+    capacity_w = SubstationFederate(least).capacity_w
+    assert type(capacity_w) is int and capacity_w == 1
+    assert formulate_grid_bid(capacity_w, 0.02).quantity == 1
+    half_watt = ScenarioConfig(grid_capacity_kw=0.0005)
     with pytest.raises(ValueError, match="^grid_capacity_kw must be"):
-        ScenarioConfig(grid_capacity_kw=0.0005).validate()
+        half_watt.validate()
+    assert SubstationFederate(half_watt).capacity_w == 0
     with pytest.raises(ValueError):         # a 0 W order
-        formulate_grid_bid(0.0005 * 1000.0, 0.02)
+        formulate_grid_bid(0, 0.02)
 
 
 def test_apply_settings_coercion():
@@ -432,31 +438,41 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
 
 def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
     """Every fleet quantity is one topic whose value is a tuple in fleet
-    order; every other topic carries a float."""
+    order, with one entry per PV array for the PV topic; every other
+    topic carries a float."""
     cfg = builtin_config("s5", n_houses=4, n_ev=3, n_pv=2, days=2,
                          discard_days=1)
     per_house = ("houses/hvac_demand_w", "houses/unresponsive_w",
-                 "houses/pv_potential_w", "dispatch/hvac_w")
+                 "dispatch/hvac_w")
+    per_pv = ("houses/pv_potential_w",)
     per_ev = ("evs/load_range_w", "evs/soc", "evs/next_depart_s",
               "dispatch/ev_load_w")
     scalars = ("weather/temp_c", "houses/mean_t_air_c",
                "houses/mean_t_set_c", "houses/mean_t_excess2")
-    published = {}
-    publish = kernel.StepContext.publish
+    published, pv_traders = {}, []
+    publish, match = kernel.StepContext.publish, substation.match_orders
 
     def recording(ctx, key, value):
         published.setdefault(key, []).append(value)
         publish(ctx, key, value)
 
+    def matching(orders, round_index):
+        pv_traders.extend(o.trader for o in orders
+                          if PV_BASE <= o.trader < EV_BASE)
+        return match(orders, round_index)
+
     monkeypatch.setattr(kernel.StepContext, "publish", recording)
+    monkeypatch.setattr(substation, "match_orders", matching)
     run_scenario(cfg)
-    assert set(published) == {*per_house, *per_ev, *scalars}
+    assert set(published) == {*per_house, *per_pv, *per_ev, *scalars}
     for key in scalars:
         assert all(isinstance(v, float) for v in published[key]), key
-    for keys, n in ((per_house, cfg.n_houses), (per_ev, cfg.n_ev)):
+    for keys, n in ((per_house, cfg.n_houses), (per_pv, cfg.n_pv),
+                    (per_ev, cfg.n_ev)):
         for key in keys:
             assert all(isinstance(v, tuple) and len(v) == n
                        for v in published[key]), key
+    assert set(pv_traders) == {PV_BASE, PV_BASE + 1}
     ranges = {r for v in published["evs/load_range_w"] for r in v}
     assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
     assert any(r != (0, 0) for r in ranges)
@@ -465,6 +481,26 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
         w for key in ("dispatch/hvac_w", "dispatch/ev_load_w")
         for v in published[key] for w in v]
     assert all(type(w) is int for w in watts)
+    # no arrays: the PV topic is empty and the round builds no PV order
+    published.clear()
+    pv_traders.clear()
+    run_scenario(dataclasses.replace(cfg, n_pv=0))
+    assert published["houses/pv_potential_w"]
+    assert all(v == () for v in published["houses/pv_potential_w"])
+    assert pv_traders == []
+
+
+def test_round_0_clears_against_the_bus_defaults():
+    """Round 0 clears before any household has published, so its row
+    reads 0 for the fleet means and the appliance load (see the README's
+    Outputs section); from round 1 on the houses' values arrive."""
+    rounds = run_scenario(builtin_config("s1", n_houses=3, days=2,
+                                         discard_days=1)).rounds
+    for name in ("mean_t_air_c", "mean_setpoint_c", "mean_t_excess2",
+                 "unresponsive_load_w"):
+        assert rounds[name][0] == 0.0, name
+    assert rounds["mean_t_air_c"][1] > 20.0
+    assert rounds["unresponsive_load_w"][1] > 0.0
 
 
 def test_a_run_without_evs_publishes_no_ev_topic(monkeypatch):

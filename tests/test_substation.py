@@ -29,6 +29,9 @@ def test_base_price_trough_and_peak_hours():
     assert hours[int(np.argmax(values))] == 18.0
     assert min(values) == pytest.approx(0.012 * 0.75)
     assert max(values) == pytest.approx(0.012 * 1.25)
+    # halfway up the 14 h rise and down the 10 h fall: the base itself
+    for hour in (11.0, 23.0):
+        assert base_price(hour * H, 0.012, 0.25) == pytest.approx(0.012)
 
 
 def test_lmp_zero_load_equals_base_price():
@@ -56,7 +59,7 @@ def test_lmp_cheaper_at_night_for_equal_load():
 
 
 def test_grid_bid_is_capacity_at_lmp():
-    order = formulate_grid_bid(100_000.0, 0.0175)
+    order = formulate_grid_bid(100_000, 0.0175)
     assert order.trader == GRID_TRADER
     assert order.side is Side.SELL
     assert order.quantity == 100_000
@@ -467,6 +470,24 @@ def test_scarce_demand_is_served_by_the_fullest_ev():
         == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
     assert ctx.published["dispatch/ev_load_w"] == (0, -4000, 0)
     assert ctx.published["dispatch/hvac_w"] == (4000,)
+    last = {name: column[-1] for name, column in sub.rounds.items()}
+    assert (last["ev_discharge_w"], last["p_surplus_ev_w"]) == (4000, 29000)
+
+
+def test_pv_surplus_is_what_the_arrays_offered_and_did_not_sell():
+    # two arrays on three houses; at noon they ask less than the grid, so
+    # the 4 kW HVAC packet buys 4000 W of the 4800 W they offer
+    sub = SubstationFederate(ScenarioConfig(n_houses=3, n_pv=2))
+    ctx = StubContext({"houses/hvac_demand_w": (4000.0, 0.0, 0.0),
+                       "houses/unresponsive_w": (0.0, 0.0, 0.0),
+                       "houses/pv_potential_w": (2400.0, 2400.4)}, t=12 * H)
+    sub(ctx)
+    assert [(tx.seller, tx.quantity) for tx in sub.transactions] == \
+        [(PV_BASE, 2400), (PV_BASE + 1, 1600)]
+    last = {name: column[-1] for name, column in sub.rounds.items()}
+    assert (last["pv_potential_w"], last["pv_supplied_w"],
+            last["p_surplus_pv_w"]) == (4800, 4000, 800)
+    assert sub.max_imbalance_w == 0.0
 
 
 def test_unfilled_forced_charge_is_served_through_slack():

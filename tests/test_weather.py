@@ -1,10 +1,15 @@
 """Synthetic and CSV-backed weather profiles."""
 
+import bisect
 import math
+import random
+import struct
 
 import pytest
 
-from petgrid.weather import CsvWeather, DAY_S, SyntheticWeather, diurnal_wave
+from petgrid import household
+from petgrid.weather import (CsvWeather, DAY_S, SyntheticWeather,
+                             diurnal_wave, interp)
 
 H = 3600.0
 
@@ -63,6 +68,19 @@ def test_diurnal_wave_hits_extremes():
     assert diurnal_wave(18.0, 4.0, 18.0, -1.0, 1.0) == pytest.approx(1.0)
 
 
+def test_each_half_cosine_is_halfway_at_its_midpoint(synth):
+    # a 14 h rise from 04:00 and a 10 h fall from 18:00, repeating daily
+    for hour in (11.0, 23.0):
+        assert diurnal_wave(hour, 4.0, 18.0, -1.0, 1.0) == pytest.approx(
+            0.0, abs=1e-12)
+    for hour in (1.0, 11.0, 23.0):
+        assert diurnal_wave(hour + 48.0, 4.0, 18.0, -1.0, 1.0) == \
+            pytest.approx(diurnal_wave(hour, 4.0, 18.0, -1.0, 1.0))
+    # irradiance rises over 06:30-12:00 and falls over 12:00-21:30
+    for hour in (9.25, 16.75):
+        assert synth.irradiance_frac(hour * H) == pytest.approx(0.5)
+
+
 def test_diurnal_wave_monotone_between_extremes():
     rising = [diurnal_wave(h, 4.0, 18.0, 0.0, 1.0)
               for h in [4 + i * 0.5 for i in range(29)]]
@@ -101,6 +119,13 @@ def test_csv_non_monotonic_timestamps_rejected_with_row(tmp_path):
         CsvWeather.from_csv(path, 1000.0)
 
 
+def test_csv_repeated_timestamp_rejected_with_row(tmp_path):
+    # two samples at one time would make a segment of zero width
+    path = _write_csv(tmp_path, ["0,20,0", "3600,21,0", "3600,22,0"])
+    with pytest.raises(ValueError, match="row 4"):
+        CsvWeather.from_csv(path, 1000.0)
+
+
 def test_csv_bad_value_names_row(tmp_path):
     path = _write_csv(tmp_path, ["0,20,0", "3600,warm,0"])
     with pytest.raises(ValueError, match="row 3"):
@@ -133,8 +158,11 @@ def test_csv_out_of_range_wraps_by_day_with_warning(tmp_path, caplog):
     profile = CsvWeather.from_csv(path, 1000.0)
     with caplog.at_level("WARNING"):
         beyond = profile.sample(DAY_S + 7200.0)
+        # the period ends where the next starts, not at the 24:00 sample
+        assert profile.sample(DAY_S).temp_c == 20.0
     assert beyond.temp_c == pytest.approx(profile.sample(7200.0).temp_c)
-    assert any("wrapping" in rec.message for rec in caplog.records)
+    assert any("period [0, 86400); wrapping" in rec.message
+               for rec in caplog.records)
 
 
 def test_csv_day_interpolates_across_midnight(tmp_path, caplog):
@@ -161,3 +189,35 @@ def test_csv_single_sample_is_constant(tmp_path):
                                   1000.0)
     for t in (0.0, 3600.0, 50000.0, DAY_S + 3600.0):
         assert profile.sample(t) == (25.0, 0.5)
+
+
+def _segment_blend(xs, vs, h):
+    """The household appliance shape's own interpolation, as it was
+    written before `interp` replaced it."""
+    h = h % 24.0
+    i = bisect.bisect_left(xs, h, 1) - 1
+    w = (h - xs[i]) / (xs[i + 1] - xs[i])
+    return vs[i] * (1 - w) + vs[i + 1] * w
+
+
+def test_interp_matches_the_appliance_shape_bit_for_bit():
+    xs, vs = household._UNRESP_ANCHORS_H, household._UNRESP_ANCHORS_V
+    hours = [h for x in xs
+             for h in (x, math.nextafter(x, -math.inf),
+                       math.nextafter(x, math.inf)) if 0.0 <= h <= 24.0]
+    rng = random.Random(20)
+    hours += [rng.uniform(0.0, 24.0) for _ in range(20_000)]
+    for h in hours:
+        assert struct.pack("d", interp(xs, vs, h)) == \
+            struct.pack("d", _segment_blend(xs, vs, h)), h
+
+
+def test_csv_sample_at_each_sample_time_is_that_sample(tmp_path):
+    rows = [(0, 26.25, 0.0), (1800, 27.5, 120.0), (5400, 29.0, 640.5),
+            (7200, -3.75, 1000.0), (43200, 31.125, 333.0)]
+    p = tmp_path / "w.csv"
+    p.write_text("timestamp,temp_c,irradiance_wm2\n"
+                 + "".join(f"{t},{c},{i}\n" for t, c, i in rows))
+    w = CsvWeather.from_csv(p, 1000.0)
+    for t, temp, wm2 in rows:
+        assert w.sample(float(t)) == (temp, wm2 / 1000.0)
