@@ -80,8 +80,9 @@ def main(argv=None) -> int:
         return 0
     try:                # argparse leaves only "run"
         return _cmd_run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # MemoryError: a valid config too large to build, e.g. a huge `days`
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

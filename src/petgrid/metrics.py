@@ -86,7 +86,8 @@ def summarize(rounds: dict, transactions: TransactionLog,
 
     The VWAP weights every window transaction by its quantity. Row r of
     the round log is round r, so the window's fills are those of its rows'
-    rounds: one slice, found by bisection and read through memoryviews.
+    rounds: one slice, found by bisecting the log's round entries and
+    read through memoryviews.
     """
     window = _window(rounds["t_s"], window_start_s, window_end_s)
     ts = np.array(rounds["t_s"][window])
@@ -94,8 +95,7 @@ def summarize(rounds: dict, transactions: TransactionLog,
     def bar(name):
         return _trapz_mean(ts, np.array(rounds[name][window]))
 
-    fills = transactions.round_index
-    lo, hi = bisect_left(fills, window.start), bisect_left(fills, window.stop)
+    lo, hi = map(transactions.first_fill, (window.start, window.stop))
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar("mean_t_excess2"),

@@ -335,16 +335,15 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
             fh.write(",".join(map(_fmt, row)) + "\n")
 
     # each distinct trader id and price is formatted once, and each round
-    # (the log is in round order) once per run of its fills; a price is
-    # looked up by its bits, as -0.0 == 0.0 but the two print differently
+    # once, its text repeated over its fills; a price is looked up by its
+    # bits, as -0.0 == 0.0 but the two print differently
     txs = result.transactions
-    rounds = functools.lru_cache(maxsize=1)(str)
     ids, prices = functools.cache(str), functools.cache(_price_line_end)
     with (open(out_dir / "transactions.csv", "w") as fh,
           memoryview(txs.price).cast("B").cast("q") as price_bits):
         fh.write("round,buyer,seller,quantity_w,price_usd_per_kwh\n")
         rows = map(",".join, zip(
-            map(rounds, txs.round_index), map(ids, txs.buyer),
+            txs.per_fill(map(str, txs.round_ids)), map(ids, txs.buyer),
             map(ids, txs.seller), map(str, txs.quantity),
             map(prices, price_bits)))
         # a write per 1024 rows, not per row, and never the whole file

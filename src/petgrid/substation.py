@@ -28,7 +28,8 @@ HVAC_BASE = 2000
 PV_BASE = 3000
 EV_BASE = 4000
 EV_SELL_BASE = 5000
-# one id per house or EV in each block caps the fleet size
+# one id per house or EV in each block caps the fleet size, and keeps
+# every id below 2**15, as the fill log's 16-bit id columns need
 MAX_HOUSES = HVAC_BASE - UNRESP_BASE
 
 # an Order without the checks of Order.__new__, for the house and EV bids,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from petgrid import __version__, kernel, runner
+from petgrid import __version__, household, kernel, runner
 from petgrid.cli import main
 
 
@@ -58,6 +58,22 @@ def fails_before_any_step(args, capsys, monkeypatch, tmp_path) -> str:
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
     return err
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 6.44 GiB for an array"),
+     "error: Unable to allocate 6.44 GiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n")])
+def test_out_of_memory_is_one_error_line(error, line, capsys, monkeypatch,
+                                         tmp_path):
+    """A valid run too large to build (say `--days 100000`) ends in one
+    `error:` line; the build raises here without allocating."""
+    def too_large(*_):
+        raise error
+
+    monkeypatch.setattr(household, "build_houses", too_large)
+    assert fails_before_any_step(["--scenario", "s1", "--days", "100000"],
+                                 capsys, monkeypatch, tmp_path) == line
 
 
 def _probe(setting, *extra):

@@ -219,6 +219,14 @@ def test_build_houses_respects_pv_count_and_panel_range():
     assert _houses(_cfg(n_houses=12, n_pv=0)).pv_panels == []
 
 
+def test_build_houses_draws_each_ua_and_time_constant_from_its_range():
+    """r is 1 / UA and c the time constant times UA, so r * c is the
+    time constant."""
+    fleet = _houses(_cfg(n_houses=40))
+    assert all(550.0 <= 1.0 / r <= 750.0 for r in fleet.r)
+    assert all(1.5 * H <= r * c <= 3.0 * H for r, c in zip(fleet.r, fleet.c))
+
+
 def test_pv_sizing_does_not_perturb_thermal_fleet():
     """Scenarios with and without PV must share identical houses."""
     with_pv = _houses(_cfg(n_houses=10, n_pv=10), seed=5)

@@ -190,7 +190,9 @@ def test_transaction_log_iterates_its_fills_in_order():
     assert len(log) == 3
     assert list(log) == first + second.transactions
     assert list(log) == list(log)   # iterating does not consume the log
-    assert list(log.round_index) == [7, 7, 8]
+    # one round entry per extend: its round id and its first fill
+    assert list(log.round_ids) == [0, 7, 8]
+    assert list(log.round_starts) == [0, 0, 2]
     assert list(log.price) == [0.0155, 0.5, 0.01]
 
 

@@ -47,10 +47,10 @@ def test_a_run_builds_no_transaction_tuple(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
-def test_the_log_holds_at_most_34_bytes_per_fill():
-    """Three 4-byte id columns and two 8-byte ones take 28 bytes a fill;
-    the rest is the arrays' over-allocation. The log's share is what
-    dropping it frees."""
+def test_the_log_holds_at_most_24_bytes_per_fill():
+    """Two 2-byte id columns and two 8-byte ones take 20 bytes a fill;
+    the rest is the arrays' over-allocation and one 12-byte entry per
+    round. The log's share is what dropping it frees."""
     cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
                          discard_days=1)
     tracemalloc.start()
@@ -58,30 +58,41 @@ def test_the_log_holds_at_most_34_bytes_per_fill():
         result = run_scenario(cfg)
         gc.collect()
         fills = len(result.transactions)
+        rounds = len(result.transactions.round_ids)
         before = tracemalloc.get_traced_memory()[0]
         result.transactions = None
         held = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert fills > 1000
-    assert 28 * fills <= held <= 34 * fills
+    assert fills > 1000 and rounds == 2 * 288
+    assert 20 * fills + 12 * rounds <= held <= 24 * fills
 
 
-FITS = dict(round_index=0, buyer=[2**31 - 1], seller=[-2**31],
+def test_every_trader_id_fits_the_logs_16_bit_columns():
+    assert substation.EV_SELL_BASE + substation.MAX_HOUSES <= 2**15
+
+
+FITS = dict(round_index=2**31 - 1, buyer=[2**15 - 1], seller=[-2**15],
             quantity=[2**63 - 1], price=[0.02])
 # one value past the range of each integer column; every float fits price
-TOO_BIG = dict(round_index=2**31, buyer=[2**31], seller=[-2**31 - 1],
+TOO_BIG = dict(round_index=2**31, buyer=[2**15], seller=[-2**15 - 1],
                quantity=[2**63])
+FILL_COLUMNS = ("buyer", "seller", "quantity", "price")
+ROUND_COLUMNS = ("round_ids", "round_starts")
 
 
 def test_a_fill_that_does_not_fit_the_log_raises():
-    TransactionLog().extend(**FITS)
+    log = TransactionLog()
+    log.extend(**FITS)
+    assert list(log) == [Transaction(2**15 - 1, -2**15, 2**63 - 1, 0.02,
+                                     2**31 - 1)]
     for column in TOO_BIG:
         log = TransactionLog()
         with pytest.raises(OverflowError):
             log.extend(**(FITS | {column: TOO_BIG[column]}))
         assert len(log) == 0 and list(log) == []
-        assert all(len(getattr(log, name)) == 0 for name in FITS)
+        assert all(len(getattr(log, name)) == 0
+                   for name in FILL_COLUMNS + ROUND_COLUMNS)
 
 
 def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
@@ -90,6 +101,7 @@ def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
         log.extend(3, [1], [2], [100], [0.02])
         # a round with one value past one column's range, in its second
         # fill where the column has one per fill, adds none of its fills
+        # and no round entry
         bad = {"round_index": 4, "buyer": [4, 4], "seller": [5, 6],
                "quantity": [60, 70], "price": [0.03, 0.03]}
         bad[column] = (TOO_BIG[column] if column == "round_index"
@@ -97,5 +109,9 @@ def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
         with pytest.raises(OverflowError):
             log.extend(**bad)
         assert list(log) == [Transaction(1, 2, 100, 0.02, 3)], column
-        assert {len(getattr(log, name)) for name in FITS} == {1}, column
-
+        assert {len(getattr(log, name)) for name in FILL_COLUMNS} == {1}
+        assert (list(log.round_ids), list(log.round_starts)) == ([3], [0])
+        # the log takes the next round as if the bad one had not been
+        log.extend(5, [7], [8], [90], [0.04])
+        assert list(log) == [Transaction(1, 2, 100, 0.02, 3),
+                             Transaction(7, 8, 90, 0.04, 5)], column

@@ -131,6 +131,54 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
             vwap([tx.quantity for tx in window], [tx.price for tx in window])
 
 
+# (round id, fills) per `extend`, in a run's order: round 2 and the last
+# round 7 extend with no fills, round 4 extends twice, and rounds 5, 9, 10
+# and 11 have no entry
+LOG_ENTRIES = [
+    (0, [Transaction(1000, 0, 500, 0.9, 0)]),
+    (1, [Transaction(1001, 0, 400, 0.8, 1),
+         Transaction(1001, 3000, 1, 0.1, 1)]),
+    (2, []),
+    (3, [Transaction(2000, 5000, 300, 0.02, 3)]),
+    (4, [Transaction(1000, 0, 200, 0.03, 4)]),
+    (4, [Transaction(2001, 5001, 100, 0.05, 4),
+         Transaction(2001, 0, 700, 0.04, 4)]),
+    (6, [Transaction(4000, 3001, 900, 0.01, 6)]),
+    (7, []),
+    (8, [Transaction(1000, 0, 600, 0.7, 8)]),
+    (8, []),
+]
+
+
+def log_of(entries):
+    """The log one `extend` per entry builds."""
+    log = TransactionLog()
+    for k, fills in entries:
+        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
+    return log
+
+
+@pytest.mark.parametrize("entries", [
+    LOG_ENTRIES, [entry for entry in LOG_ENTRIES if entry[1]]],
+    ids=["empty-rounds-logged", "empty-rounds-unlogged"])
+def test_window_fills_across_empty_repeated_and_gapped_rounds(entries):
+    """The window's fills are found from the round entries whether the
+    rounds at its edges have an empty entry or none, a round id repeats,
+    or the window lies before, across or after every entry."""
+    log = log_of(entries)
+    txs = [tx for _, fills in entries for tx in fills]
+    assert list(log) == txs
+    rounds = rounds_of([sample(t) for t in np.arange(0.0, 3600.0, 300.0)])
+    for start, end in ((600.0, 2100.0), (0.0, 3300.0), (900.0, 1200.0),
+                       (1200.0, 1800.0), (1500.0, 1500.0), (0.0, 0.0),
+                       (2400.0, 3300.0), (2700.0, 3300.0)):
+        window = [tx for tx in txs if start <= tx.round_index * 300.0 <= end]
+        assert summarize(rounds, log, start, end).vwap_bar == \
+            vwap([tx.quantity for tx in window], [tx.price for tx in window])
+    assert summarize(rounds, log, 2700.0, 3300.0).vwap_bar is None
+    assert summarize(rounds, log, 600.0, 600.0).vwap_bar is None
+
+
 def test_vwap_no_trade_marker():
     samples = [sample(0.0, vwap=0.010), sample(300.0, vwap=None),
                sample(600.0, vwap=0.020)]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from petgrid import evfleet, kernel, substation
-from petgrid.market import TransactionLog
+from petgrid.market import Transaction, TransactionLog
 from petgrid.metrics import ROUND_COLUMNS
 from petgrid.runner import (BUILTIN_SCENARIOS, DOMAINS, ScenarioConfig,
                             UNCAPPED_KW, _fmt, apply_settings, builtin_config,
@@ -425,8 +425,8 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
                    [rng.choice(edge_prices + [rng.random()])
                     for _ in range(n)])
     # equal as floats, different as text, in either order in one log;
-    # ids at the edge of the log's int32 columns
-    log.extend(300, [2 ** 31 - 1, -5], [-5, 2 ** 31 - 1], [7, 8], [-0.0, 0.0])
+    # ids at the edge of the log's int16 columns
+    log.extend(300, [2 ** 15 - 1, -5], [-5, 2 ** 15 - 1], [7, 8], [-0.0, 0.0])
     log.extend(301, [-5], [-5], [9], [-0.0])
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
@@ -434,6 +434,41 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
     assert len(log) > 300
     assert (tmp_path / "transactions.csv").read_text() == \
         per_row_transactions_csv(log)
+
+
+# (round id, fills) per `extend`, in a run's order: round 0 extends with
+# no fills and then with some, round 2 extends twice, round 5 extends with
+# none, rounds 1, 3, 4 and 6 have no entry, and the last round 8 is empty
+LOG_ENTRIES = [
+    (0, []),
+    (0, [Transaction(1000, 0, 500, 0.9, 0)]),
+    (2, [Transaction(1001, 0, 400, 0.8, 2),
+         Transaction(1001, 3000, 1, 0.1, 2)]),
+    (2, [Transaction(2000, 5000, 300, -0.0, 2)]),
+    (5, []),
+    (7, [Transaction(4000, 3001, 900, 0.01, 7)]),
+    (8, []),
+]
+
+
+@pytest.mark.parametrize("entries", [
+    LOG_ENTRIES, [entry for entry in LOG_ENTRIES if entry[1]],
+    [(0, [])] * 2 + LOG_ENTRIES[1:] + [(2 ** 31 - 1, [])], [(5, [])], []],
+    ids=["logged", "unlogged", "edges", "empty", "none"])
+def test_transactions_csv_over_empty_repeated_and_gapped_rounds(entries,
+                                                               tmp_path):
+    """Each round's text is repeated over exactly its fills, whether a
+    round has no fills at the log's start or end, repeats or is missing."""
+    log = TransactionLog()
+    for k, fills in entries:
+        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
+    result = run_scenario(builtin_config("s1", n_houses=2, days=2,
+                                         discard_days=1))
+    write_outputs(dataclasses.replace(result, transactions=log), tmp_path)
+    text = (tmp_path / "transactions.csv").read_text()
+    assert text == per_row_transactions_csv(
+        tx for _, fills in entries for tx in fills)
+    assert text.count("\n") == 1 + len(log)
 
 
 def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):

@@ -13,8 +13,11 @@ mutant survives when that run passes and is killed when a test fails or
 cannot be collected (pytest exit 1 or 2) or the run outlasts TIMEOUT_S
 seconds, as a mutant that loops forever does; any other exit (internal
 error, usage error, no tests collected) stops the probe, since it says
-nothing of the mutant. Test paths must lie in the copied directories.
-The checkout itself is never written.
+nothing of the mutant. Each pytest run's address space is capped at
+MEMORY_LIMIT_B bytes, so a mutant that sizes an array from a swapped
+operator raises `MemoryError`, fails its test and is killed, instead of
+exhausting the machine's memory. Test paths must lie in the copied
+directories. The checkout itself is never written.
 
 Mutation sites, in source order:
 - a comparison made strict or non-strict (`<` and `<=`, `>` and `>=`),
@@ -36,6 +39,7 @@ import ast
 import copy
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -47,6 +51,7 @@ COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 COUNT = 30
 SEED = 7
 TIMEOUT_S = 600.0
+MEMORY_LIMIT_B = 4_000_000 * 1024      # `ulimit -v 4000000`
 # pytest exit codes: 1 a test failed, 2 collection failed or interrupted
 KILLED = (1, 2)
 FLIP_COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
@@ -97,6 +102,15 @@ def mutate(tree: ast.AST, site: tuple[int, str, int]) -> tuple[ast.AST, str]:
     return ast.fix_missing_locations(tree), f"line {node.lineno}: {change}"
 
 
+def _bound_memory() -> None:
+    """Cap this (child) process's address space at MEMORY_LIMIT_B, or
+    keep its limit if that is lower."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limits = [x for x in (soft, hard) if x != resource.RLIM_INFINITY]
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (min(limits + [MEMORY_LIMIT_B]), hard))
+
+
 def run_tests(work: Path, tests: list[str]) -> int | None:
     """pytest's exit code for `tests` on the copy in `work`, or None when
     the run timed out."""
@@ -107,7 +121,7 @@ def run_tests(work: Path, tests: list[str]) -> int | None:
             [sys.executable, "-m", "pytest", "-x", "-q",
              "-p", "no:cacheprovider", *tests],
             cwd=work, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT_S).returncode
+            timeout=TIMEOUT_S, preexec_fn=_bound_memory).returncode
     except subprocess.TimeoutExpired:
         return None
 
