@@ -96,27 +96,32 @@ def build_houses(cfg, rng: np.random.Generator, weather,
     """Draw per-house parameters from the config ranges, and the panel
     counts of the `n_pv` arrays, which sit on the first `n_pv` houses.
 
-    PV sizes come from their own stream so scenarios with and without
-    PV share an identical thermal fleet.
+    Each house's appliance noise is the next `rounds + 2` uniform draws
+    of `rng`, one per market round. The house keeps the stream state its
+    draws start at, and `rng` skips them, so the houses hold no noise
+    until a round reads it and the next house draws from where it would
+    have after them. PV sizes come from their own stream so scenarios
+    with and without PV share an identical thermal fleet.
     """
     pv_lo, pv_hi = cfg.pv_panels_range
-    noise_frac = cfg.houses_unresponsive_noise_frac
     n_rounds = int(cfg.days * DAY_S / cfg.t_market_s) + 2
     t0 = weather.sample(0.0).temp_c
-    noise = np.zeros((cfg.n_houses, n_rounds))
+    noise_starts = []
     rows = []       # one per house, in the federate's column order
     for i in range(cfg.n_houses):
         rc_s = rng.uniform(*cfg.houses_rc_hours_range) * 3600.0
         ua = rng.uniform(*cfg.houses_ua_w_per_k_range)
         offset = rng.uniform(-1.0, 1.0)
         jitter = rng.uniform(-1800.0, 1800.0)
-        if noise_frac != 0.0:
-            noise[i] = rng.uniform(-noise_frac, noise_frac, size=n_rounds)
+        if cfg.houses_unresponsive_noise_frac != 0.0:
+            # each uniform draw takes one 64-bit output of the stream
+            noise_starts.append(rng.bit_generator.state)
+            rng.bit_generator.advance(n_rounds)
         rows.append((min(t0, setpoint(0.0, offset, jitter)), 1.0 / ua,
                      rc_s * ua, offset, jitter))
     pv_panels = [int(pv_rng.integers(pv_lo, pv_hi + 1))
                  for _ in range(cfg.n_pv)]
-    return HouseholdFederate(*map(list, zip(*rows)), pv_panels, noise,
+    return HouseholdFederate(*map(list, zip(*rows)), pv_panels, noise_starts,
                              weather, cfg)
 
 
@@ -130,14 +135,16 @@ class HouseholdFederate:
     """
 
     def __init__(self, t_air, r, c, setpoint_offset_c, setpoint_jitter_s,
-                 pv_panels, noise: np.ndarray, weather, cfg):
+                 pv_panels, noise_starts, weather, cfg):
         # fixed at build but `t_air`, which is replaced each step
         self.t_air = t_air                  # °C
         self.r, self.c = r, c               # °C/W and J/°C
         self.setpoint_offset_c = setpoint_offset_c
         self.setpoint_jitter_s = setpoint_jitter_s
         self.pv_panels = pv_panels          # arrays of the first houses
-        self.noise = noise                  # houses x rounds, load noise
+        # the PCG64 state (as `default_rng` gives) that each house's load
+        # noise starts at, or none without noise; `day_noise` draws them
+        self.noise_starts = noise_starts
         self.weather, self.cfg = weather, cfg
         # heat removal rate while HVAC runs, W
         self.q_cool = cfg.houses_hvac_kw * 1000.0 * cfg.houses_cop
@@ -145,23 +152,46 @@ class HouseholdFederate:
         # and the first cleared round
         self._temp0 = weather.sample(0.0).temp_c
         self._no_dispatch = (0.0,) * len(t_air)
+        self._rounds_per_day = round(DAY_S / cfg.t_market_s)
+        self._noise_day = self._day_noise = None    # the day last drawn
         self._loads0 = self.unresponsive_loads(0)
         self._decay = [thermal_decay(r_i, c_i, cfg.step_s)
                        for r_i, c_i in zip(r, c)]
         # each house's q_net and the dispatch and loads it is built from
         self._q_net = self._hvac_w = self._loads = None
 
+    def day_noise(self, day: int) -> np.ndarray:
+        """Every house's load noise over the market rounds of `day`, as
+        a houses x rounds array: round k of the run takes the k-th draw
+        of each house's stream, so any day gives the values one draw of
+        the whole run would."""
+        n = self._rounds_per_day
+        noise = np.zeros((len(self.t_air), n))
+        if self.noise_starts:
+            f = self.cfg.houses_unresponsive_noise_frac
+            rng = np.random.Generator(np.random.PCG64(0))
+            for i, start in enumerate(self.noise_starts):
+                rng.bit_generator.state = start
+                rng.bit_generator.advance(day * n)
+                noise[i] = rng.uniform(-f, f, size=n)
+        return noise
+
     def unresponsive_loads(self, index: int) -> tuple[float, ...]:
         """Every house's unresponsive load for market round `index`.
 
         The diurnal curve at the round's midpoint is scaled by one plus
-        each house's noise for that round, drawn at build, so values are
+        each house's noise for that round. The noise of the day that
+        holds the round is drawn when a round of it is first read and
+        kept until a round of another day is, so values are
         deterministic regardless of evaluation order.
         """
         cfg = self.cfg
+        day, k = divmod(index, self._rounds_per_day)
+        if day != self._noise_day:
+            self._noise_day, self._day_noise = day, self.day_noise(day)
         base = unresponsive_curve((index + 0.5) * cfg.t_market_s,
                                   cfg.houses_unresponsive_mean_kw * 1000.0)
-        return tuple(base * (1.0 + x) for x in self.noise[:, index].tolist())
+        return tuple(base * (1.0 + x) for x in self._day_noise[:, k].tolist())
 
     def __call__(self, ctx) -> None:
         # Unresponsive loads are held at the values their round cleared

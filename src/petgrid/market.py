@@ -72,19 +72,20 @@ class TransactionLog:
     round.
 
     Trader ids take 2 bytes each (every id the substation assigns is
-    below 2**15) and quantity and price 8, so a fill takes 20 bytes,
-    where a `Transaction` tuple and the int objects it pins take several
-    times that. Each `extend` adds one round entry, its round id and the
-    index of its first fill, so a fill's round is that of the last entry
-    at or before it. A value that does not fit its column raises
-    `OverflowError`. Iterating the log yields `Transaction`s in the
-    order they were appended.
+    below 2**15), quantity 4 (a fill is at most its buyer's packet,
+    which `DOMAINS` keeps below 2**31 W) and price 8, so a fill takes
+    16 bytes, where a `Transaction` tuple and the int objects it pins
+    take several times that. Each `extend` adds one round entry, its
+    round id and the index of its first fill, so a fill's round is that
+    of the last entry at or before it. A value that does not fit its
+    column raises `OverflowError`. Iterating the log yields
+    `Transaction`s in the order they were appended.
     """
 
     def __init__(self):
         self.buyer = array("h")
         self.seller = array("h")
-        self.quantity = array("q")
+        self.quantity = array("i")
         self.price = array("d")
         self.round_ids = array("i")
         self.round_starts = array("q")

@@ -27,21 +27,25 @@ WEATHER_MODES = ("synthetic", "csv")
 # break the physics silently, noise above 1 drives loads below 0 W, and a
 # grid capacity or charger rating of 0.0005 kW or less rounds, once at
 # build, to a 0 W grid order or a 0 W charger, which never charges. A fill is
-# at most its seller's watts, at its ask: sellers of at most 1e12 W and
-# asks of at most about 2e12 $/kWh keep fills in int64 and the VWAP finite.
-# House loads of at most 1e12 W, a COP of at most 1e6, a UA of at least
-# 1 W/K and the weather's temperature bounds keep every zone temperature,
-# and the square of its excess, finite.
+# at most its buyer's packet, and the fill log holds its watts in int32. An
+# HVAC packet is the rating and an EV buys at most its charger's, so 2e6 kW
+# keeps each below 2**31 W. An appliance packet peaks at 1.52 times its
+# mean (the diurnal curve's peak over its daily mean), doubled at full
+# noise, so a mean of at most 7e5 kW keeps it below 3.04 * 7e8 W = 2.13e9
+# W. Sellers of at most 1e12 W and asks of at most about 2e12 $/kWh keep
+# the VWAP finite. House loads of at most about 2e9 W, a COP of at most
+# 1e6, a UA of at least 1 W/K and the weather's temperature bounds keep
+# every zone temperature, and the square of its excess, finite.
 DOMAINS = {
     "n_houses": (1, substation.MAX_HOUSES, True),
     "grid_capacity_kw": (0.0005, 1e9, False),
     "t_market_s": (0, DAY_S, False),
     "pv_panels_range": (1, 1e6, True),
     "ev_efficiency": (0, 1, False),
-    "ev_charger_kw": (0.0005, 1e9, False),
+    "ev_charger_kw": (0.0005, 2e6, False),
     "pv_panel_w": (0, 1e6, True),
-    "houses_hvac_kw": (0, 1e9, False),
-    "houses_unresponsive_mean_kw": (0, 1e9, True),
+    "houses_hvac_kw": (0, 2e6, False),
+    "houses_unresponsive_mean_kw": (0, 7e5, True),
     "houses_cop": (0, 1e6, False),
     "houses_ua_w_per_k_range": (1, math.inf, True),
     "weather_temp_min_c": (weather.TEMP_MIN_C, weather.TEMP_MAX_C, True),
@@ -151,6 +155,12 @@ class ScenarioConfig:
                 and whole_steps(DAY_S, self.t_market_s)):
             raise ValueError("t_market_s must be a multiple of step_s and "
                              "divide a day")
+        # round ids 0 .. rounds - 1 must fit the fill log's int32 column
+        per_day = whole_steps(DAY_S, self.t_market_s)
+        if self.days * per_day > 2**31:
+            raise ValueError(f"days must not exceed {2**31 // per_day} at "
+                             f"t_market_s {self.t_market_s:g}: the fill "
+                             "log's int32 round ids hold 2**31 rounds")
         if self.weather_temp_min_c > self.weather_temp_max_c:
             raise ValueError("weather_temp_min_c must not exceed "
                              "weather_temp_max_c")

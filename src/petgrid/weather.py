@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import bisect
 import csv
-import logging
 import math
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 DAY_S = 86400.0
 # the outdoor temperatures a profile may give, °C: from absolute zero up to
@@ -143,9 +140,10 @@ class CsvWeather:
         first, period = self.times[0], self.period
         if not first <= t < first + period:
             if not self._warned_wrap:
-                log.warning("weather sample t=%.0fs outside CSV period "
-                            "[%.0f, %.0f); wrapping by day-of-data", t,
-                            first, first + period)
+                import logging  # only a wrap needs it; it adds to a run's RSS
+                logging.getLogger(__name__).warning(
+                    "weather sample t=%.0fs outside CSV period [%.0f, %.0f); "
+                    "wrapping by day-of-data", t, first, first + period)
                 self._warned_wrap = True
             t = first + (t - first) % period
         # the samples span [first, first + period]: t lies between two

@@ -76,6 +76,16 @@ def test_out_of_memory_is_one_error_line(error, line, capsys, monkeypatch,
                                  capsys, monkeypatch, tmp_path) == line
 
 
+def test_more_rounds_than_the_fill_log_holds_fail_before_any_step(
+        capsys, monkeypatch, tmp_path):
+    """Round ids past 2**31 would not fit the fill log, and a run that
+    long would step for ever."""
+    err = fails_before_any_step(["--scenario", "s1", "--days", "1000000000"],
+                                capsys, monkeypatch, tmp_path)
+    assert err == ("error: days must not exceed 7456540 at t_market_s 300: "
+                   "the fill log's int32 round ids hold 2**31 rounds\n")
+
+
 def _probe(setting, *extra):
     return pytest.param(setting, list(extra), id=setting)
 
@@ -95,7 +105,7 @@ TINY_FLEET = ("--days", "2", "--set", "scenario.discard_days=1",
     _probe("grid.capacity_kw=0.0004", "--days", "2",   # a 0 W grid order
            "--set", "scenario.discard_days=1", "--set", "houses.count=3"),
     _probe("grid.capacity_kw=0.0005"),
-    # a 1e23 W fill would overflow the transaction log's int64 watts
+    # a 1e23 W fill would overflow the transaction log's int32 watts
     _probe("grid.capacity_kw=1e20", "--set", "houses.hvac_kw=1e20",
            *TINY_FLEET),
     _probe("lmp.p_base=1e306", *TINY_FLEET),     # an infinite VWAP
@@ -271,23 +281,35 @@ def test_the_least_valid_grid_capacity_runs(tmp_path, capsys):
         "grid_capacity_kw"] == math.nextafter(0.0005, 1)
 
 
+def _at_edge(key: str, end: int) -> tuple[str, str]:
+    """`--set` of `key` at the lower (`end` 0) or upper (1) edge of its
+    field's DOMAINS entry, at both ends of a range field."""
+    field = key.replace(".", "_")
+    value = repr(runner.DOMAINS[field][end])
+    if field.endswith("_range"):
+        value = f"{value},{value}"
+    return "--set", f"{key}={value}"
+
+
 def test_sellers_and_asks_at_their_upper_edges_run(tmp_path, capsys):
     """Every field that sets a seller's watts or ask at the highest
     value validate() accepts: the fills fit the transaction log and the
     summary is finite. So is every bound on the houses and the weather,
     with the grid at its cap and the default asks, so that the HVAC
-    packets clear and cool at the highest COP."""
-    sellers = ("--set", "grid.capacity_kw=1e9", "--set", "ev.charger_kw=1e9",
-               "--set", "pv.panel_w=1e6", "--set", "pv.panels_range=1e6,1e6",
-               "--set", "lmp.p_base=1e6", "--set", "lmp.alpha=1e6",
-               "--set", "prices.pv_sell=1e6")
-    houses = ("--set", "houses.hvac_kw=1e9",
-              "--set", "houses.unresponsive_mean_kw=1e9",
-              "--set", "houses.cop=1e6",
-              "--set", "houses.ua_w_per_k_range=1,1",
-              "--set", "weather.temp_min_c=-273.15",
-              "--set", "weather.temp_max_c=1e6",
-              "--set", "grid.capacity_kw=1e9")
+    packets clear and cool at the highest COP, and the appliance
+    packets at full noise reach their highest watts."""
+    sellers = (*_at_edge("grid.capacity_kw", 1), *_at_edge("ev.charger_kw", 1),
+               *_at_edge("pv.panel_w", 1), *_at_edge("pv.panels_range", 1),
+               *_at_edge("lmp.p_base", 1), *_at_edge("lmp.alpha", 1),
+               *_at_edge("prices.pv_sell", 1))
+    houses = (*_at_edge("houses.hvac_kw", 1),
+              *_at_edge("houses.unresponsive_mean_kw", 1),
+              *_at_edge("houses.unresponsive_noise_frac", 1),
+              *_at_edge("houses.cop", 1),
+              *_at_edge("houses.ua_w_per_k_range", 0),
+              *_at_edge("weather.temp_min_c", 0),
+              *_at_edge("weather.temp_max_c", 1),
+              *_at_edge("grid.capacity_kw", 1))
     for name, settings in (("sellers", sellers), ("houses", houses)):
         out = tmp_path / name
         code = main(["run", "--scenario", "s5", "--out", str(out),
@@ -305,6 +327,11 @@ def test_sellers_and_asks_at_their_upper_edges_run(tmp_path, capsys):
                     if v and not math.isfinite(float(v))], name
     # the HVAC packets cleared, so the 1e6 COP cooled the zones
     assert any(float(row["hvac_load_w"]) > 0 for row in rows)
+    # the largest appliance packet traded came within 10% of 2**31 W
+    with open(out / "transactions.csv", newline="") as f:
+        top = max(int(row["quantity_w"]) for row in csv.DictReader(f)
+                  if 1000 <= int(row["buyer"]) < 2000)
+    assert 0.9 * 2**31 < top < 2**31
 
 
 def test_run_with_ev_seed_override(tmp_path, capsys):

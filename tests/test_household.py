@@ -1,6 +1,7 @@
 """House thermal model, HVAC hysteresis, unresponsive loads and PV."""
 
 import math
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -138,7 +139,7 @@ def test_unresponsive_profile_noise_bounded_and_deterministic():
     a, b = _houses(cfg, seed=3), _houses(cfg, seed=3)
     quiet = _cfg(n_houses=6, houses_unresponsive_noise_frac=0.0)
     base = _houses(quiet, seed=3)
-    assert not base.noise.any()
+    assert base.noise_starts == [] and not base.day_noise(0).any()
     for i in range(0, 1400, 37):
         v1, v2 = a.unresponsive_loads(i), b.unresponsive_loads(i)
         v0 = base.unresponsive_loads(i)
@@ -149,17 +150,76 @@ def test_unresponsive_profile_noise_bounded_and_deterministic():
         assert all(x >= 0.0 for x in v1)
 
 
-def test_loads_at_full_noise_never_go_below_zero():
+def test_loads_at_full_noise_never_go_below_zero(monkeypatch):
     # validate() bounds the noise fraction to [0, 1], so a draw of -1.0,
     # the lowest, scales a load to +0.0 and no clip is needed
     cfg = _cfg(n_houses=4, houses_unresponsive_noise_frac=1.0)
     fleet = _houses(cfg, seed=5)
-    # each house draws its noise at full noise too
-    assert fleet.noise.any() and np.abs(fleet.noise).max() <= 1.0
-    fleet.noise[:] = -1.0
+    # each house draws its noise at full noise too, on every day of the run
+    noise = np.hstack([fleet.day_noise(day) for day in range(cfg.days + 1)])
+    assert noise.any() and np.abs(noise).max() <= 1.0
+    monkeypatch.setattr(HouseholdFederate, "day_noise",
+                        lambda self, day: np.full((4, 288), -1.0))
+    fleet = _houses(cfg, seed=5)
     for i in range(0, 300, 7):
         loads = fleet.unresponsive_loads(i)
         assert [(x, math.copysign(1.0, x)) for x in loads] == [(0.0, 1.0)] * 4
+
+
+def reference_noise(cfg, seed):
+    """The houses' appliance noise drawn the way a build once drew it,
+    the whole run's at once: after each house's four parameters, one
+    uniform draw per round for rounds + 2 rounds, as a houses x rounds
+    matrix. Also gives each house's (rc_s, ua, offset, jitter) and the
+    stream after the last house."""
+    rng = np.random.default_rng(seed)
+    f = cfg.houses_unresponsive_noise_frac
+    n_rounds = int(cfg.days * DAY_S / cfg.t_market_s) + 2
+    noise = np.zeros((cfg.n_houses, n_rounds))
+    params = []
+    for i in range(cfg.n_houses):
+        params.append((rng.uniform(*cfg.houses_rc_hours_range) * H,
+                       rng.uniform(*cfg.houses_ua_w_per_k_range),
+                       rng.uniform(-1.0, 1.0), rng.uniform(-1800.0, 1800.0)))
+        if f != 0.0:
+            noise[i] = rng.uniform(-f, f, size=n_rounds)
+    return noise, params, rng
+
+
+@pytest.mark.parametrize("noise_frac", [0.0, 1.0])
+@pytest.mark.parametrize("t_market_s", [300.0, 3600.0, 86400.0])
+def test_a_days_noise_is_the_whole_runs_draw(t_market_s, noise_frac):
+    """Every round's loads, read in order or out of it, are those of the
+    whole run's noise drawn at once, bit for bit, and the houses draw
+    their parameters from where they did and leave the stream there."""
+    cfg = ScenarioConfig(n_houses=4, days=3, discard_days=1,
+                         t_market_s=t_market_s,
+                         houses_unresponsive_noise_frac=noise_frac)
+    cfg.validate()
+    noise, params, after = reference_noise(cfg, seed=9)
+    rng = np.random.default_rng(9)
+    fleet = build_houses(cfg, rng, SyntheticWeather(23.0, 35.0),
+                         pv_rng=np.random.default_rng(10))
+    assert rng.random() == after.random()
+    assert fleet.r == [1.0 / ua for _, ua, _, _ in params]
+    assert fleet.c == [rc_s * ua for rc_s, ua, _, _ in params]
+    assert fleet.setpoint_offset_c == [offset for *_, offset, _ in params]
+    assert fleet.setpoint_jitter_s == [jitter for *_, jitter in params]
+    mean_w = cfg.houses_unresponsive_mean_kw * 1000.0
+    expected = [tuple(unresponsive_curve((k + 0.5) * t_market_s, mean_w)
+                      * (1.0 + x) for x in noise[:, k].tolist())
+                for k in range(noise.shape[1])]
+    assert len(expected) == 3 * round(DAY_S / t_market_s) + 2
+    assert [fleet.unresponsive_loads(k)
+            for k in range(len(expected))] == expected
+    # a fresh fleet read back and forth across the days
+    order = list(range(len(expected)))
+    random.Random(4).shuffle(order)
+    fleet = build_houses(cfg, np.random.default_rng(9),
+                         SyntheticWeather(23.0, 35.0),
+                         pv_rng=np.random.default_rng(10))
+    assert [fleet.unresponsive_loads(k) for k in order] == \
+        [expected[k] for k in order]
 
 
 def test_fleet_daily_mean_close_to_target():
@@ -198,7 +258,7 @@ def test_pv_potential_examples():
             temp_c=30.0, irradiance_frac=f))
         ctx = Ctx(240.0, 1)
         HouseholdFederate([25.0] * 5, [R] * 5, [C] * 5, [0.0] * 5, [0.0] * 5,
-                          panels, np.zeros((5, 10)), weather, cfg)(ctx)
+                          panels, [], weather, cfg)(ctx)
         assert ctx.published["houses/pv_potential_w"] == expected
 
 
@@ -235,7 +295,8 @@ def test_pv_sizing_does_not_perturb_thermal_fleet():
     for column in ("t_air", "r", "c", "setpoint_offset_c",
                    "setpoint_jitter_s", "q_cool"):
         assert getattr(with_pv, column) == getattr(without, column)
-    assert np.array_equal(with_pv.noise, without.noise)
+    assert with_pv.noise_starts == without.noise_starts
+    assert np.array_equal(with_pv.day_noise(2), without.day_noise(2))
 
 
 def _recording_step_thermal(monkeypatch):
@@ -326,11 +387,11 @@ class RecordingContext:
         self._ctx.publish(key, value)
 
 
-def reference_publications(fleet, cfg, steps):
+def reference_publications(fleet, cfg, steps, noise):
     """Per-house scalar replay of the household model from the recorded
-    step inputs: each house keeps its air temperature, whether its HVAC
-    runs (the latest dispatch is positive), its heat gain and the
-    setpoint at the end of the step."""
+    step inputs and the houses' `reference_noise`: each house keeps its
+    air temperature, whether its HVAC runs (the latest dispatch is
+    positive), its heat gain and the setpoint at the end of the step."""
     n = len(fleet.t_air)
     t_air = list(fleet.t_air)
     hvac_on = [False] * n
@@ -368,7 +429,7 @@ def reference_publications(fleet, cfg, steps):
         out += [
             (t, "houses/hvac_demand_w", tuple(demand)),
             (t, "houses/unresponsive_w", tuple(
-                max(curve * (1.0 + float(fleet.noise[i, next_round])), 0.0)
+                max(curve * (1.0 + float(noise[i, next_round])), 0.0)
                 for i in range(n))),
             (t, "houses/pv_potential_w", tuple(
                 panels * cfg.pv_panel_w * frac
@@ -410,4 +471,5 @@ def test_household_step_matches_a_scalar_reference(t_market_s):
     assert len(published) == 6 * int(DAY_S / t_market_s)
     assert any(any(d) for _, key, d in published
                if key == "houses/hvac_demand_w")
-    assert published == reference_publications(start, cfg, steps)
+    assert published == reference_publications(
+        start, cfg, steps, reference_noise(cfg, seed=7)[0])

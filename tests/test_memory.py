@@ -1,7 +1,12 @@
 """Memory held by a run's orders and fills."""
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,8 @@ from petgrid import market, substation
 from petgrid.market import (Order, Side, Transaction, TransactionLog,
                             match_orders)
 from petgrid.runner import builtin_config, run_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_orders_and_fills_have_no_instance_dict():
@@ -47,10 +54,11 @@ def test_a_run_builds_no_transaction_tuple(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
-def test_the_log_holds_at_most_24_bytes_per_fill():
-    """Two 2-byte id columns and two 8-byte ones take 20 bytes a fill;
-    the rest is the arrays' over-allocation and one 12-byte entry per
-    round. The log's share is what dropping it frees."""
+def test_the_log_holds_at_most_20_bytes_per_fill():
+    """Two 2-byte id columns, a 4-byte quantity and an 8-byte price take
+    16 bytes a fill; the rest is the arrays' over-allocation and one
+    12-byte entry per round. The log's share is what dropping it
+    frees."""
     cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
                          discard_days=1)
     tracemalloc.start()
@@ -65,7 +73,7 @@ def test_the_log_holds_at_most_24_bytes_per_fill():
     finally:
         tracemalloc.stop()
     assert fills > 1000 and rounds == 2 * 288
-    assert 20 * fills + 12 * rounds <= held <= 24 * fills
+    assert 16 * fills + 12 * rounds <= held <= 20 * fills
 
 
 def test_every_trader_id_fits_the_logs_16_bit_columns():
@@ -73,10 +81,10 @@ def test_every_trader_id_fits_the_logs_16_bit_columns():
 
 
 FITS = dict(round_index=2**31 - 1, buyer=[2**15 - 1], seller=[-2**15],
-            quantity=[2**63 - 1], price=[0.02])
+            quantity=[2**31 - 1], price=[0.02])
 # one value past the range of each integer column; every float fits price
 TOO_BIG = dict(round_index=2**31, buyer=[2**15], seller=[-2**15 - 1],
-               quantity=[2**63])
+               quantity=[2**31])
 FILL_COLUMNS = ("buyer", "seller", "quantity", "price")
 ROUND_COLUMNS = ("round_ids", "round_starts")
 
@@ -84,7 +92,7 @@ ROUND_COLUMNS = ("round_ids", "round_starts")
 def test_a_fill_that_does_not_fit_the_log_raises():
     log = TransactionLog()
     log.extend(**FITS)
-    assert list(log) == [Transaction(2**15 - 1, -2**15, 2**63 - 1, 0.02,
+    assert list(log) == [Transaction(2**15 - 1, -2**15, 2**31 - 1, 0.02,
                                      2**31 - 1)]
     for column in TOO_BIG:
         log = TransactionLog()
@@ -115,3 +123,41 @@ def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
         log.extend(5, [7], [8], [90], [0.04])
         assert list(log) == [Transaction(1, 2, 100, 0.02, 3),
                              Transaction(7, 8, 90, 0.04, 5)], column
+
+
+def _held_by_build_houses(days: int) -> int:
+    """The traced bytes that a 30-house s1 build holds, measured in a
+    fresh interpreter, so CPython's and numpy's caches start alike."""
+    code = textwrap.dedent("""\
+        import gc, sys, tracemalloc
+        import numpy as np
+        from petgrid.household import build_houses
+        from petgrid.runner import builtin_config
+        from petgrid.weather import SyntheticWeather
+        cfg = builtin_config("s1", days=int(sys.argv[1]), discard_days=1)
+        weather = SyntheticWeather(26.0, 35.0)
+        rng, pv_rng = np.random.default_rng(1), np.random.default_rng(2)
+        gc.collect()
+        tracemalloc.start()
+        houses = build_houses(cfg, rng, weather, pv_rng)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del houses
+        gc.collect()
+        print(held - tracemalloc.get_traced_memory()[0])
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code, str(days)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_the_houses_hold_the_same_bytes_for_any_run_length():
+    """The houses keep where each one's noise stream starts and draw a
+    day of it at a time, so a 200-day build holds what a 2-day one does,
+    where the whole run's noise would add 30 x 198 x 288 x 8 bytes."""
+    held = _held_by_build_houses(2)
+    assert 0 < held < 1_000_000
+    assert _held_by_build_houses(200) == held

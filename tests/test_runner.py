@@ -143,6 +143,18 @@ PARTNERS = {"weather_temp_min_c": "weather_temp_max_c",
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
+@pytest.mark.parametrize("t_market_s, most_days", [
+    (300.0, 2**31 // 288), (3600.0, 2**31 // 24), (DAY_S, 2**31)])
+def test_a_run_holds_at_most_2_31_rounds(t_market_s, most_days):
+    """Round ids 0 .. rounds - 1 fit the fill log's int32 column."""
+    ScenarioConfig(days=most_days, discard_days=1,
+                   t_market_s=t_market_s).validate()
+    with pytest.raises(ValueError, match=f"days must not exceed {most_days} "
+                       "at t_market_s"):
+        ScenarioConfig(days=most_days + 1, discard_days=1,
+                       t_market_s=t_market_s).validate()
+
+
 def test_every_number_field_has_a_domain_or_may_take_any_value():
     numeric = {key for key, kind in FIELD_TYPES.items()
                if not kind.startswith("str")}
@@ -270,6 +282,30 @@ def test_only_a_config_file_imports_yaml(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_a_csv_wrap_imports_logging(tmp_path):
+    """A run imports no `logging`; a CSV sample past the data's period
+    does, to warn."""
+    path = tmp_path / "day.csv"
+    path.write_text("timestamp,temp_c,irradiance_wm2\n"
+                    "00:00,30,0\n12:00,35,900\n")
+    code = ("import sys\nimport petgrid\n"
+            "from petgrid import weather\n"
+            "cfg = petgrid.builtin_config('s5', n_houses=2, n_ev=2, n_pv=2,"
+            " days=2, discard_days=1)\n"
+            "petgrid.run_scenario(cfg)\n"
+            f"csv = weather.CsvWeather.from_csv({str(path)!r}, 1000.0)\n"
+            "csv.sample(3600.0)\n"
+            "assert 'logging' not in sys.modules\n"
+            "csv.sample(90000.0)\n"         # a day and an hour in
+            "assert 'logging' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "outside CSV period" in proc.stderr
 
 
 def test_whole_number_step_and_period_write_the_same_outputs(tmp_path):
@@ -421,12 +457,13 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
         n = rng.randrange(4)
         log.extend(k, [rng.randrange(5000) for _ in range(n)],
                    [rng.randrange(6000) for _ in range(n)],
-                   [rng.randrange(1, 2 ** 40) for _ in range(n)],
+                   [rng.randrange(1, 2 ** 31) for _ in range(n)],
                    [rng.choice(edge_prices + [rng.random()])
                     for _ in range(n)])
     # equal as floats, different as text, in either order in one log;
-    # ids at the edge of the log's int16 columns
-    log.extend(300, [2 ** 15 - 1, -5], [-5, 2 ** 15 - 1], [7, 8], [-0.0, 0.0])
+    # ids at the edge of the log's int16 columns, watts at that of int32
+    log.extend(300, [2 ** 15 - 1, -5], [-5, 2 ** 15 - 1], [7, 2 ** 31 - 1],
+               [-0.0, 0.0])
     log.extend(301, [-5], [-5], [9], [-0.0])
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
