@@ -151,12 +151,11 @@ class ScenarioConfig:
             raise ValueError("n_ev and n_pv must not exceed n_houses")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
-        if not (whole_steps(self.t_market_s, self.step_s)
-                and whole_steps(DAY_S, self.t_market_s)):
+        per_day = whole_steps(DAY_S, self.t_market_s)
+        if not (whole_steps(self.t_market_s, self.step_s) and per_day):
             raise ValueError("t_market_s must be a multiple of step_s and "
                              "divide a day")
         # round ids 0 .. rounds - 1 must fit the fill log's int32 column
-        per_day = whole_steps(DAY_S, self.t_market_s)
         if self.days * per_day > 2**31:
             raise ValueError(f"days must not exceed {2**31 // per_day} at "
                              f"t_market_s {self.t_market_s:g}: the fill "
