@@ -13,7 +13,6 @@ import numpy as np
 
 from petgrid.runner import builtin_config, run_scenario
 from petgrid.substation import EV_BASE, EV_SELL_BASE, GRID_TRADER, PV_BASE
-from petgrid.weather import DAY_S
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--seed", type=int, default=1)
@@ -22,7 +21,7 @@ args = parser.parse_args()
 cfg = builtin_config("s5", seed=args.seed)
 res = run_scenario(cfg)
 
-rounds_per_day = int(DAY_S / cfg.t_market_s)
+_, rounds_per_day = cfg.schedule()
 analysis_days = cfg.days - cfg.discard_days
 dt_h = cfg.t_market_s / 3600.0
 

@@ -96,15 +96,16 @@ def build_houses(cfg, rng: np.random.Generator, weather,
     """Draw per-house parameters from the config ranges, and the panel
     counts of the `n_pv` arrays, which sit on the first `n_pv` houses.
 
-    Each house's appliance noise is the next `rounds + 2` uniform draws
-    of `rng`, one per market round. The house keeps the stream state its
-    draws start at, and `rng` skips them, so the houses hold no noise
-    until a round reads it and the next house draws from where it would
-    have after them. PV sizes come from their own stream so scenarios
-    with and without PV share an identical thermal fleet.
+    Each house's appliance noise is the next `days * N + 2` uniform
+    draws of `rng`, one per market round, N a day. The house keeps the
+    stream state its draws start at, and `rng` skips them, so the houses
+    hold no noise until a round reads it and the next house draws from
+    where it would have after them. PV sizes come from their own stream
+    so scenarios with and without PV share an identical thermal fleet.
     """
     pv_lo, pv_hi = cfg.pv_panels_range
-    n_rounds = int(cfg.days * DAY_S / cfg.t_market_s) + 2
+    _, per_day = cfg.schedule()
+    n_rounds = cfg.days * per_day + 2
     t0 = weather.sample(0.0).temp_c
     noise_starts = []
     rows = []       # one per house, in the federate's column order
@@ -152,7 +153,7 @@ class HouseholdFederate:
         # and the first cleared round
         self._temp0 = weather.sample(0.0).temp_c
         self._no_dispatch = (0.0,) * len(t_air)
-        self._rounds_per_day = round(DAY_S / cfg.t_market_s)
+        _, self._rounds_per_day = cfg.schedule()
         self._noise_day = self._day_noise = None    # the day last drawn
         self._loads0 = self.unresponsive_loads(0)
         self._decay = [thermal_decay(r_i, c_i, cfg.step_s)

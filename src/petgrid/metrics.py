@@ -8,13 +8,11 @@ average transaction price.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .market import TransactionLog, vwap
-from .weather import DAY_S
 
 
 def t_excess2(t_air: float, t_setpoint: float) -> float:
@@ -74,28 +72,18 @@ def _trapz_mean(ts: np.ndarray, vs: np.ndarray) -> float:
     return float(np.trapezoid(vs, ts) / span)
 
 
-def _window(t_s, start_s: float, end_s: float) -> slice:
-    """The rounds within [start_s, end_s], which are in time order."""
-    return slice(bisect_left(t_s, start_s), bisect_right(t_s, end_s))
-
-
-def summarize(rounds: dict, transactions: TransactionLog,
-              window_start_s: float, window_end_s: float,
-              violations: dict | None = None) -> ScenarioSummary:
-    """Aggregate the round log and transactions over the analysis window.
-
-    The VWAP weights every window transaction by its quantity. Row r of
-    the round log is round r, so the window's fills are those of its rows'
-    rounds: one slice, found by bisecting the log's round entries and
-    read through memoryviews.
-    """
-    window = _window(rounds["t_s"], window_start_s, window_end_s)
-    ts = np.array(rounds["t_s"][window])
+def summarize(rounds: dict, transactions: TransactionLog, start: int,
+              stop: int, violations: dict | None = None) -> ScenarioSummary:
+    """Aggregate the round log and transactions over the analysis window,
+    rows start .. stop - 1. Row r is round r, so the VWAP weights the
+    fills of those rounds by quantity: one slice of the fill log, read
+    through memoryviews."""
+    ts = np.array(rounds["t_s"][start:stop])
 
     def bar(name):
-        return _trapz_mean(ts, np.array(rounds[name][window]))
+        return _trapz_mean(ts, np.array(rounds[name][start:stop]))
 
-    lo, hi = map(transactions.first_fill, (window.start, window.stop))
+    lo, hi = transactions.first_fill(start), transactions.first_fill(stop)
     violations = dict(violations or {})
     return ScenarioSummary(
         t_excess2_bar=bar("mean_t_excess2"),
@@ -110,18 +98,16 @@ def summarize(rounds: dict, transactions: TransactionLog,
     )
 
 
-def average_day(rounds: dict, t_market_s: float,
-                window_start_s: float, window_end_s: float):
-    """Average each time-of-day slot across the analysis days.
-
-    Returns (time_of_day_s, {column: values}) with one row per market
-    round slot in a day. `np.bincount` adds each slot's values in round
-    order starting from 0.0, so every sum is the left-to-right one.
-    """
-    slots = int(DAY_S / t_market_s)
-    window = _window(rounds["t_s"], window_start_s, window_end_s)
-    slot = (np.array(rounds["t_s"][window]) % DAY_S / t_market_s).astype(int)
-    counts = np.maximum(np.bincount(slot, minlength=slots), 1)
-    tod = np.arange(slots) * t_market_s
-    return tod, {c: np.bincount(slot, np.array(rounds[c][window]), slots)
-                 / counts for c in AVERAGE_DAY_COLUMNS}
+def average_day(rounds: dict, t_market_s: float, rounds_per_day: int,
+                start: int, stop: int):
+    """Average each time-of-day slot over the analysis window, rows
+    start .. stop - 1, where row r is in slot r % rounds_per_day.
+    Returns (time_of_day_s, {column: values}), one value per slot.
+    `np.bincount` adds each slot's values in round order starting from
+    0.0, so every sum is the left-to-right one."""
+    slot = np.arange(start, stop) % rounds_per_day
+    counts = np.maximum(np.bincount(slot, minlength=rounds_per_day), 1)
+    tod = np.arange(rounds_per_day) * t_market_s
+    return tod, {c: np.bincount(slot, np.array(rounds[c][start:stop]),
+                                rounds_per_day) / counts
+                 for c in AVERAGE_DAY_COLUMNS}

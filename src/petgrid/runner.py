@@ -151,8 +151,8 @@ class ScenarioConfig:
             raise ValueError("n_ev and n_pv must not exceed n_houses")
         if self.days <= self.discard_days:
             raise ValueError("days must exceed discard_days")
-        per_day = whole_steps(DAY_S, self.t_market_s)
-        if not (whole_steps(self.t_market_s, self.step_s) and per_day):
+        per_round, per_day = self.schedule()
+        if not (per_round and per_day):
             raise ValueError("t_market_s must be a multiple of step_s and "
                              "divide a day")
         # round ids 0 .. rounds - 1 must fit the fill log's int32 column
@@ -169,6 +169,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown weather mode {self.weather_mode!r}")
         if self.weather_mode == "csv" and not self.weather_csv_path:
             raise ValueError("weather mode 'csv' needs weather.csv_path")
+
+    def schedule(self) -> tuple[int, int]:
+        """(m, N): the whole steps a round and rounds a day, each 0 if
+        none is exact. A run is days * N rounds of m steps, and round r
+        is row r of the round log and time-of-day slot r % N."""
+        return (whole_steps(self.t_market_s, self.step_s),
+                whole_steps(DAY_S, self.t_market_s))
 
 
 # Uncapped grid is approximated by a sentinel capacity that never binds.
@@ -300,9 +307,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)
 
-    fed.run(cfg.days * DAY_S)
+    per_round, per_day = cfg.schedule()
+    fed.run(cfg.days * per_day * per_round * cfg.step_s)
 
-    window = (cfg.discard_days * DAY_S, cfg.days * DAY_S)
+    window = (cfg.discard_days * per_day, cfg.days * per_day)     # rows
     violations = {
         "unserved_unresponsive": sub.unserved_unresponsive,
         "ev_range": ev_fed.range_violations,
@@ -311,7 +319,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     }
     summary = metrics.summarize(sub.rounds, sub.transactions, *window,
                                 violations=violations)
-    avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, *window)
+    avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, per_day,
+                                  *window)
     result = RunResult(cfg, summary, sub.rounds, sub.transactions, avg_day,
                        violations, sub.max_imbalance_w,
                        ev_fed.soc_min_seen, ev_fed.soc_max_seen)
@@ -362,7 +371,8 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
     tod, cols = result.average_day
     with open(out_dir / "average_day.csv", "w") as fh:
         fh.write("time_of_day_s," + ",".join(cols) + "\n")
-        for row in zip(map(float, tod), *(cols[c].tolist() for c in cols)):
+        for row in zip(map(float, tod), *(cols[c].tolist() for c in cols),
+                       strict=True):
             fh.write(",".join(map(_fmt, row)) + "\n")
 
     cfg = result.config

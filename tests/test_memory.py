@@ -125,31 +125,36 @@ def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
                              Transaction(7, 8, 90, 0.04, 5)], column
 
 
-def _held_by_build_houses(days: int) -> int:
-    """The traced bytes that a 30-house s1 build holds, measured in a
-    fresh interpreter, so CPython's and numpy's caches start alike."""
-    code = textwrap.dedent("""\
+def _held_by_build(build: str, scenario: str, days: int) -> int:
+    """The traced bytes that `build`, an expression of `cfg`, `rng`,
+    `pv_rng` and `weather`, holds for a 30-house builtin `scenario` of
+    `days` days, measured in a fresh interpreter, so CPython's and
+    numpy's caches start alike."""
+    code = textwrap.dedent(f"""\
         import gc, sys, tracemalloc
         import numpy as np
+        from petgrid.evfleet import build_fleet
         from petgrid.household import build_houses
         from petgrid.runner import builtin_config
         from petgrid.weather import SyntheticWeather
-        cfg = builtin_config("s1", days=int(sys.argv[1]), discard_days=1)
+        cfg = builtin_config(sys.argv[1], days=int(sys.argv[2]),
+                             discard_days=1)
         weather = SyntheticWeather(26.0, 35.0)
         rng, pv_rng = np.random.default_rng(1), np.random.default_rng(2)
         gc.collect()
         tracemalloc.start()
-        houses = build_houses(cfg, rng, weather, pv_rng)
+        built = {build}
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        del houses
+        del built
         gc.collect()
         print(held - tracemalloc.get_traced_memory()[0])
         """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", code, str(days)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, scenario, str(days)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
 
@@ -158,6 +163,19 @@ def test_the_houses_hold_the_same_bytes_for_any_run_length():
     """The houses keep where each one's noise stream starts and draw a
     day of it at a time, so a 200-day build holds what a 2-day one does,
     where the whole run's noise would add 30 x 198 x 288 x 8 bytes."""
-    held = _held_by_build_houses(2)
+    build = "build_houses(cfg, rng, weather, pv_rng)"
+    held = _held_by_build(build, "s1", 2)
     assert 0 < held < 1_000_000
-    assert _held_by_build_houses(200) == held
+    assert _held_by_build(build, "s1", 200) == held
+
+
+def test_the_ev_itineraries_grow_by_at_most_512_bytes_an_ev_day():
+    """`build_fleet` draws every EV's trips for the whole run, about 1.9
+    a day, so a build grows with `days`: by 364 bytes an EV-day for the
+    30 EVs of s5 from 2 to 20 days on CPython 3.11, where a trip takes
+    193 bytes (241 on 3.10). The bound leaves room for 3.10's larger
+    trips and fails if the growth rises by 40% on 3.11."""
+    build = "build_fleet(cfg, rng)"
+    small, large = (_held_by_build(build, "s5", days) for days in (2, 20))
+    assert 0 < small < large
+    assert (large - small) / (30 * 18) <= 512

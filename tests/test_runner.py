@@ -439,6 +439,19 @@ def test_one_round_a_day_summarizes_its_single_analysis_round():
         [rounds["p_target_w"][1]]
 
 
+def test_a_run_is_its_days_rounds_of_whole_steps():
+    """At 11 rounds a day of one step each, 3 days are 33 steps, though
+    33 steps of 7854.545454545454 s are not exactly 3 days."""
+    cfg = builtin_config("s1", n_houses=3, days=3, discard_days=1,
+                         t_market_s=7854.545454545454,
+                         step_s=7854.545454545454)
+    assert cfg.schedule() == (1, 11)
+    assert kernel.whole_steps(3 * DAY_S, cfg.step_s) == 0
+    result = run_scenario(cfg)
+    assert len(result.rounds["t_s"]) == 33
+    assert len(result.average_day[0]) == 11
+
+
 def per_row_transactions_csv(transactions) -> str:
     """transactions.csv as the per-fill writer formatted it."""
     lines = ["round,buyer,seller,quantity_w,price_usd_per_kwh\n"]
