@@ -17,9 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -69,15 +69,14 @@ class Transaction(NamedTuple):
 
 class TransactionLog:
     """Every fill of a run, one typed array per field, and one entry per
-    round.
+    round: entry r is round r.
 
     Trader ids take 2 bytes each (every id the substation assigns is
     below 2**15), quantity 4 (a fill is at most its buyer's packet,
     which `DOMAINS` keeps below 2**31 W) and price 8, so a fill takes
     16 bytes, where a `Transaction` tuple and the int objects it pins
-    take several times that. Each `extend` adds one round entry, its
-    round id and the index of its first fill, so a fill's round is that
-    of the last entry at or before it. A value that does not fit its
+    take several times that. Each `extend` appends the next round: the
+    index of its first fill, 8 bytes. A value that does not fit its
     column raises `OverflowError`. Iterating the log yields
     `Transaction`s in the order they were appended.
     """
@@ -87,49 +86,43 @@ class TransactionLog:
         self.seller = array("h")
         self.quantity = array("i")
         self.price = array("d")
-        self.round_ids = array("i")
         self.round_starts = array("q")
 
-    def extend(self, round_index: int, buyer, seller, quantity,
-               price) -> None:
-        """Append one round's fills, given as equal-length lists."""
+    def extend(self, buyer, seller, quantity, price) -> None:
+        """Append the next round's fills, given as equal-length lists."""
         columns = (self.buyer, self.seller, self.quantity, self.price)
-        n, k = len(self.buyer), len(self.round_ids)
+        n = len(self.buyer)
         try:
-            self.round_ids.append(round_index)
-            self.round_starts.append(n)
             # fromlist adds all of a list or none of it
             for column, values in zip(columns,
                                       (buyer, seller, quantity, price)):
                 column.fromlist(values)
         except OverflowError:
             # cut back what was added: a value that does not fit adds no
-            # fill and no round entry
+            # fill and no round
             for column in columns:
                 del column[n:]
-            del self.round_ids[k:], self.round_starts[k:]
             raise
+        self.round_starts.append(n)
 
     def __len__(self) -> int:
         return len(self.buyer)
 
     def first_fill(self, round_index: int) -> int:
-        """The index of the first fill of a round at or after
-        `round_index`, or the fill count if there is none; round ids
-        ascend, as a run appends them."""
-        k = bisect_left(self.round_ids, round_index)
+        """The index of round `round_index`'s first fill, or the fill
+        count past the last round."""
         starts = self.round_starts
-        return starts[k] if k < len(starts) else len(self)
+        return starts[round_index] if round_index < len(starts) else len(self)
 
     def per_fill(self, values):
-        """Each round entry's item of `values`, repeated over its fills."""
+        """Each round's item of `values`, repeated over its fills."""
         ends = chain(islice(self.round_starts, 1, None), (len(self),))
         return chain.from_iterable(map(repeat, values,
                                        map(sub, ends, self.round_starts)))
 
     def __iter__(self):
         return map(Transaction, self.buyer, self.seller, self.quantity,
-                   self.price, self.per_fill(self.round_ids))
+                   self.price, self.per_fill(count()))
 
 
 @dataclass

@@ -9,7 +9,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -22,29 +22,31 @@ from .weather import DAY_S
 
 WEATHER_MODES = ("synthetic", "csv")
 # field -> (lowest, highest, whether lowest is allowed): the values a number
-# field, or each end of a range field, may take. A field not listed may
-# take any finite value. Negative prices, loads or panels would run but
-# break the physics silently, noise above 1 drives loads below 0 W, and a
-# grid capacity or charger rating of 0.0005 kW or less rounds, once at
-# build, to a 0 W grid order or a 0 W charger, which never charges. A fill is
-# at most its buyer's packet, and the fill log holds its watts in int32. An
-# HVAC packet is the rating and an EV buys at most its charger's, so 2e6 kW
-# keeps each below 2**31 W. An appliance packet peaks at 1.52 times its
-# mean (the diurnal curve's peak over its daily mean), doubled at full
-# noise, so a mean of at most 7e5 kW keeps it below 3.04 * 7e8 W = 2.13e9
-# W. Sellers of at most 1e12 W and asks of at most about 2e12 $/kWh keep
-# the VWAP finite. House loads of at most about 2e9 W, a COP of at most
-# 1e6, a UA of at least 1 W/K and the weather's temperature bounds keep
-# every zone temperature, and the square of its excess, finite.
+# field, or each end of a range field, may take. Every number field has one.
+# Negative prices, loads or panels would run but break the physics silently,
+# noise above 1 drives loads below 0 W, and a grid capacity, charger or HVAC
+# rating of 0.0005 kW or less rounds to a 0 W grid order, a 0 W charger,
+# which never charges, or a 0 W HVAC packet, which never buys. A run's logs
+# grow with `days`, which stops at ten years, far past the paper's 8-day
+# runs. A fill is at most its buyer's packet, and the fill log holds its
+# watts in int32. An HVAC packet is the rating and an EV buys at most its
+# charger's, so 2e6 kW keeps each below 2**31 W. An appliance packet peaks
+# at 1.52 times its mean (the diurnal curve's peak over its daily mean),
+# doubled at full noise, so a mean of at most 7e5 kW keeps it below 3.04 *
+# 7e8 W = 2.13e9 W. Sellers of at most 1e12 W and asks of at most about 2e12
+# $/kWh keep the VWAP finite. House loads of at most about 2e9 W, a COP of
+# at most 1e6, a UA of at least 1 W/K and the weather's temperature bounds
+# keep every zone temperature, and the square of its excess, finite.
 DOMAINS = {
     "n_houses": (1, substation.MAX_HOUSES, True),
+    "days": (1, 3653, True),
     "grid_capacity_kw": (0.0005, 1e9, False),
     "t_market_s": (0, DAY_S, False),
     "pv_panels_range": (1, 1e6, True),
     "ev_efficiency": (0, 1, False),
     "ev_charger_kw": (0.0005, 2e6, False),
     "pv_panel_w": (0, 1e6, True),
-    "houses_hvac_kw": (0, 2e6, False),
+    "houses_hvac_kw": (0.0005, 2e6, False),
     "houses_unresponsive_mean_kw": (0, 7e5, True),
     "houses_cop": (0, 1e6, False),
     "houses_ua_w_per_k_range": (1, math.inf, True),
@@ -61,7 +63,6 @@ DOMAINS = {
     "houses_unresponsive_noise_frac", "ev_worker_ratio",
     "ev_initial_soc_range", "lmp_diurnal_amplitude", "lmp_demand_ema",
 ), (0, 1, True))
-_ANY = (-math.inf, math.inf, False)
 _MUST_BE = {"int": "an integer", "float": "a finite number",
             "tuple": "two finite numbers lo <= hi"}
 
@@ -72,7 +73,7 @@ def _in_domain(key: str, value, whole: bool) -> bool:
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if whole else numbers.Real):
         return False
-    lo, hi, lo_allowed = DOMAINS.get(key, _ANY)
+    lo, hi, lo_allowed = DOMAINS[key]
     return ((lo < value or lo_allowed and value == lo) and value <= hi
             and (whole or math.isfinite(value)))
 
@@ -141,7 +142,7 @@ class ScenarioConfig:
                     and len(ends) == (2 if kind == "tuple" else 1)
                     and all(_in_domain(key, v, kind == "int") for v in ends)
                     and ends[0] <= ends[-1]):
-                lo, hi, lo_allowed = DOMAINS.get(key, _ANY)
+                lo, hi, lo_allowed = DOMAINS[key]
                 raise ValueError(
                     f"{key} must be {_MUST_BE[kind]} within "
                     f"{'[' if lo_allowed else '('}{lo:g}, {hi:g}"
@@ -155,11 +156,10 @@ class ScenarioConfig:
         if not (per_round and per_day):
             raise ValueError("t_market_s must be a multiple of step_s and "
                              "divide a day")
-        # round ids 0 .. rounds - 1 must fit the fill log's int32 column
-        if self.days * per_day > 2**31:
-            raise ValueError(f"days must not exceed {2**31 // per_day} at "
-                             f"t_market_s {self.t_market_s:g}: the fill "
-                             "log's int32 round ids hold 2**31 rounds")
+        if not whole_steps(self.horizon_s(), self.step_s):
+            raise ValueError(f"a run of {self.days * per_day * per_round} "
+                             "steps is too long: the kernel counts whole "
+                             "steps only below 2**53")
         if self.weather_temp_min_c > self.weather_temp_max_c:
             raise ValueError("weather_temp_min_c must not exceed "
                              "weather_temp_max_c")
@@ -176,6 +176,11 @@ class ScenarioConfig:
         is row r of the round log and time-of-day slot r % N."""
         return (whole_steps(self.t_market_s, self.step_s),
                 whole_steps(DAY_S, self.t_market_s))
+
+    def horizon_s(self) -> float:
+        """The run's span, days * N rounds of m steps, in seconds."""
+        per_round, per_day = self.schedule()
+        return self.days * per_day * per_round * self.step_s
 
 
 # Uncapped grid is approximated by a sentinel capacity that never binds.
@@ -307,8 +312,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)
 
-    per_round, per_day = cfg.schedule()
-    fed.run(cfg.days * per_day * per_round * cfg.step_s)
+    fed.run(cfg.horizon_s())
+    _, per_day = cfg.schedule()
 
     window = (cfg.discard_days * per_day, cfg.days * per_day)     # rows
     violations = {
@@ -361,7 +366,7 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
           memoryview(txs.price).cast("B").cast("q") as price_bits):
         fh.write("round,buyer,seller,quantity_w,price_usd_per_kwh\n")
         rows = map(",".join, zip(
-            txs.per_fill(map(str, txs.round_ids)), map(ids, txs.buyer),
+            txs.per_fill(map(str, count())), map(ids, txs.buyer),
             map(ids, txs.seller), map(str, txs.quantity),
             map(prices, price_bits)))
         # a write per 1024 rows, not per row, and never the whole file

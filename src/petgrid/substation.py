@@ -221,7 +221,7 @@ class SubstationFederate:
                 ev_strategy_prices(self.hist), self.cfg)
 
         result = match_orders(orders, round_index)
-        self.transactions.extend(round_index, result.buyer, result.seller,
+        self.transactions.extend(result.buyer, result.seller,
                                  result.quantity, result.price)
         grid_import = float(self._dispatch(ctx, result, unresp, hvac, pv,
                                            ranges, lmp))

@@ -66,24 +66,38 @@ def fails_before_any_step(args, capsys, monkeypatch, tmp_path) -> str:
     (MemoryError(), "error: MemoryError\n")])
 def test_out_of_memory_is_one_error_line(error, line, capsys, monkeypatch,
                                          tmp_path):
-    """A valid run too large to build (say `--days 100000`) ends in one
-    `error:` line; the build raises here without allocating."""
+    """A valid run too large to build (say ten years, `--days 3653`, on
+    a small machine) ends in one `error:` line; the build raises here
+    without allocating."""
     def too_large(*_):
         raise error
 
     monkeypatch.setattr(household, "build_houses", too_large)
-    assert fails_before_any_step(["--scenario", "s1", "--days", "100000"],
+    assert fails_before_any_step(["--scenario", "s1", "--days", "3653"],
                                  capsys, monkeypatch, tmp_path) == line
 
 
 def test_more_rounds_than_the_fill_log_holds_fail_before_any_step(
         capsys, monkeypatch, tmp_path):
-    """Round ids past 2**31 would not fit the fill log, and a run that
-    long would step for ever."""
+    """A billion days are 2.88e11 rounds, whose logs would outgrow any
+    memory, and a run that long would step for ever: `days`'s domain
+    refuses it before the build."""
     err = fails_before_any_step(["--scenario", "s1", "--days", "1000000000"],
                                 capsys, monkeypatch, tmp_path)
-    assert err == ("error: days must not exceed 7456540 at t_market_s 300: "
-                   "the fill log's int32 round ids hold 2**31 rounds\n")
+    assert err == "error: days must be an integer within [1, 3653]\n"
+
+
+def test_a_run_of_2_53_steps_fails_before_any_step(capsys, monkeypatch,
+                                                   tmp_path):
+    """A round of 2**52 steps is a whole number of steps, but two days of
+    them are 2**53, which the kernel refuses to count: validate() makes
+    the kernel's check on the same horizon, before the build."""
+    err = fails_before_any_step(
+        ["--scenario", "s1", "--days", "2", "--set", "scenario.discard_days=1",
+         "--set", "houses.count=3", "--set", "market.t_market_s=86400",
+         "--set", "kernel.step_s=1.9184653865522705e-11"],
+        capsys, monkeypatch, tmp_path)
+    assert err.startswith(f"error: a run of {2**53} steps is too long")
 
 
 def _probe(setting, *extra):
@@ -123,6 +137,9 @@ TINY_FLEET = ("--days", "2", "--set", "scenario.discard_days=1",
     _probe("ev.initial_soc_range=0.5,1.5"),
     _probe("scenario.discard_days=-1", "--days", "1"),
     _probe("houses.hvac_kw=0"),
+    # a 0.4 W HVAC packet rounds to 0 W, so the HVAC never buys or runs
+    _probe("houses.hvac_kw=0.0004", "--days", "2",
+           "--set", "scenario.discard_days=1", "--set", "houses.count=3"),
     _probe("houses.cop=0"),
     _probe("prices.unresponsive=-1"),
     _probe("prices.hvac=-0.5"),

@@ -179,20 +179,20 @@ def test_market_result_holds_its_fills_as_columns():
 
 def test_transaction_log_iterates_its_fills_in_order():
     log = TransactionLog()
-    log.extend(0, [], [], [], [])
+    log.extend([], [], [], [])
     assert len(log) == 0 and list(log) == []
-    first = [Transaction(1, 2, 300, 0.0155, 7),
-             Transaction(1, 3, 200, 0.5, 7)]
+    first = [Transaction(1, 2, 300, 0.0155, 1),
+             Transaction(1, 3, 200, 0.5, 1)]
     second = match_orders([buy(4, 100, 0.02), sell(5, 150, 0.01)],
-                          round_index=8)
-    log.extend(7, [1, 1], [2, 3], [300, 200], [0.0155, 0.5])
-    log.extend(8, second.buyer, second.seller, second.quantity, second.price)
+                          round_index=2)
+    log.extend([1, 1], [2, 3], [300, 200], [0.0155, 0.5])
+    log.extend(second.buyer, second.seller, second.quantity, second.price)
     assert len(log) == 3
     assert list(log) == first + second.transactions
     assert list(log) == list(log)   # iterating does not consume the log
-    # one round entry per extend: its round id and its first fill
-    assert list(log.round_ids) == [0, 7, 8]
+    # one entry per extend, entry r round r: the index of its first fill
     assert list(log.round_starts) == [0, 0, 2]
+    assert [log.first_fill(r) for r in range(5)] == [0, 0, 2, 3, 3]
     assert list(log.price) == [0.0155, 0.5, 0.01]
 
 

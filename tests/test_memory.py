@@ -54,46 +54,62 @@ def test_a_run_builds_no_transaction_tuple(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
-def test_the_log_holds_at_most_20_bytes_per_fill():
-    """Two 2-byte id columns, a 4-byte quantity and an 8-byte price take
-    16 bytes a fill; the rest is the arrays' over-allocation and one
-    12-byte entry per round. The log's share is what dropping it
-    frees."""
-    cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
+def _held_by_a_run(attr: str, days: int) -> tuple[int, int, int]:
+    """The rounds and fills of a 3-house s5 run of `days` days, and the
+    traced bytes that dropping the result's `attr` frees."""
+    cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=days,
                          discard_days=1)
     tracemalloc.start()
     try:
         result = run_scenario(cfg)
         gc.collect()
-        fills = len(result.transactions)
-        rounds = len(result.transactions.round_ids)
+        rounds, fills = len(result.rounds["t_s"]), len(result.transactions)
         before = tracemalloc.get_traced_memory()[0]
-        result.transactions = None
+        setattr(result, attr, None)
         held = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return rounds, fills, held
+
+
+def test_the_log_holds_at_most_20_bytes_per_fill():
+    """Two 2-byte id columns, a 4-byte quantity and an 8-byte price take
+    16 bytes a fill; the rest is the arrays' over-allocation and one
+    8-byte entry per round. The log's share is what dropping it
+    frees."""
+    rounds, fills, held = _held_by_a_run("transactions", 2)
     assert fills > 1000 and rounds == 2 * 288
-    assert 16 * fills + 12 * rounds <= held <= 20 * fills
+    assert 16 * fills + 8 * rounds <= held <= 20 * fills
+
+
+def test_the_round_log_grows_by_at_most_176_bytes_a_round():
+    """A round takes 8 bytes in each of the round log's 16 typed columns,
+    and a list slot and a float object in `round_vwap`: 160 bytes. From
+    2 to 4 days of a 3-house s5 it grew by 164 bytes a round on CPython
+    3.11 (161 from 2 to 6 days), the rest being array over-allocation.
+    The bound is 10% over 160 bytes, and the floor the typed columns."""
+    (small, _, small_held), (large, _, large_held) = (
+        _held_by_a_run("rounds", days) for days in (2, 4))
+    assert (small, large) == (2 * 288, 4 * 288)
+    assert 16 * 8 <= (large_held - small_held) / (large - small) <= 176
 
 
 def test_every_trader_id_fits_the_logs_16_bit_columns():
     assert substation.EV_SELL_BASE + substation.MAX_HOUSES <= 2**15
 
 
-FITS = dict(round_index=2**31 - 1, buyer=[2**15 - 1], seller=[-2**15],
-            quantity=[2**31 - 1], price=[0.02])
+FITS = dict(buyer=[2**15 - 1], seller=[-2**15], quantity=[2**31 - 1],
+            price=[0.02])
 # one value past the range of each integer column; every float fits price
-TOO_BIG = dict(round_index=2**31, buyer=[2**15], seller=[-2**15 - 1],
-               quantity=[2**31])
+TOO_BIG = dict(buyer=[2**15], seller=[-2**15 - 1], quantity=[2**31])
 FILL_COLUMNS = ("buyer", "seller", "quantity", "price")
-ROUND_COLUMNS = ("round_ids", "round_starts")
+ROUND_COLUMNS = ("round_starts",)
 
 
 def test_a_fill_that_does_not_fit_the_log_raises():
     log = TransactionLog()
     log.extend(**FITS)
-    assert list(log) == [Transaction(2**15 - 1, -2**15, 2**31 - 1, 0.02,
-                                     2**31 - 1)]
+    assert list(log) == [Transaction(2**15 - 1, -2**15, 2**31 - 1, 0.02, 0)]
     for column in TOO_BIG:
         log = TransactionLog()
         with pytest.raises(OverflowError):
@@ -106,23 +122,22 @@ def test_a_fill_that_does_not_fit_the_log_raises():
 def test_a_fill_that_does_not_fit_leaves_every_column_as_it_was():
     for column in TOO_BIG:
         log = TransactionLog()
-        log.extend(3, [1], [2], [100], [0.02])
+        log.extend([1], [2], [100], [0.02])
         # a round with one value past one column's range, in its second
-        # fill where the column has one per fill, adds none of its fills
-        # and no round entry
-        bad = {"round_index": 4, "buyer": [4, 4], "seller": [5, 6],
-               "quantity": [60, 70], "price": [0.03, 0.03]}
-        bad[column] = (TOO_BIG[column] if column == "round_index"
-                       else bad[column][:1] + TOO_BIG[column])
+        # fill, adds none of its fills and no round entry
+        bad = {"buyer": [4, 4], "seller": [5, 6], "quantity": [60, 70],
+               "price": [0.03, 0.03]}
+        bad[column] = bad[column][:1] + TOO_BIG[column]
         with pytest.raises(OverflowError):
             log.extend(**bad)
-        assert list(log) == [Transaction(1, 2, 100, 0.02, 3)], column
+        assert list(log) == [Transaction(1, 2, 100, 0.02, 0)], column
         assert {len(getattr(log, name)) for name in FILL_COLUMNS} == {1}
-        assert (list(log.round_ids), list(log.round_starts)) == ([3], [0])
-        # the log takes the next round as if the bad one had not been
-        log.extend(5, [7], [8], [90], [0.04])
-        assert list(log) == [Transaction(1, 2, 100, 0.02, 3),
-                             Transaction(7, 8, 90, 0.04, 5)], column
+        assert list(log.round_starts) == [0]
+        # the log takes the next round as round 1, as if the bad one had
+        # not been
+        log.extend([7], [8], [90], [0.04])
+        assert list(log) == [Transaction(1, 2, 100, 0.02, 0),
+                             Transaction(7, 8, 90, 0.04, 1)], column
 
 
 def _held_by_build(build: str, scenario: str, days: int) -> int:

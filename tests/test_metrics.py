@@ -1,8 +1,6 @@
 """Metric formulas and analysis-window aggregation."""
 
 import math
-from itertools import groupby
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -52,17 +50,17 @@ def rounds_of(samples):
     return rounds
 
 
-def extend(log, txs):
-    """Append `txs`, Transactions in round order, one round at a time."""
-    for k, fills in groupby(txs, key=lambda tx: tx.round_index):
-        fills = list(fills)
-        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
+def columns(txs):
+    """The buyer, seller, quantity and price columns of `txs`."""
+    return ([tx[i] for tx in txs] for i in range(4))
 
 
 def fill_log(txs=()):
-    """The fills as a run's log holds them: in round order."""
+    """The fills as a run's log holds them: entry r holds round r's,
+    from round 0 to the last round with a fill."""
     log = TransactionLog()
-    extend(log, sorted(txs, key=lambda tx: tx.round_index))
+    for k in range(max((tx.round_index + 1 for tx in txs), default=0)):
+        log.extend(*columns([tx for tx in txs if tx.round_index == k]))
     return log
 
 
@@ -128,7 +126,7 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
                              int(rng.integers(1, 12_000)),
                              float(rng.uniform(0.001, 1.0)), k)
                  for _ in range(int(rng.integers(0, 6)))]
-        extend(log, fills)
+        log.extend(*columns(fills))
         txs.extend(fills)
     rounds = rounds_of([sample(t) for t in np.arange(0.0, 12_000.0, 300.0)])
     for start, stop in ((0, 40), (10, 31), (11, 12)):
@@ -137,51 +135,44 @@ def test_vwap_bar_from_a_log_equals_the_materialised_window():
             vwap([tx.quantity for tx in window], [tx.price for tx in window])
 
 
-# (round id, fills) per `extend`, in a run's order: round 2 and the last
-# round 7 extend with no fills, round 4 extends twice, and rounds 5, 9, 10
-# and 11 have no entry
-LOG_ENTRIES = [
-    (0, [Transaction(1000, 0, 500, 0.9, 0)]),
-    (1, [Transaction(1001, 0, 400, 0.8, 1),
-         Transaction(1001, 3000, 1, 0.1, 1)]),
-    (2, []),
-    (3, [Transaction(2000, 5000, 300, 0.02, 3)]),
-    (4, [Transaction(1000, 0, 200, 0.03, 4)]),
-    (4, [Transaction(2001, 5001, 100, 0.05, 4),
-         Transaction(2001, 0, 700, 0.04, 4)]),
-    (6, [Transaction(4000, 3001, 900, 0.01, 6)]),
-    (7, []),
-    (8, [Transaction(1000, 0, 600, 0.7, 8)]),
-    (8, []),
+# each round's fills in a run's order, entry r round r: rounds 2, 5 and 7
+# have none, round 4 has three, and rounds 9 to 11 come after the last
+ROUND_FILLS = [
+    [Transaction(1000, 0, 500, 0.9)],
+    [Transaction(1001, 0, 400, 0.8), Transaction(1001, 3000, 1, 0.1)],
+    [],
+    [Transaction(2000, 5000, 300, 0.02)],
+    [Transaction(1000, 0, 200, 0.03), Transaction(2001, 5001, 100, 0.05),
+     Transaction(2001, 0, 700, 0.04)],
+    [],
+    [Transaction(4000, 3001, 900, 0.01)],
+    [],
+    [Transaction(1000, 0, 600, 0.7)],
 ]
 
 
-def log_of(entries):
-    """The log one `extend` per entry builds."""
-    log = TransactionLog()
-    for k, fills in entries:
-        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
-    return log
-
-
-@pytest.mark.parametrize("entries", [
-    LOG_ENTRIES, [entry for entry in LOG_ENTRIES if entry[1]]],
+# the rounds above, and the same fills with no empty round between them
+@pytest.mark.parametrize("rounds", [
+    ROUND_FILLS, [fills for fills in ROUND_FILLS if fills]],
     ids=["empty-rounds-logged", "empty-rounds-unlogged"])
-def test_window_fills_across_empty_repeated_and_gapped_rounds(entries):
+def test_window_fills_across_empty_repeated_and_gapped_rounds(rounds):
     """The window's fills are found from the round entries whether the
-    rounds at its edges have an empty entry or none, a round id repeats,
-    or the window lies before, across or after every entry."""
-    log = log_of(entries)
-    txs = [tx for _, fills in entries for tx in fills]
+    rounds at its edges are empty, a round has several fills, filled
+    rounds have empty ones between them or none, or the window lies
+    before, across or after every entry."""
+    log = TransactionLog()
+    for fills in rounds:
+        log.extend(*columns(fills))
+    txs = [tx._replace(round_index=r)
+           for r, fills in enumerate(rounds) for tx in fills]
     assert list(log) == txs
-    rounds = rounds_of([sample(t) for t in np.arange(0.0, 3600.0, 300.0)])
+    samples = rounds_of([sample(t) for t in np.arange(0.0, 3600.0, 300.0)])
     for start, stop in ((2, 8), (0, 12), (3, 5), (4, 7), (5, 6), (0, 1),
-                        (8, 12), (9, 12)):
+                        (2, 3), (8, 12), (9, 12)):
         window = [tx for tx in txs if start <= tx.round_index < stop]
-        assert summarize(rounds, log, start, stop).vwap_bar == \
+        assert summarize(samples, log, start, stop).vwap_bar == \
             vwap([tx.quantity for tx in window], [tx.price for tx in window])
-    assert summarize(rounds, log, 9, 12).vwap_bar is None
-    assert summarize(rounds, log, 2, 3).vwap_bar is None
+    assert summarize(samples, log, 9, 12).vwap_bar is None
 
 
 def test_vwap_no_trade_marker():

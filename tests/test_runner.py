@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from array import array
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -133,33 +134,19 @@ def test_step_and_period_must_be_whole_multiples(step_s, t_market_s, valid):
             cfg.validate()
 
 
-# number and range fields that DOMAINS leaves unbounded: only the rules
-# that relate them to another field constrain them
-UNBOUNDED_FIELDS = {"days"}
-# fields that a rule orders against a partner, which is set to the same
-# edge so that the rule holds
-PARTNERS = {"weather_temp_min_c": "weather_temp_max_c",
-            "weather_temp_max_c": "weather_temp_min_c"}
+# fields that a rule orders against a partner, and the partner's offset
+# from the edge that lets the rule hold: the temperature bounds may meet,
+# and days must exceed discard_days
+PARTNERS = {"weather_temp_min_c": ("weather_temp_max_c", 0),
+            "weather_temp_max_c": ("weather_temp_min_c", 0),
+            "days": ("discard_days", -1)}
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
-@pytest.mark.parametrize("t_market_s, most_days", [
-    (300.0, 2**31 // 288), (3600.0, 2**31 // 24), (DAY_S, 2**31)])
-def test_a_run_holds_at_most_2_31_rounds(t_market_s, most_days):
-    """Round ids 0 .. rounds - 1 fit the fill log's int32 column."""
-    ScenarioConfig(days=most_days, discard_days=1,
-                   t_market_s=t_market_s).validate()
-    with pytest.raises(ValueError, match=f"days must not exceed {most_days} "
-                       "at t_market_s"):
-        ScenarioConfig(days=most_days + 1, discard_days=1,
-                       t_market_s=t_market_s).validate()
-
-
-def test_every_number_field_has_a_domain_or_may_take_any_value():
+def test_every_number_field_has_a_domain():
     numeric = {key for key, kind in FIELD_TYPES.items()
                if not kind.startswith("str")}
-    assert set(DOMAINS) | UNBOUNDED_FIELDS == numeric
-    assert not set(DOMAINS) & UNBOUNDED_FIELDS
+    assert set(DOMAINS) == numeric
 
 
 @pytest.mark.parametrize("key", sorted(DOMAINS))
@@ -173,7 +160,8 @@ def test_each_domain_edge_is_accepted_exactly_when_closed(key):
     def validate(value, end, edge):
         if isinstance(default, tuple):      # the given end of a range
             value = (value, default[1]) if end == 0 else (default[0], value)
-        fields = {PARTNERS[key]: edge} if key in PARTNERS else {}
+        partner, offset = PARTNERS.get(key, (None, 0))
+        fields = {partner: edge + offset} if partner else {}
         ScenarioConfig(**fields, **{key: value}).validate()
 
     edges = [(lo, 0, lo_allowed, -1)] + ([(hi, 1, True, 1)]
@@ -468,16 +456,16 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
     log = TransactionLog()
     for k in range(300):
         n = rng.randrange(4)
-        log.extend(k, [rng.randrange(5000) for _ in range(n)],
+        log.extend([rng.randrange(5000) for _ in range(n)],
                    [rng.randrange(6000) for _ in range(n)],
                    [rng.randrange(1, 2 ** 31) for _ in range(n)],
                    [rng.choice(edge_prices + [rng.random()])
                     for _ in range(n)])
     # equal as floats, different as text, in either order in one log;
     # ids at the edge of the log's int16 columns, watts at that of int32
-    log.extend(300, [2 ** 15 - 1, -5], [-5, 2 ** 15 - 1], [7, 2 ** 31 - 1],
+    log.extend([2 ** 15 - 1, -5], [-5, 2 ** 15 - 1], [7, 2 ** 31 - 1],
                [-0.0, 0.0])
-    log.extend(301, [-5], [-5], [9], [-0.0])
+    log.extend([-5], [-5], [9], [-0.0])
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
     write_outputs(dataclasses.replace(result, transactions=log), tmp_path)
@@ -486,39 +474,67 @@ def test_transactions_csv_matches_the_per_row_writer(tmp_path):
         per_row_transactions_csv(log)
 
 
-# (round id, fills) per `extend`, in a run's order: round 0 extends with
-# no fills and then with some, round 2 extends twice, round 5 extends with
-# none, rounds 1, 3, 4 and 6 have no entry, and the last round 8 is empty
-LOG_ENTRIES = [
-    (0, []),
-    (0, [Transaction(1000, 0, 500, 0.9, 0)]),
-    (2, [Transaction(1001, 0, 400, 0.8, 2),
-         Transaction(1001, 3000, 1, 0.1, 2)]),
-    (2, [Transaction(2000, 5000, 300, -0.0, 2)]),
-    (5, []),
-    (7, [Transaction(4000, 3001, 900, 0.01, 7)]),
-    (8, []),
+# each round's fills in a run's order, entry r round r: round 0 has none,
+# round 2 three, rounds 3 to 5 none, and the last round 7 none
+ROUND_FILLS = [
+    [],
+    [Transaction(1000, 0, 500, 0.9)],
+    [Transaction(1001, 0, 400, 0.8), Transaction(1001, 3000, 1, 0.1),
+     Transaction(2000, 5000, 300, -0.0)],
+    [], [], [],
+    [Transaction(4000, 3001, 900, 0.01)],
+    [],
 ]
 
 
-@pytest.mark.parametrize("entries", [
-    LOG_ENTRIES, [entry for entry in LOG_ENTRIES if entry[1]],
-    [(0, [])] * 2 + LOG_ENTRIES[1:] + [(2 ** 31 - 1, [])], [(5, [])], []],
+@pytest.mark.parametrize("rounds", [
+    ROUND_FILLS, [fills for fills in ROUND_FILLS if fills],
+    [[], []] + ROUND_FILLS[1:] + [[]], [[]], []],
     ids=["logged", "unlogged", "edges", "empty", "none"])
-def test_transactions_csv_over_empty_repeated_and_gapped_rounds(entries,
+def test_transactions_csv_over_empty_repeated_and_gapped_rounds(rounds,
                                                                tmp_path):
-    """Each round's text is repeated over exactly its fills, whether a
-    round has no fills at the log's start or end, repeats or is missing."""
+    """The round column repeats each round's index over exactly its
+    fills and skips the rounds without any, whether those lie at the
+    log's start or end, between filled rounds, or nowhere."""
     log = TransactionLog()
-    for k, fills in entries:
-        log.extend(k, *([tx[i] for tx in fills] for i in range(4)))
+    for fills in rounds:
+        log.extend(*([tx[i] for tx in fills] for i in range(4)))
     result = run_scenario(builtin_config("s1", n_houses=2, days=2,
                                          discard_days=1))
     write_outputs(dataclasses.replace(result, transactions=log), tmp_path)
     text = (tmp_path / "transactions.csv").read_text()
     assert text == per_row_transactions_csv(
-        tx for _, fills in entries for tx in fills)
+        tx._replace(round_index=r)
+        for r, fills in enumerate(rounds) for tx in fills)
     assert text.count("\n") == 1 + len(log)
+
+
+def test_the_fill_log_has_one_entry_per_round_log_row(monkeypatch,
+                                                      tmp_path):
+    """Entry r of the fill log holds the fills the matcher cleared in
+    round r, row r of the round log, and their rows of transactions.csv
+    give r as their round."""
+    cleared, match = [], substation.match_orders
+
+    def recording(orders, round_index):
+        cleared.append(match(orders, round_index))
+        return cleared[-1]
+
+    monkeypatch.setattr(substation, "match_orders", recording)
+    result = run_scenario(builtin_config("s5", n_houses=3, n_ev=3, n_pv=3,
+                                         days=2, discard_days=1),
+                          out_dir=tmp_path)
+    log = result.transactions
+    rows = len(result.rounds["t_s"])
+    assert len(log.round_starts) == rows == len(cleared) == 2 * 288
+    assert [res.round_index for res in cleared] == list(range(rows))
+    assert [log.first_fill(r + 1) - log.first_fill(r)
+            for r in range(rows)] == [len(res.buyer) for res in cleared]
+    with open(tmp_path / "transactions.csv") as fh:
+        rounds = [line.partition(",")[0] for line in islice(fh, 1, None)]
+    assert rounds == [str(res.round_index) for res in cleared
+                      for _ in res.buyer]
+    assert len(rounds) == len(log) > 1000
 
 
 def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
