@@ -169,10 +169,10 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     Bids descend and fills take the cheapest sellers first, so the used
     up sellers form a prefix of the sorted sellers: a cursor, prefix sums
     and one bisection per buyer clear B buyers against S sellers in
-    O((B + S) log S) after sorting. A buyer that the seller at the cursor
-    covers alone, at an ask within its bid, fills from it without the
-    bisection. `sold` is read off the used-up prefix and the cursor's
-    partial fill once the buyers are done.
+    O((B + S) log S) after sorting. Every buyer fills through one path;
+    one that the seller at the cursor covers alone, at an ask within its
+    bid, skips only the bisection. `sold` is read off the used-up prefix
+    and the cursor's partial fill once the buyers are done.
     """
     buy, sell = Side.BUY, Side.SELL     # an enum member lookup is slow
     book = sorted(orders, key=_TRADER)
@@ -196,17 +196,11 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     cursor = 0
     seller, ask, left = seller_ids[0], asks[0], quantities[0]
     for trader, _, quantity, price, _ in buyers:
-        if quantity < left and ask <= price:
-            add_buyer(trader)
-            add_seller(seller)
-            add_quantity(quantity)
-            add_price(ask)
-            left -= quantity
-        else:
+        need = quantity
+        if need >= left or ask > price:     # the cursor alone falls short
             used = supply[cursor + 1] - left
             if supply[bisect_right(asks, price)] - used < quantity:
                 continue
-            need = quantity
             while need >= left:         # takes the rest of this seller
                 add_buyer(trader)
                 add_seller(seller)
@@ -218,12 +212,12 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
                     break
                 seller, ask = seller_ids[cursor], asks[cursor]
                 left = quantities[cursor]
-            if need:
-                add_buyer(trader)
-                add_seller(seller)
-                add_quantity(need)
-                add_price(ask)
-                left -= need
+        if need:                        # the rest, from the cursor seller
+            add_buyer(trader)
+            add_seller(seller)
+            add_quantity(need)
+            add_price(ask)
+            left -= need
         bought[trader] = bought.get(trader, 0) + quantity
         if cursor == n_sellers:
             break

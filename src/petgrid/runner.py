@@ -264,12 +264,18 @@ def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
 
 def load_config_file(path) -> ScenarioConfig:
     import yaml     # only config files need it; it slows `import petgrid`
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:   # its text spans several lines
+        mark = getattr(exc, "problem_mark", None)
+        raise ValueError(f"config file {path} is not valid YAML" + (
+            f" at line {mark.line + 1}" if mark else "")) from None
+    # only an empty document (None) means no settings
+    if raw is not None and not isinstance(raw, dict):
         raise ValueError("config file must contain a mapping")
     cfg = ScenarioConfig(name=Path(path).stem)
-    apply_settings(cfg, _flatten(raw))
+    apply_settings(cfg, _flatten(raw or {}))
     return cfg
 
 
@@ -312,6 +318,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     sub = substation.SubstationFederate(cfg)
     fed.register_federate("substation", sub)
 
+    if out_dir is not None:     # an unusable directory fails before a step
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     fed.run(cfg.horizon_s())
     _, per_day = cfg.schedule()
 

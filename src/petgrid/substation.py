@@ -20,17 +20,13 @@ from .market import Order, Side, TransactionLog, match_orders
 from .metrics import append_round, round_log
 from .weather import DAY_S, diurnal_wave
 
-# Trader id blocks; the offsets give must-serve loads tie-break priority.
-# Block k starts at k * MAX_HOUSES, which `_dispatch` relies on.
-GRID_TRADER = 0
-UNRESP_BASE = 1000
-HVAC_BASE = 2000
-PV_BASE = 3000
-EV_BASE = 4000
-EV_SELL_BASE = 5000
-# one id per house or EV in each block caps the fleet size, and keeps
-# every id below 2**15, as the fill log's 16-bit id columns need
-MAX_HOUSES = HVAC_BASE - UNRESP_BASE
+# One id per house or EV in each block caps the fleet size, and keeps
+# every id below 2**15, as the fill log's 16-bit id columns need.
+MAX_HOUSES = 1000
+# Trader id blocks, block k from k * MAX_HOUSES, as `_dispatch` divides
+# ids by it; their order gives must-serve loads tie-break priority.
+(GRID_TRADER, UNRESP_BASE, HVAC_BASE, PV_BASE, EV_BASE,
+ EV_SELL_BASE) = range(0, 6 * MAX_HOUSES, MAX_HOUSES)
 
 # an Order without the checks of Order.__new__, for the house and EV bids,
 # whose positive whole watts and non-negative prices hold by construction
@@ -205,11 +201,11 @@ class SubstationFederate:
         self.hist.append(lmp)
 
         n_ev = self.cfg.n_ev
-        no_houses = (0.0,) * self.cfg.n_houses
-        unresp, hvac = (list(map(round, ctx.read(key, no_houses)))
-                        for key in ("houses/unresponsive_w",
-                                    "houses/hvac_demand_w"))
-        pv = list(map(round, ctx.read("houses/pv_potential_w", ())))
+        # round 0 reads no house topic yet: no house orders
+        unresp, hvac, pv = (list(map(round, ctx.read(key, ())))
+                            for key in ("houses/unresponsive_w",
+                                        "houses/hvac_demand_w",
+                                        "houses/pv_potential_w"))
         orders = [formulate_grid_bid(self.capacity_w, lmp)]
         orders += formulate_house_bids(unresp, hvac, pv, self.cfg)
         ranges = ()

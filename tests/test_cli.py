@@ -224,6 +224,57 @@ def test_wrong_type_in_a_config_file_fails_before_any_step(
     assert err.startswith(f"error: {message}")
 
 
+def test_malformed_yaml_is_one_error_line_naming_the_file(
+        capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("houses: {count: 2}\n- x\n")
+    err = fails_before_any_step(["--scenario", str(cfg)], capsys,
+                                monkeypatch, tmp_path)
+    assert err == f"error: config file {cfg} is not valid YAML at line 2\n"
+
+
+# 2 days, 2 houses
+TINY = ("--days", "2", "--set", "scenario.discard_days=1",
+        "--set", "houses.count=2")
+
+
+@pytest.mark.parametrize("document", ["[]", "0", "false", "''"])
+def test_a_falsy_document_that_is_no_mapping_fails_before_any_step(
+        document, capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "falsy.yaml"
+    cfg.write_text(document + "\n")
+    err = fails_before_any_step(["--scenario", str(cfg), *TINY], capsys,
+                                monkeypatch, tmp_path)
+    assert err == "error: config file must contain a mapping\n"
+
+
+def test_an_empty_config_file_means_no_settings(tmp_path, capsys):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(cfg), *TINY,
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    assert (payload["scenario"], payload["n_houses"]) == ("empty", 2)
+
+
+def test_an_unusable_out_fails_before_any_step(capsys, monkeypatch,
+                                               tmp_path):
+    """`--out` naming a file fails once the build is done, before the
+    first step, and leaves the file as it was."""
+    def no_stepping(*_):
+        raise AssertionError("the federation must not run")
+
+    monkeypatch.setattr(kernel.Federation, "run", no_stepping)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code = main(["run", "--scenario", "s1", *TINY, "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert taken.read_text() == "kept"
+
+
 @pytest.mark.parametrize("rows, extra", [
     (["0,20,0", "3600,nan,0"], []),
     (["0,20,nan", "3600,21,0"], []),

@@ -387,6 +387,49 @@ def test_a_buyer_that_takes_the_rest_of_a_seller_moves_the_cursor():
     assert list(result.sold.items()) == [(0, 550), (7, 50)]
 
 
+# Books at the edges of the cursor seller's cover, each with its fills.
+# The random draws reach these too (small books on five prices, and the
+# single-seller books' exact takers); these name each case.
+EDGE_BOOKS = {
+    # buyer 2 needs exactly what seller 0 has left: it takes the rest and
+    # moves the cursor, and buyer 3 fills from the next seller alone
+    "need-equals-left": (
+        [sell(0, 500, 0.01), sell(7, 100, 0.02), buy(1, 300, 1.0),
+         buy(2, 200, 1.0), buy(3, 50, 1.0)],
+        [Transaction(1, 0, 300, 0.01), Transaction(2, 0, 200, 0.01),
+         Transaction(3, 7, 50, 0.02)]),
+    # a bid equal to the ask fills from the cursor seller alone; one a
+    # tick under it finds no supply
+    "bid-equals-ask": (
+        [sell(0, 100, 0.5), buy(1, 40, 0.5), buy(2, 100, 0.5),
+         buy(3, 10, 0.49)],
+        [Transaction(1, 0, 40, 0.5)]),
+    # buyer 1 leaves seller 5 partly filled; seller 5 covers buyer 2 alone
+    "covered-after-partial": (
+        [sell(0, 100, 0.1), sell(5, 100, 0.2), buy(1, 150, 1.0),
+         buy(2, 30, 1.0)],
+        [Transaction(1, 0, 100, 0.1), Transaction(1, 5, 50, 0.2),
+         Transaction(2, 5, 30, 0.2)]),
+    # buyer 2 uses up the last seller exactly; buyer 3 finds none left
+    "last-seller-used-up": (
+        [sell(0, 100, 0.1), sell(5, 50, 0.2), buy(1, 120, 1.0),
+         buy(2, 30, 1.0), buy(3, 1, 1.0)],
+        [Transaction(1, 0, 100, 0.1), Transaction(1, 5, 20, 0.2),
+         Transaction(2, 5, 30, 0.2)]),
+}
+
+
+@pytest.mark.parametrize("orders, fills", EDGE_BOOKS.values(),
+                         ids=EDGE_BOOKS)
+def test_edges_of_the_cursor_sellers_cover(orders, fills):
+    expected = reference_match_orders(orders)
+    result = match_orders(orders)
+    assert result.transactions == expected.transactions == fills
+    assert result.bought == expected.bought
+    assert list(result.sold.items()) == list(expected.sold.items())
+    check_invariants(orders, result)
+
+
 def test_round_vwap_is_vwap_bit_for_bit():
     rng = random.Random(6)
     books = [[Transaction(1, 2, 5, -0.0)]] + [

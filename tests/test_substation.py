@@ -12,7 +12,7 @@ from petgrid.market import (Order, Side, Transaction, TransactionLog,
                             match_orders)
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
-                                HVAC_BASE, LmpHistory, PV_BASE,
+                                HVAC_BASE, LmpHistory, MAX_HOUSES, PV_BASE,
                                 SubstationFederate, UNRESP_BASE, base_price,
                                 compute_lmp, ev_strategy_prices,
                                 formulate_ev_bids,
@@ -32,6 +32,12 @@ def test_base_price_trough_and_peak_hours():
     # halfway up the 14 h rise and down the 10 h fall: the base itself
     for hour in (11.0, 23.0):
         assert base_price(hour * H, 0.012, 0.25) == pytest.approx(0.012)
+
+
+def test_trader_id_blocks_start_at_multiples_of_max_houses():
+    """`_dispatch` finds a fill's block as trader // MAX_HOUSES."""
+    assert (GRID_TRADER, UNRESP_BASE, HVAC_BASE, PV_BASE, EV_BASE,
+            EV_SELL_BASE) == tuple(k * MAX_HOUSES for k in range(6))
 
 
 def test_lmp_zero_load_equals_base_price():

@@ -39,14 +39,21 @@ FLEET = TINY + ["--set", "ev.count=3", "--set", "scenario.n_pv=3"]
 def cli_runs(tmp: Path) -> list[list[str]]:
     """`petgrid` argument lists: version and list, the builtins, the CI
     runs, then the configs that must fail."""
-    weather_csv, fractional, null = (tmp / name for name in (
-        "weather.csv", "fractional.yaml", "null.yaml"))
+    weather_csv, empty, fractional, null, bad, taken = (
+        tmp / name for name in ("weather.csv", "empty.yaml", "fractional.yaml",
+                                "null.yaml", "bad.yaml", "taken"))
     weather_csv.write_text("timestamp,temp_c,irradiance_wm2\n" + "".join(
         f"{h * 3600},{30.5 - 4.5 * math.cos((h - 3) * math.pi / 12):.2f},"
         f"{max(0.0, 900.0 * math.sin((h - 6) * math.pi / 14)):.1f}\n"
         for h in range(24)))
     fractional.write_text("houses: {count: 3.5}\n")
+    empty.touch()
     null.write_text("grid: {capacity_kw: null}\n")
+    bad.write_text("houses: {count: 2}\n- x\n")
+    taken.touch()
+    falsy = [tmp / f"falsy-{i}.yaml" for i in range(4)]
+    for path, document in zip(falsy, ["[]", "0", "false", "''"]):
+        path.write_text(document + "\n")
     runs = [
         ["s1", *TINY], ["s2", *TINY],
         ["s3", *TINY, "--set", "scenario.n_pv=3"],
@@ -62,9 +69,11 @@ def cli_runs(tmp: Path) -> list[list[str]]:
         ["s5", *FLEET, "--set", "weather.mode=csv",
          "--set", f"weather.csv_path={weather_csv}"],
         ["s5", *FLEET, "--set", "ev.charger_kw=7.2005"],
+        [str(empty), *TINY],
         # configs that must fail with one `error:` line
         ["s5", *TINY, "--set", "lmp.demand_ema=2"],
-        [str(fractional)], [str(null)],
+        [str(fractional)], [str(null)], [str(bad)],
+        *([str(path), *TINY] for path in falsy),
         ["s1", *TINY, "--set", "grid.capacity_kw=0.0004"],
         ["s1", *TINY, "--set", "houses.hvac_kw=0.0004"],
         ["s1", *TINY, "--set", "market.t_market_s=86400",
@@ -80,7 +89,9 @@ def cli_runs(tmp: Path) -> list[list[str]]:
     ]
     return [["version"], ["scenarios", "list"]] + [
         ["run", "--scenario", *args, "--out", str(tmp / f"run-{i}")]
-        for i, args in enumerate(runs)]
+        for i, args in enumerate(runs)] + [
+        # an --out that names a file
+        ["run", "--scenario", "s1", *TINY, "--out", str(taken)]]
 
 
 DEMOS = [("market_round_walkthrough.py", []),
