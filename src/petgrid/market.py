@@ -130,7 +130,6 @@ class MarketResult:
     """One round's fills as parallel columns in fill order, and the
     watts each buyer bought and each seller sold."""
 
-    round_index: int
     buyer: list[int] = field(default_factory=list)
     seller: list[int] = field(default_factory=list)
     quantity: list[int] = field(default_factory=list)        # W
@@ -140,9 +139,9 @@ class MarketResult:
 
     @property
     def transactions(self) -> list[Transaction]:
-        """The fills as `Transaction`s, built on each read."""
+        """The fills as `Transaction`s of round 0, built on each read."""
         return list(map(Transaction, self.buyer, self.seller, self.quantity,
-                        self.price, repeat(self.round_index)))
+                        self.price))
 
     @property
     def round_vwap(self) -> float | None:
@@ -150,7 +149,7 @@ class MarketResult:
         return vwap(self.quantity, self.price)
 
 
-def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
+def match_orders(orders: list[Order]) -> MarketResult:
     """Clear one round of the double auction.
 
     Buyers descend by price (ties: lower priority, then lower trader id
@@ -179,7 +178,7 @@ def match_orders(orders: list[Order], round_index: int = 0) -> MarketResult:
     book.sort(key=_PRIORITY)
     buyers = [o for o in book if o.side is buy]
     sellers = [o for o in book if o.side is sell]
-    result = MarketResult(round_index)
+    result = MarketResult()
     if not (buyers and sellers):
         return result
     buyers.sort(key=_PRICE, reverse=True)

@@ -23,13 +23,17 @@ def t_excess2(t_air: float, t_setpoint: float) -> float:
 
 
 # time_series.csv's columns in file order, then the power sums that only
-# the summary reads: the round log's columns, in this order
+# the summary reads and the round's violations (unserved loads, unfilled
+# forced charges, |supply - load| in W): the round log's columns, in order
 TIME_SERIES_COLUMNS = (
     "t_s", "lmp", "round_vwap", "grid_supplied_w", "pv_potential_w",
     "pv_supplied_w", "ev_charge_w", "ev_discharge_w", "hvac_load_w",
     "unresponsive_load_w", "mean_t_air_c", "mean_setpoint_c", "mean_t_excess2")
 ROUND_COLUMNS = TIME_SERIES_COLUMNS + (
-    "p_target_w", "p_supplied_w", "p_surplus_pv_w", "p_surplus_ev_w")
+    "p_target_w", "p_supplied_w", "p_surplus_pv_w", "p_surplus_ev_w",
+    "unserved_unresponsive", "ev_unfilled_must_charge", "imbalance_w")
+_INT_COLUMNS = ("grid_supplied_w", "unserved_unresponsive",
+                "ev_unfilled_must_charge")
 AVERAGE_DAY_COLUMNS = (
     "lmp", "grid_supplied_w", "pv_potential_w", "pv_supplied_w",
     "ev_charge_w", "ev_discharge_w", "hvac_load_w", "unresponsive_load_w",
@@ -41,14 +45,17 @@ def round_log() -> dict:
     """An empty round log: one column per name in ROUND_COLUMNS, to hold
     one value per market round in round order. time_series.csv formats a
     value by its type: the grid's fill stays the int the matcher sold, a
-    round without fills has a None VWAP, and the rest are floats."""
+    round without fills has a None VWAP, the violation counts are ints
+    and the rest are floats."""
     return {name: [] if name == "round_vwap"
-            else array("q" if name == "grid_supplied_w" else "d")
+            else array("q" if name in _INT_COLUMNS else "d")
             for name in ROUND_COLUMNS}
 
 
-def append_round(log: dict, **values) -> None:
-    """Append one round's observations, one keyword per column."""
+def append_round(log: dict, values: dict) -> None:
+    """Append one round's observations, one key of `values` per column.
+    A dict, not keywords: CPython 3.11 keeps a freed 20-item tuple, such
+    as a 20-keyword call's key names, on a free list it never reuses."""
     for name, column in log.items():
         column.append(values[name])
 

@@ -264,9 +264,16 @@ def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
 
 def load_config_file(path) -> ScenarioConfig:
     import yaml     # only config files need it; it slows `import petgrid`
+    class Loader(yaml.SafeLoader):  # refuses a repeated key, at any depth
+        def construct_mapping(self, node, deep=False):
+            keys = [k.value for k, _ in node.value]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"config file {path} repeats key {key!r}")
+            return super().construct_mapping(node, deep)
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader)
     except yaml.YAMLError as exc:   # its text spans several lines
         mark = getattr(exc, "problem_mark", None)
         raise ValueError(f"config file {path} is not valid YAML" + (
@@ -324,18 +331,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     _, per_day = cfg.schedule()
 
     window = (cfg.discard_days * per_day, cfg.days * per_day)     # rows
+    max_imbalance_w = max(sub.rounds["imbalance_w"])
     violations = {
-        "unserved_unresponsive": sub.unserved_unresponsive,
+        "unserved_unresponsive": sum(sub.rounds["unserved_unresponsive"]),
         "ev_range": ev_fed.range_violations,
-        "ev_unfilled_must_charge": sub.ev_unfilled_must_charge,
-        "power_imbalance": int(sub.max_imbalance_w > 1.0),
+        "ev_unfilled_must_charge": sum(sub.rounds["ev_unfilled_must_charge"]),
+        "power_imbalance": int(max_imbalance_w > 1.0),
     }
     summary = metrics.summarize(sub.rounds, sub.transactions, *window,
                                 violations=violations)
-    avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, per_day,
-                                  *window)
+    avg_day = metrics.average_day(sub.rounds, cfg.t_market_s, per_day, *window)
     result = RunResult(cfg, summary, sub.rounds, sub.transactions, avg_day,
-                       violations, sub.max_imbalance_w,
+                       violations, max_imbalance_w,
                        ev_fed.soc_min_seen, ev_fed.soc_max_seen)
 
     if out_dir is not None:

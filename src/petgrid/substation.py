@@ -23,7 +23,7 @@ from .weather import DAY_S, diurnal_wave
 # One id per house or EV in each block caps the fleet size, and keeps
 # every id below 2**15, as the fill log's 16-bit id columns need.
 MAX_HOUSES = 1000
-# Trader id blocks, block k from k * MAX_HOUSES, as `_dispatch` divides
+# Trader id blocks, block k from k * MAX_HOUSES, as `clear_round` divides
 # ids by it; their order gives must-serve loads tie-break priority.
 (GRID_TRADER, UNRESP_BASE, HVAC_BASE, PV_BASE, EV_BASE,
  EV_SELL_BASE) = range(0, 6 * MAX_HOUSES, MAX_HOUSES)
@@ -169,6 +169,67 @@ def formulate_ev_bids(ranges: list[tuple[int, int]], socs, departs,
     return orders
 
 
+def clear_round(lmp: float, capacity_w: int, unresp: list[int],
+                hvac: list[int], pv: list[int], cfg, ranges=(), socs=(),
+                departs=(), strategy=None):
+    """Clear one market round: the grid's `capacity_w` at `lmp`, the
+    houses' whole-watt packets and, if `ranges` is not empty, the EV
+    fleet's bids at `strategy`. Return the `MarketResult`, the HVAC and
+    EV dispatch tuples and the round-log row but for its time and house
+    means; the row counts the must-serve loads that slack served."""
+    orders = [formulate_grid_bid(capacity_w, lmp)]
+    orders += formulate_house_bids(unresp, hvac, pv, cfg)
+    if ranges:
+        orders += formulate_ev_bids(ranges, socs, departs, strategy, cfg)
+    result = match_orders(orders)
+    # quantities are whole watts, so each total is an exact int sum.
+    # Each fill lands in its trader id block's list, at its house or
+    # EV index, in one pass.
+    n, n_ev, m = cfg.n_houses, len(ranges), MAX_HOUSES
+    blocks = [[0] * k for k in (1, n, n, len(pv), n_ev, n_ev)]
+    for fills in (result.bought, result.sold):
+        for trader, quantity in fills.items():
+            blocks[trader // m][trader % m] = quantity
+    ((grid_supplied,), unresp_bought, hvac_granted, pv_sold, ev_bought,
+     ev_sold) = blocks
+    unserved = [w for w, got in zip(unresp, unresp_bought)
+                if w > 0 and got == 0]
+    ev_charge = ev_discharge = ev_surplus = must_charge_w = 0
+    ev_loads, unfilled = [], []
+    for (lo, _), charged, discharged in zip(ranges, ev_bought, ev_sold):
+        if lo > 0:
+            must_charge_w += lo
+            if charged == 0:    # unfilled: it charges at lo anyway
+                unfilled.append(lo)
+                charged = lo
+        net = charged - discharged
+        ev_loads.append(net)
+        if net > 0:
+            ev_charge += net
+        else:
+            ev_discharge -= net
+        if lo < 0:              # it sold at most what it offered
+            ev_surplus += -lo - discharged
+    unresp_total, pv_total = float(sum(unresp)), float(sum(pv))
+    hvac_total, pv_supplied = float(sum(hvac_granted)), float(sum(pv_sold))
+    p_supplied = grid_supplied + pv_supplied + ev_discharge
+    slack_w = sum(unserved) + sum(unfilled)
+    row = dict(
+        lmp=lmp, round_vwap=result.round_vwap, grid_supplied_w=grid_supplied,
+        pv_potential_w=pv_total, pv_supplied_w=pv_supplied,
+        ev_charge_w=ev_charge, ev_discharge_w=ev_discharge,
+        hvac_load_w=hvac_total, unresponsive_load_w=unresp_total,
+        p_target_w=unresp_total + sum(hvac) + must_charge_w,
+        p_supplied_w=p_supplied,
+        # an array sells at most what it offered
+        p_surplus_pv_w=pv_total - pv_supplied, p_surplus_ev_w=ev_surplus,
+        unserved_unresponsive=len(unserved),
+        ev_unfilled_must_charge=len(unfilled),
+        imbalance_w=abs(p_supplied + slack_w
+                        - (unresp_total + hvac_total + ev_charge)))
+    return result, tuple(hvac_granted), tuple(ev_loads), row
+
+
 class SubstationFederate:
     """Runs one clearing round at every market period boundary.
 
@@ -187,13 +248,9 @@ class SubstationFederate:
         self.prev_demand_w = 0.0
         self.rounds = round_log()
         self.transactions = TransactionLog()
-        self.unserved_unresponsive = 0
-        self.ev_unfilled_must_charge = 0
-        self.max_imbalance_w = 0.0
 
     def __call__(self, ctx) -> None:
-        round_index = ctx.clearing_round
-        if round_index is None:
+        if ctx.clearing_round is None:
             return
         lmp = compute_lmp(self.prev_demand_w, self.lmp_capacity_w, ctx.t,
                           self.cfg.lmp_p_base, self.cfg.lmp_alpha,
@@ -206,90 +263,24 @@ class SubstationFederate:
                             for key in ("houses/unresponsive_w",
                                         "houses/hvac_demand_w",
                                         "houses/pv_potential_w"))
-        orders = [formulate_grid_bid(self.capacity_w, lmp)]
-        orders += formulate_house_bids(unresp, hvac, pv, self.cfg)
-        ranges = ()
-        if n_ev:
-            ranges = ctx.read("evs/load_range_w", ((0, 0),) * n_ev)
-            orders += formulate_ev_bids(
-                ranges, ctx.read("evs/soc", (0.0,) * n_ev),
-                ctx.read("evs/next_depart_s", (float("inf"),) * n_ev),
-                ev_strategy_prices(self.hist), self.cfg)
-
-        result = match_orders(orders, round_index)
+        evs = (ctx.read("evs/load_range_w", ((0, 0),) * n_ev),
+               ctx.read("evs/soc", (0.0,) * n_ev),
+               ctx.read("evs/next_depart_s", (float("inf"),) * n_ev),
+               ev_strategy_prices(self.hist)) if n_ev else ()
+        result, hvac_w, ev_load_w, row = clear_round(
+            lmp, self.capacity_w, unresp, hvac, pv, self.cfg, *evs)
         self.transactions.extend(result.buyer, result.seller,
                                  result.quantity, result.price)
-        grid_import = float(self._dispatch(ctx, result, unresp, hvac, pv,
-                                           ranges, lmp))
+        ctx.publish("dispatch/hvac_w", hvac_w)
+        ctx.publish("dispatch/ev_load_w", ev_load_w)
+        row.update(t_s=ctx.t,
+                   mean_t_air_c=ctx.read("houses/mean_t_air_c", 0.0),
+                   mean_setpoint_c=ctx.read("houses/mean_t_set_c", 0.0),
+                   mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0))
+        append_round(self.rounds, row)
         # demand seen at the grid connection point: next round's LMP
         # tracks the import actually drawn from the wider grid, smoothed
         # so the grid/local-supply split settles instead of flip-flopping
         ema = self.cfg.lmp_demand_ema
-        self.prev_demand_w = ema * grid_import + (1 - ema) * self.prev_demand_w
-
-    def _dispatch(self, ctx, result, unresp, hvac, pv, ranges, lmp) -> int:
-        """Push the round's fills to the devices, account for the round
-        and return the watts the grid supplied."""
-        # quantities are whole watts, so each total is an exact int sum.
-        # Each fill lands in its trader id block's list, at its house or
-        # EV index, in one pass.
-        n, n_ev, m = self.cfg.n_houses, self.cfg.n_ev, MAX_HOUSES
-        blocks = [[0] * k for k in (1, n, n, len(pv), n_ev, n_ev)]
-        for fills in (result.bought, result.sold):
-            for trader, quantity in fills.items():
-                blocks[trader // m][trader % m] = quantity
-        grid, unresp_bought, hvac_granted, pv_sold, ev_bought, ev_sold = blocks
-        grid_supplied = grid[GRID_TRADER]
-        # must-serve loads left unfilled: serve them anyway via
-        # out-of-market slack and record the violations
-        unserved = [w for w, got in zip(unresp, unresp_bought)
-                    if w > 0 and got == 0]
-        self.unserved_unresponsive += len(unserved)
-        slack_w = float(sum(unserved))
-        unresp_total = float(sum(unresp))
-        hvac_total = float(sum(hvac_granted))
-        pv_supplied = float(sum(pv_sold))
-        pv_potential_total = float(sum(pv))
-        # an array sells at most what it offered
-        pv_surplus = pv_potential_total - pv_supplied
-        ctx.publish("dispatch/hvac_w", tuple(hvac_granted))
-
-        ev_charge = ev_discharge = ev_surplus = must_charge_w = 0.0
-        ev_loads = []
-        for (lo, hi), charged, discharged in zip(ranges, ev_bought, ev_sold):
-            if lo > 0:
-                must_charge_w += lo
-                if charged == 0:
-                    # forced charge left unfilled: the EV charges at its
-                    # range minimum anyway, served via out-of-market slack
-                    self.ev_unfilled_must_charge += 1
-                    charged = lo
-                    slack_w += lo
-            net = charged - discharged
-            ev_loads.append(net)
-            if net > 0:
-                ev_charge += net
-            else:
-                ev_discharge += -net
-            if lo < 0:                  # it sold at most what it offered
-                ev_surplus += abs(lo) - discharged
-        ctx.publish("dispatch/ev_load_w", tuple(ev_loads))
-
-        supply = grid_supplied + pv_supplied + ev_discharge + slack_w
-        load = unresp_total + hvac_total + ev_charge
-        self.max_imbalance_w = max(self.max_imbalance_w, abs(supply - load))
-
-        p_target = unresp_total + sum(hvac) + must_charge_w
-        append_round(
-            self.rounds, t_s=ctx.t, lmp=lmp, round_vwap=result.round_vwap,
-            grid_supplied_w=grid_supplied, pv_potential_w=pv_potential_total,
-            pv_supplied_w=pv_supplied, ev_charge_w=ev_charge,
-            ev_discharge_w=ev_discharge, hvac_load_w=hvac_total,
-            unresponsive_load_w=unresp_total,
-            mean_t_air_c=ctx.read("houses/mean_t_air_c", 0.0),
-            mean_setpoint_c=ctx.read("houses/mean_t_set_c", 0.0),
-            mean_t_excess2=ctx.read("houses/mean_t_excess2", 0.0),
-            p_target_w=p_target,
-            p_supplied_w=grid_supplied + pv_supplied + ev_discharge,
-            p_surplus_pv_w=pv_surplus, p_surplus_ev_w=ev_surplus)
-        return grid_supplied
+        self.prev_demand_w = (ema * row["grid_supplied_w"]
+                              + (1 - ema) * self.prev_demand_w)

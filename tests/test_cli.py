@@ -248,6 +248,30 @@ def test_a_falsy_document_that_is_no_mapping_fails_before_any_step(
     assert err == "error: config file must contain a mapping\n"
 
 
+@pytest.mark.parametrize("text, key", [
+    ("houses: {count: 2}\nhouses: {count: 3}\n", "houses"),
+    ("houses: {count: 2, count: 3}\n", "count"),
+    ("scenario:\n  days: 2\n  seed: 1\n  days: 3\n", "days"),
+    ("a:\n  b:\n    c: 1\n    c: 2\n", "c"),
+], ids=["top-level", "flow", "block", "depth-3"])
+def test_a_repeated_config_key_fails_before_any_step(
+        text, key, capsys, monkeypatch, tmp_path):
+    """YAML keeps the last of a repeated key, so a file that repeats one
+    would run a value its reader may not see; it fails instead."""
+    cfg = tmp_path / "repeated.yaml"
+    cfg.write_text(text)
+    err = fails_before_any_step(["--scenario", str(cfg), *TINY], capsys,
+                                monkeypatch, tmp_path)
+    assert err == f"error: config file {cfg} repeats key {key!r}\n"
+
+
+def test_a_key_in_two_mappings_is_no_repeat(tmp_path):
+    cfg = tmp_path / "counts.yaml"
+    cfg.write_text("houses: {count: 2}\nev: {count: 1}\n")
+    loaded = runner.load_config_file(cfg)
+    assert (loaded.n_houses, loaded.n_ev) == (2, 1)
+
+
 def test_an_empty_config_file_means_no_settings(tmp_path, capsys):
     cfg = tmp_path / "empty.yaml"
     cfg.write_text("")

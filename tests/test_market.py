@@ -21,15 +21,15 @@ def sell(trader, q, p, priority=None):
     return Order(trader, Side.SELL, q, p, priority=priority)
 
 
-def market_result(fills, round_index=0):
+def market_result(fills):
     """A MarketResult holding `fills`, given as Transactions."""
-    return MarketResult(round_index, [tx.buyer for tx in fills],
+    return MarketResult([tx.buyer for tx in fills],
                         [tx.seller for tx in fills],
                         [tx.quantity for tx in fills],
                         [tx.price for tx in fills])
 
 
-def reference_match_orders(orders, round_index=0):
+def reference_match_orders(orders):
     """The O(B*S) matcher that scans every seller for every buyer, kept as
     a test-only reference for the prefix-sum matcher."""
     buyers = sorted((o for o in orders if o.side is Side.BUY),
@@ -37,7 +37,7 @@ def reference_match_orders(orders, round_index=0):
     sellers = sorted((o for o in orders if o.side is Side.SELL),
                      key=lambda o: (o.price, o.priority, o.trader))
     remaining = [s.quantity for s in sellers]
-    result = MarketResult(round_index)
+    result = MarketResult()
     for buyer in buyers:
         eligible = [i for i, s in enumerate(sellers)
                     if remaining[i] > 0 and s.price <= buyer.price]
@@ -163,14 +163,12 @@ def test_orders_and_fills_are_tuples():
 
 def test_market_result_holds_its_fills_as_columns():
     result = match_orders([buy(1, 3000, 0.020), buy(2, 2000, 0.016),
-                           sell(11, 2000, 0.010), sell(12, 4000, 0.014)],
-                          round_index=4)
-    assert result.round_index == 4
+                           sell(11, 2000, 0.010), sell(12, 4000, 0.014)])
     assert (result.buyer, result.seller, result.quantity, result.price) == \
         ([1, 1, 2], [11, 12, 12], [2000, 1000, 2000], [0.010, 0.014, 0.014])
-    assert result.transactions == [Transaction(1, 11, 2000, 0.010, 4),
-                                   Transaction(1, 12, 1000, 0.014, 4),
-                                   Transaction(2, 12, 2000, 0.014, 4)]
+    assert result.transactions == [Transaction(1, 11, 2000, 0.010),
+                                   Transaction(1, 12, 1000, 0.014),
+                                   Transaction(2, 12, 2000, 0.014)]
     # built on each read, and not settable
     assert result.transactions is not result.transactions
     with pytest.raises(AttributeError):
@@ -183,12 +181,13 @@ def test_transaction_log_iterates_its_fills_in_order():
     assert len(log) == 0 and list(log) == []
     first = [Transaction(1, 2, 300, 0.0155, 1),
              Transaction(1, 3, 200, 0.5, 1)]
-    second = match_orders([buy(4, 100, 0.02), sell(5, 150, 0.01)],
-                          round_index=2)
+    second = match_orders([buy(4, 100, 0.02), sell(5, 150, 0.01)])
     log.extend([1, 1], [2, 3], [300, 200], [0.0155, 0.5])
     log.extend(second.buyer, second.seller, second.quantity, second.price)
     assert len(log) == 3
-    assert list(log) == first + second.transactions
+    # the log gives the second extend's fills round 2
+    assert list(log) == first + [tx._replace(round_index=2)
+                                 for tx in second.transactions]
     assert list(log) == list(log)   # iterating does not consume the log
     # one entry per extend, entry r round r: the index of its first fill
     assert list(log.round_starts) == [0, 0, 2]
@@ -203,7 +202,7 @@ def test_vwap_examples():
         pytest.approx(0.012)
     assert vwap([777], [0.031]) == 0.031
     assert vwap([], []) is None
-    assert MarketResult(0).round_vwap is None
+    assert MarketResult().round_vwap is None
 
 
 def test_vwap_sums_left_to_right():
@@ -310,8 +309,8 @@ def test_matches_reference_on_large_tie_heavy_instances():
     rng = random.Random(777)
     for n_orders in [100] * 30 + [300] * 10 + [1000] * 4:
         orders = tie_heavy_instance(rng, n_orders)
-        expected = reference_match_orders(orders, round_index=3)
-        result = match_orders(orders, round_index=3)
+        expected = reference_match_orders(orders)
+        result = match_orders(orders)
         assert result.transactions == expected.transactions
         assert result.bought == expected.bought
         assert list(result.sold.items()) == list(expected.sold.items())
@@ -363,8 +362,8 @@ def test_matches_reference_on_single_seller_books():
     exact = 0
     for _ in range(400):
         orders = s1_shaped_instance(rng)
-        expected = reference_match_orders(orders, round_index=5)
-        result = match_orders(orders, round_index=5)
+        expected = reference_match_orders(orders)
+        result = match_orders(orders)
         assert result.transactions == expected.transactions
         assert list(result.bought.items()) == list(expected.bought.items())
         assert list(result.sold.items()) == list(expected.sold.items())

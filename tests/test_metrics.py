@@ -35,9 +35,14 @@ def test_t_excess2_squares_as_the_power_operator_does():
         assert str(got) != "-0.0"
 
 
+# the round log's int columns: the grid's fill and the violation counts
+COUNTS = ("grid_supplied_w", "unserved_unresponsive",
+          "ev_unfilled_must_charge")
+
+
 def sample(t, ex2=0.0, vwap=None, **kw):
     """One round's observations, as the substation appends them."""
-    values = dict.fromkeys(ROUND_COLUMNS, 0.0) | {"grid_supplied_w": 0}
+    values = dict.fromkeys(ROUND_COLUMNS, 0.0) | dict.fromkeys(COUNTS, 0)
     return values | {"t_s": t, "mean_t_excess2": ex2, "round_vwap": vwap,
                      "lmp": 0.015} | kw
 
@@ -46,7 +51,7 @@ def rounds_of(samples):
     """The round log holding `samples` in order."""
     rounds = round_log()
     for values in samples:
-        append_round(rounds, **values)
+        append_round(rounds, values)
     return rounds
 
 
@@ -101,7 +106,7 @@ def test_vwap_bar_is_the_market_vwap_of_the_window():
            Transaction(1, 4, 1, 1.0, round_index=3)]
     samples = [sample(t) for t in np.arange(0.0, 1200.0, 300.0)]
     out = summarize(rounds_of(samples), fill_log(txs), 0, 4)
-    result = MarketResult(0, *([tx[i] for tx in txs] for i in range(4)))
+    result = MarketResult(*([tx[i] for tx in txs] for i in range(4)))
     assert out.vwap_bar == result.round_vwap == \
         ((1e16 + 1.0) + 1.0) / 3
 
@@ -245,8 +250,8 @@ def test_average_day_equals_the_per_sample_loop_bit_for_bit(t_market_s):
                   for c in ROUND_COLUMNS}
         for c in rng.choice(ROUND_COLUMNS, size=4):
             values[c] = float(rng.choice([0.0, -0.0]))
-        values |= {"t_s": k * t_market_s, "round_vwap": None,
-                   "grid_supplied_w": int(rng.integers(-2**40, 2**40))}
+        values |= {"t_s": k * t_market_s, "round_vwap": None} | {
+            c: int(rng.integers(-2**40, 2**40)) for c in COUNTS}
         samples.append(values)
     rounds = rounds_of(samples)
     # rows from 0.3 to 2.2 days and from round 10 to 1.5 days + 7 rounds

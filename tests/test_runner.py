@@ -387,26 +387,32 @@ def test_run_scenario_balances_and_safety_small():
 def test_every_sample_field_keeps_its_type():
     """time_series.csv formats a value by its type, so the whole-watt
     sums must not turn a float column into an int: the grid's fill stays
-    the int the matcher sold, every other power total a float. Every
-    column holds one value per round, in typed arrays but for the VWAP,
-    which is None in a round without fills."""
+    the int the matcher sold, every other power total a float. The
+    round's two violation counts are ints and its imbalance a float in
+    watts. Every column holds one value per round, in typed arrays but
+    for the VWAP, which is None in a round without fills."""
     result = run_scenario(builtin_config("s5", n_houses=4, n_ev=4, n_pv=4,
                                          days=2, discard_days=1))
     rounds = result.rounds
     assert tuple(rounds) == ROUND_COLUMNS
+    assert ROUND_COLUMNS[-3:] == ("unserved_unresponsive",
+                                  "ev_unfilled_must_charge", "imbalance_w")
     n_rounds = int(2 * DAY_S / 300.0)
     assert {len(column) for column in rounds.values()} == {n_rounds}
     assert rounds["t_s"] == array("d", [k * 300.0 for k in range(n_rounds)])
+    counts = ("grid_supplied_w", "unserved_unresponsive",
+              "ev_unfilled_must_charge")
     types = {name: {type(v) for v in column}
              for name, column in rounds.items()}
     assert types.pop("round_vwap") <= {float, type(None)}
-    assert types.pop("grid_supplied_w") == {int}
+    assert [types.pop(name) for name in counts] == [{int}] * 3
     assert types == {name: {float} for name in types}
     typecodes = {name: getattr(column, "typecode", None)
                  for name, column in rounds.items()}
     assert typecodes.pop("round_vwap") is None
-    assert typecodes.pop("grid_supplied_w") == "q"
+    assert [typecodes.pop(name) for name in counts] == ["q"] * 3
     assert typecodes == dict.fromkeys(typecodes, "d")
+    assert "imbalance_w" in typecodes
 
 
 def test_one_round_a_day_summarizes_its_single_analysis_round():
@@ -516,8 +522,8 @@ def test_the_fill_log_has_one_entry_per_round_log_row(monkeypatch,
     give r as their round."""
     cleared, match = [], substation.match_orders
 
-    def recording(orders, round_index):
-        cleared.append(match(orders, round_index))
+    def recording(orders):
+        cleared.append(match(orders))
         return cleared[-1]
 
     monkeypatch.setattr(substation, "match_orders", recording)
@@ -527,12 +533,11 @@ def test_the_fill_log_has_one_entry_per_round_log_row(monkeypatch,
     log = result.transactions
     rows = len(result.rounds["t_s"])
     assert len(log.round_starts) == rows == len(cleared) == 2 * 288
-    assert [res.round_index for res in cleared] == list(range(rows))
     assert [log.first_fill(r + 1) - log.first_fill(r)
             for r in range(rows)] == [len(res.buyer) for res in cleared]
     with open(tmp_path / "transactions.csv") as fh:
         rounds = [line.partition(",")[0] for line in islice(fh, 1, None)]
-    assert rounds == [str(res.round_index) for res in cleared
+    assert rounds == [str(r) for r, res in enumerate(cleared)
                       for _ in res.buyer]
     assert len(rounds) == len(log) > 1000
 
@@ -557,10 +562,10 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
         published.setdefault(key, []).append(value)
         publish(ctx, key, value)
 
-    def matching(orders, round_index):
+    def matching(orders):
         pv_traders.extend(o.trader for o in orders
                           if PV_BASE <= o.trader < EV_BASE)
-        return match(orders, round_index)
+        return match(orders)
 
     monkeypatch.setattr(kernel.StepContext, "publish", recording)
     monkeypatch.setattr(substation, "match_orders", matching)

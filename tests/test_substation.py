@@ -10,16 +10,26 @@ from hypothesis import strategies as st
 from petgrid import substation
 from petgrid.market import (Order, Side, Transaction, TransactionLog,
                             match_orders)
+from petgrid.metrics import ROUND_COLUMNS
 from petgrid.runner import ScenarioConfig, builtin_config, run_scenario
 from petgrid.substation import (EV_BASE, EV_SELL_BASE, GRID_TRADER,
                                 HVAC_BASE, LmpHistory, MAX_HOUSES, PV_BASE,
                                 SubstationFederate, UNRESP_BASE, base_price,
-                                compute_lmp, ev_strategy_prices,
+                                clear_round, compute_lmp, ev_strategy_prices,
                                 formulate_ev_bids,
                                 formulate_grid_bid, formulate_house_bids)
 
 H = 3600.0
 CFG = ScenarioConfig()
+
+
+@pytest.fixture
+def books(monkeypatch):
+    """The order book of every `match_orders` call of the substation."""
+    books, match = [], substation.match_orders
+    monkeypatch.setattr(substation, "match_orders",
+                        lambda orders: books.append(orders) or match(orders))
+    return books
 
 
 def test_base_price_trough_and_peak_hours():
@@ -35,7 +45,7 @@ def test_base_price_trough_and_peak_hours():
 
 
 def test_trader_id_blocks_start_at_multiples_of_max_houses():
-    """`_dispatch` finds a fill's block as trader // MAX_HOUSES."""
+    """`clear_round` finds a fill's block as trader // MAX_HOUSES."""
     assert (GRID_TRADER, UNRESP_BASE, HVAC_BASE, PV_BASE, EV_BASE,
             EV_SELL_BASE) == tuple(k * MAX_HOUSES for k in range(6))
 
@@ -187,19 +197,13 @@ def test_history_matches_numpy_bit_for_bit(series_n_long, n_short):
         assert hist.ma_short == float(np.mean(window[-n_short:]))
 
 
-def test_transaction_log_is_every_round_in_order(monkeypatch):
-    rounds = []
-
-    def recording(orders, round_index=0):
-        result = match_orders(orders, round_index)
-        rounds.append(result.transactions)
-        return result
-
-    monkeypatch.setattr(substation, "match_orders", recording)
+def test_transaction_log_is_every_round_in_order(books):
     result = run_scenario(builtin_config("s5", n_houses=4, n_ev=3, n_pv=2,
                                          days=2, discard_days=1))
     assert isinstance(result.transactions, TransactionLog)
-    expected = [tx for txs in rounds for tx in txs]
+    # the k-th book is round k's
+    expected = [tx._replace(round_index=r) for r, orders in enumerate(books)
+                for tx in match_orders(orders).transactions]
     logged = list(result.transactions)
     assert len(result.transactions) == len(expected) > 0
     assert logged == expected
@@ -208,16 +212,9 @@ def test_transaction_log_is_every_round_in_order(monkeypatch):
         [tuple(map(type, tx)) for tx in expected]
 
 
-def test_every_order_of_a_run_passes_the_order_checks(monkeypatch):
+def test_every_order_of_a_run_passes_the_order_checks(books):
     """House and EV bids skip Order.__new__; each must equal the order
     that the checked constructor builds from its fields."""
-    books = []
-
-    def recording(orders, round_index=0):
-        books.append(orders)
-        return match_orders(orders, round_index)
-
-    monkeypatch.setattr(substation, "match_orders", recording)
     # low initial charge reaches the forced-charge buy below 20% SoC
     run_scenario(builtin_config("s5", n_houses=6, n_ev=6, n_pv=6, days=2,
                                 discard_days=1,
@@ -380,197 +377,199 @@ def test_ev_bids_are_formulated_at_most_once_per_round(monkeypatch):
     assert bid_calls == []
 
 
-class StubContext:
-    """One round's bus: reads come from `values`, publishes are kept."""
-
-    def __init__(self, values, t=0.0):
-        self.t = t
-        self.clearing_round = 0
-        self.values = values
-        self.published = {}
-
-    def read(self, key, default=0.0):
-        return self.values.get(key, default)
-
-    def publish(self, key, value):
-        self.published[key] = value
-
-
-def ev_round(grid_kw, evs, hvac_w=0.0, unresp_w=0.0, pv_w=0.0, history=()):
-    """Clear one round of a one-house substation with the given EVs,
-    each a (load_min_w, load_max_w, soc, next_depart_s) tuple, after
-    the LMPs of earlier rounds in `history`."""
-    values = {"houses/hvac_demand_w": (hvac_w,),
-              "houses/unresponsive_w": (unresp_w,),
-              "houses/pv_potential_w": (pv_w,),
-              "evs/load_range_w": tuple((lo, hi) for lo, hi, _, _ in evs),
-              "evs/soc": tuple(soc for _, _, soc, _ in evs),
-              "evs/next_depart_s": tuple(depart for *_, depart in evs)}
-    sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=len(evs),
-                                            grid_capacity_kw=grid_kw))
-    for lmp in history:
-        sub.hist.append(lmp)
-    ctx = StubContext(values)
-    sub(ctx)
-    return sub, ctx
-
-
 def test_a_round_without_evs_reads_nothing_of_evs(monkeypatch):
+    """The federate rounds the house topics to whole watts once, and a
+    fleet without EVs reads no EV topic and calls no EV function."""
     reads = []
 
-    class RecordingContext(StubContext):
+    class RecordingContext:
+        t, clearing_round = 0.0, 0
+
+        def __init__(self):
+            self.published = {}
+
         def read(self, key, default=0.0):
             reads.append(key)
-            return super().read(key, default)
+            return {"houses/hvac_demand_w": (3999.6,),
+                    "houses/unresponsive_w": (1199.6,),
+                    "houses/pv_potential_w": (0.4,)}.get(key, default)
+
+        def publish(self, key, value):
+            self.published[key] = value
 
     for name in ("ev_strategy_prices", "formulate_ev_bids"):
         monkeypatch.setattr(substation, name, None)   # calling one fails
     sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=0))
-    ctx = RecordingContext({"houses/hvac_demand_w": (4000.0,),
-                            "houses/unresponsive_w": (1200.0,),
-                            "houses/pv_potential_w": (0.0,)})
+    ctx = RecordingContext()
     sub(ctx)
     assert not [key for key in reads if key.startswith("evs/")]
     assert ctx.published == {"dispatch/hvac_w": (4000,),
                              "dispatch/ev_load_w": ()}
-    assert len(sub.transactions) == 2
-    assert sub.max_imbalance_w == 0.0
+    assert type(ctx.published["dispatch/hvac_w"][0]) is int
+    assert list(sub.transactions.quantity) == [1200, 4000]
+    row = {name: column[-1] for name, column in sub.rounds.items()}
+    assert (row["unresponsive_load_w"], row["pv_potential_w"],
+            row["imbalance_w"]) == (1200, 0, 0.0)
 
 
-def test_ev_bids_idle_range_produces_no_orders(monkeypatch):
-    books = []
-    match = substation.match_orders
+LMP = 0.0155
+INF = float("inf")
 
-    def recording_match(orders, *args):
-        books.append(orders)
-        return match(orders, *args)
 
-    monkeypatch.setattr(substation, "match_orders", recording_match)
-    ev_round(100.0, [(0, 0, 0.95, float("inf")),
-                     (-11000, 11000, 0.50, float("inf")),
-                     (0, 0, 0.10, float("inf"))])
+def ev_round(grid_w, evs, hvac_w=0, unresp_w=0, pv_w=0,
+             strategy=(LMP, 2 * LMP)):
+    """`clear_round` of a one-house substation with a `grid_w` grid at
+    `LMP` and the given EVs, each a (load_min_w, load_max_w, soc,
+    next_depart_s) tuple, bidding at the `strategy` prices."""
+    return clear_round(LMP, grid_w, [unresp_w], [hvac_w], [pv_w],
+                       ScenarioConfig(n_houses=1, n_ev=len(evs)),
+                       [(lo, hi) for lo, hi, _, _ in evs],
+                       [soc for _, _, soc, _ in evs],
+                       [depart for *_, depart in evs], strategy)
+
+
+def violations(row):
+    """The round's unserved loads, unfilled forced charges and
+    |supply - load| in W."""
+    return (row["unserved_unresponsive"], row["ev_unfilled_must_charge"],
+            row["imbalance_w"])
+
+
+def test_ev_bids_idle_range_produces_no_orders(books):
+    ev_round(100_000, [(0, 0, 0.95, INF), (-11000, 11000, 0.50, INF),
+                       (0, 0, 0.10, INF)])
     assert [o.trader for o in books[-1] if o.trader >= EV_BASE] == \
         [EV_BASE + 1, EV_SELL_BASE + 1]
 
 
+# three forced charges tie on price; an 11 kW grid covers only one
+FORCED = [(11000, 11000, 0.15, INF), (11000, 11000, 0.10, 50_000.0),
+          (11000, 11000, 0.18, 3_600.0)]
+
+
 def test_scarce_supply_goes_to_the_most_urgent_ev():
-    # three forced charges tie on price; the grid covers only one of them
-    evs = [(11000, 11000, 0.15, float("inf")),
-           (11000, 11000, 0.10, 50_000.0),
-           (11000, 11000, 0.18, 3_600.0)]
-    sub, ctx = ev_round(11.0, evs)
-    assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
-        == [(EV_BASE + 2, GRID_TRADER, 11000)]
-    assert ctx.published["dispatch/ev_load_w"] == (11000, 11000, 11000)
-    assert sub.ev_unfilled_must_charge == 2
+    result, _, ev_load_w, row = ev_round(11_000, FORCED)
+    assert result.transactions == [
+        Transaction(EV_BASE + 2, GRID_TRADER, 11000, LMP)]
+    assert ev_load_w == (11000, 11000, 11000)
+    assert violations(row) == (0, 2, 0.0)
 
 
 def test_scarce_demand_is_served_by_the_fullest_ev():
-    # three EVs above 90% SoC offer discharge only, at a strategy price
-    # that a cheap past day puts below the grid's; one 4 kW HVAC buy
-    evs = [(-11000, 0, 0.92, float("inf")),
-           (-11000, 0, 0.97, float("inf")),
-           (-11000, 0, 0.95, float("inf"))]
-    sub, ctx = ev_round(100.0, evs, hvac_w=4000.0, history=[0.010] * 287)
-    assert [(tx.buyer, tx.seller, tx.quantity) for tx in sub.transactions] \
-        == [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
-    assert ctx.published["dispatch/ev_load_w"] == (0, -4000, 0)
-    assert ctx.published["dispatch/hvac_w"] == (4000,)
-    last = {name: column[-1] for name, column in sub.rounds.items()}
-    assert (last["ev_discharge_w"], last["p_surplus_ev_w"]) == (4000, 29000)
+    # three EVs above 90% SoC offer discharge only, below the grid's ask;
+    # one 4 kW HVAC buy
+    evs = [(-11000, 0, 0.92, INF), (-11000, 0, 0.97, INF),
+           (-11000, 0, 0.95, INF)]
+    result, hvac_w, ev_load_w, row = ev_round(100_000, evs, hvac_w=4000,
+                                              strategy=(0.010, 0.012))
+    assert [(tx.buyer, tx.seller, tx.quantity)
+            for tx in result.transactions] == \
+        [(HVAC_BASE + 0, EV_SELL_BASE + 1, 4000)]
+    assert (hvac_w, ev_load_w) == ((4000,), (0, -4000, 0))
+    assert (row["ev_discharge_w"], row["p_surplus_ev_w"]) == (4000, 29000)
+    assert violations(row) == (0, 0, 0.0)
 
 
 def test_pv_surplus_is_what_the_arrays_offered_and_did_not_sell():
-    # two arrays on three houses; at noon they ask less than the grid, so
-    # the 4 kW HVAC packet buys 4000 W of the 4800 W they offer
-    sub = SubstationFederate(ScenarioConfig(n_houses=3, n_pv=2))
-    ctx = StubContext({"houses/hvac_demand_w": (4000.0, 0.0, 0.0),
-                       "houses/unresponsive_w": (0.0, 0.0, 0.0),
-                       "houses/pv_potential_w": (2400.0, 2400.4)}, t=12 * H)
-    sub(ctx)
-    assert [(tx.seller, tx.quantity) for tx in sub.transactions] == \
+    # two arrays on three houses ask less than the grid, so the 4 kW
+    # HVAC packet buys 4000 W of the 4800 W they offer
+    result, _, _, row = clear_round(LMP, 100_000, [0, 0, 0], [4000, 0, 0],
+                                    [2400, 2400],
+                                    ScenarioConfig(n_houses=3, n_pv=2))
+    assert [(tx.seller, tx.quantity) for tx in result.transactions] == \
         [(PV_BASE, 2400), (PV_BASE + 1, 1600)]
-    last = {name: column[-1] for name, column in sub.rounds.items()}
-    assert (last["pv_potential_w"], last["pv_supplied_w"],
-            last["p_surplus_pv_w"]) == (4800, 4000, 800)
-    assert sub.max_imbalance_w == 0.0
+    assert (row["pv_potential_w"], row["pv_supplied_w"],
+            row["p_surplus_pv_w"]) == (4800, 4000, 800)
+    assert violations(row) == (0, 0, 0.0)
 
 
 def test_unfilled_forced_charge_is_served_through_slack():
     # the two forced charges the grid cannot cover still charge at their
     # range minimum, counted as EV charge and as out-of-market supply
-    evs = [(11000, 11000, 0.15, float("inf")),
-           (11000, 11000, 0.10, 50_000.0),
-           (11000, 11000, 0.18, 3_600.0)]
-    sub, _ = ev_round(11.0, evs)
-    last = {name: column[-1] for name, column in sub.rounds.items()}
-    assert last["ev_charge_w"] == 33000.0
-    assert last["grid_supplied_w"] == 11000.0
-    assert sub.max_imbalance_w == 0.0
+    _, _, _, row = ev_round(11_000, FORCED)
+    assert (row["ev_charge_w"], row["grid_supplied_w"]) == (33000, 11000)
+    assert row["imbalance_w"] == 0.0
 
 
 def test_an_unfilled_one_watt_appliance_load_is_unserved():
     # an appliance bid below the grid's ask never fills
-    sub = SubstationFederate(ScenarioConfig(n_houses=1,
-                                            prices_unresponsive=0.001))
-    sub(StubContext({"houses/hvac_demand_w": (0.0,),
-                     "houses/unresponsive_w": (1.0,),
-                     "houses/pv_potential_w": (0.0,)}))
-    assert len(sub.transactions) == 0
-    assert sub.unserved_unresponsive == 1
-    assert sub.max_imbalance_w == 0.0     # served through slack
+    result, _, _, row = clear_round(
+        LMP, 100_000, [1], [0], [0],
+        ScenarioConfig(n_houses=1, prices_unresponsive=0.001))
+    assert result.transactions == []
+    assert violations(row) == (1, 0, 0.0)     # served through slack
 
 
 def test_an_unfilled_one_watt_forced_charge_is_served_through_slack():
     # the least charger, 1 W: the 1 W grid serves the appliance load,
     # which ties on price and ranks first, and the forced charge goes
     # through slack
-    sub, ctx = ev_round(0.0006, [(1, 1, 0.10, float("inf"))], unresp_w=1.0)
-    assert [(tx.buyer, tx.quantity) for tx in sub.transactions] == \
+    result, _, ev_load_w, row = ev_round(1, [(1, 1, 0.10, INF)], unresp_w=1)
+    assert [(tx.buyer, tx.quantity) for tx in result.transactions] == \
         [(UNRESP_BASE, 1)]
-    assert ctx.published["dispatch/ev_load_w"] == (1,)
-    assert sub.ev_unfilled_must_charge == 1
-    last = {name: column[-1] for name, column in sub.rounds.items()}
-    assert (last["p_target_w"], last["ev_charge_w"]) == (2, 1)
-    assert sub.max_imbalance_w == 0.0
+    assert ev_load_w == (1,)
+    assert (row["p_target_w"], row["ev_charge_w"]) == (2, 1)
+    assert violations(row) == (0, 1, 0.0)
 
 
 def test_fractional_bus_values_trade_dispatch_and_account_in_whole_watts(
-        monkeypatch):
-    books, strategy_calls = [], []
-    match, strategy = substation.match_orders, substation.ev_strategy_prices
-
-    def recording_match(orders, *args):
-        books.append(orders)
-        return match(orders, *args)
-
-    def counting_strategy(hist):
-        strategy_calls.append(hist)
-        return strategy(hist)
-
-    monkeypatch.setattr(substation, "match_orders", recording_match)
-    monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
+        books):
+    """The federate rounds the house topics (see above); the round then
+    bids, dispatches and sums the whole watts it is given. Its row holds
+    every round-log column but the time and the house means."""
     # the grid covers the 1200 W appliance packet but not the forced
-    # charge; the fleet publishes whole-watt ranges, the houses do not
-    evs = [(11000, 11000, 0.10, float("inf")),
-           (0, 0, 0.50, float("inf"))]
-    sub, ctx = ev_round(1.2, evs, unresp_w=1199.6, pv_w=0.4)
+    # charge
+    evs = [(11000, 11000, 0.10, INF), (0, 0, 0.50, INF)]
+    _, hvac_w, ev_load_w, row = ev_round(1200, evs, unresp_w=1200)
     assert [(o.trader, o.quantity) for o in books[-1]] == \
         [(GRID_TRADER, 1200), (UNRESP_BASE, 1200), (EV_BASE, 11000)]
-    assert len(strategy_calls) == 1     # one path, also with no two-sided EV
-    assert ctx.published["dispatch/ev_load_w"] == (11000, 0)
-    assert all(type(w) is int for w in ctx.published["dispatch/ev_load_w"]
-               + ctx.published["dispatch/hvac_w"])
-    last = {name: column[-1] for name, column in sub.rounds.items()}
-    assert last["p_target_w"] == 1200 + 11000
-    assert (last["unresponsive_load_w"], last["ev_charge_w"]) == (1200, 11000)
-    assert (last["pv_potential_w"], last["p_surplus_pv_w"]) == (0, 0)
-    assert sub.ev_unfilled_must_charge == 1
-    assert sub.max_imbalance_w == 0.0
-
+    assert ev_load_w == (11000, 0)
+    assert all(type(w) is int for w in ev_load_w + hvac_w)
+    assert set(row) == set(ROUND_COLUMNS) - {
+        "t_s", "mean_t_air_c", "mean_setpoint_c", "mean_t_excess2"}
+    assert row["p_target_w"] == 1200 + 11000
+    assert (row["unresponsive_load_w"], row["ev_charge_w"]) == (1200, 11000)
+    assert (row["pv_potential_w"], row["p_surplus_pv_w"]) == (0, 0)
+    assert violations(row) == (0, 1, 0.0)
     # (-11000, 0) is a two-sided range that only sells, at the strategy
     # price
-    sub, _ = ev_round(100.0, [(-11000, 0, 0.50, float("inf"))])
-    assert len(strategy_calls) == 2
-    assert [(o.trader, o.side) for o in books[-1]] == \
-        [(GRID_TRADER, Side.SELL), (EV_SELL_BASE, Side.SELL)]
+    ev_round(100_000, [(-11000, 0, 0.50, INF)])
+    assert [(o.trader, o.side, o.price) for o in books[-1]] == \
+        [(GRID_TRADER, Side.SELL, LMP), (EV_SELL_BASE, Side.SELL, 2 * LMP)]
+
+
+def test_a_run_counts_each_violation_in_its_rounds(tmp_path, monkeypatch):
+    """The run's substation violations are the sums of the round log's
+    counts, its imbalance the column's maximum, and time_series.csv
+    holds none of the three columns: on a 1 kW grid, the houses' loads
+    go unserved and the nearly empty EVs' forced charges unfilled. No
+    round is out of balance, so one is made so, by 2.5 W."""
+    clear, rows = substation.clear_round, []
+
+    def unbalanced(*args):
+        cleared = clear(*args)
+        rows.append(cleared[-1])
+        if len(rows) == 100:
+            rows[-1]["imbalance_w"] = 2.5
+        return cleared
+
+    monkeypatch.setattr(substation, "clear_round", unbalanced)
+    # test_cli's starved grid, with EVs that start below the 20% gate
+    result = run_scenario(builtin_config(
+        "s2", n_houses=4, grid_capacity_kw=1.0, seed=2, days=2,
+        discard_days=1, n_ev=4, ev_initial_soc_range=(0.05, 0.1)),
+        out_dir=tmp_path)
+    rounds = result.rounds
+    assert result.violations["unserved_unresponsive"] == \
+        sum(rounds["unserved_unresponsive"]) > 0
+    assert result.violations["ev_unfilled_must_charge"] == \
+        sum(rounds["ev_unfilled_must_charge"]) > 0
+    assert result.max_imbalance_w == max(rounds["imbalance_w"]) == 2.5
+    assert sum(rounds["imbalance_w"]) == 2.5
+    assert result.violations["power_imbalance"] == 1
+    with open(tmp_path / "time_series.csv") as fh:
+        assert fh.readline() == (
+            "t_s,lmp,round_vwap,grid_supplied_w,pv_potential_w,"
+            "pv_supplied_w,ev_charge_w,ev_discharge_w,hvac_load_w,"
+            "unresponsive_load_w,mean_t_air_c,mean_setpoint_c,"
+            "mean_t_excess2\n")

@@ -39,9 +39,10 @@ FLEET = TINY + ["--set", "ev.count=3", "--set", "scenario.n_pv=3"]
 def cli_runs(tmp: Path) -> list[list[str]]:
     """`petgrid` argument lists: version and list, the builtins, the CI
     runs, then the configs that must fail."""
-    weather_csv, empty, fractional, null, bad, taken = (
+    weather_csv, empty, fractional, null, bad, taken, ranged, dupkey = (
         tmp / name for name in ("weather.csv", "empty.yaml", "fractional.yaml",
-                                "null.yaml", "bad.yaml", "taken"))
+                                "null.yaml", "bad.yaml", "taken",
+                                "range.yaml", "dupkey.yaml"))
     weather_csv.write_text("timestamp,temp_c,irradiance_wm2\n" + "".join(
         f"{h * 3600},{30.5 - 4.5 * math.cos((h - 3) * math.pi / 12):.2f},"
         f"{max(0.0, 900.0 * math.sin((h - 6) * math.pi / 14)):.1f}\n"
@@ -50,6 +51,9 @@ def cli_runs(tmp: Path) -> list[list[str]]:
     empty.touch()
     null.write_text("grid: {capacity_kw: null}\n")
     bad.write_text("houses: {count: 2}\n- x\n")
+    ranged.write_text("houses: {count: 3, rc_hours_range: [1.5, 2.0]}\n"
+                      "ev: {count: 3}\n")
+    dupkey.write_text("houses: {count: 2}\nhouses: {count: 3}\n")
     taken.touch()
     falsy = [tmp / f"falsy-{i}.yaml" for i in range(4)]
     for path, document in zip(falsy, ["[]", "0", "false", "''"]):
@@ -70,9 +74,14 @@ def cli_runs(tmp: Path) -> list[list[str]]:
          "--set", f"weather.csv_path={weather_csv}"],
         ["s5", *FLEET, "--set", "ev.charger_kw=7.2005"],
         [str(empty), *TINY],
+        ["s5", "--seed", "2", *FLEET, "--set", "ev.seed=7"],
+        [str(ranged), "--days", "2", "--set", "scenario.discard_days=1",
+         "--set", "ev.seed=none"],
         # configs that must fail with one `error:` line
         ["s5", *TINY, "--set", "lmp.demand_ema=2"],
+        ["s1", "--set", "bogus.key=1"], ["s1", "--set", "oops"], ["nope"],
         [str(fractional)], [str(null)], [str(bad)],
+        [str(dupkey), "--days", "2", "--set", "scenario.discard_days=1"],
         *([str(path), *TINY] for path in falsy),
         ["s1", *TINY, "--set", "grid.capacity_kw=0.0004"],
         ["s1", *TINY, "--set", "houses.hvac_kw=0.0004"],
