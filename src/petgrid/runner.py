@@ -259,7 +259,10 @@ def apply_settings(cfg: ScenarioConfig, settings: dict) -> None:
         attr = _KEY_MAP.get(key, key if key in _KINDS else None)
         if attr is None:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, attr, _coerce(attr, value))
+        try:
+            setattr(cfg, attr, _coerce(attr, value))
+        except ValueError as exc:   # int("3.0") does not say which key
+            raise ValueError(f"{key}: {exc}") from None
 
 
 def load_config_file(path) -> ScenarioConfig:
