@@ -13,8 +13,13 @@ from pathlib import Path
 from . import __version__, runner
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one `error:` line and exit 1, not 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="petgrid",
         description="Packetized energy trading microgrid simulator",
     )
@@ -70,20 +75,20 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "version":
-        print(__version__)
-        return 0
-    if args.command == "scenarios":
-        for line in runner.list_scenarios():
-            print(line)
-        return 0
-    try:                # argparse leaves only "run"
-        return _cmd_run(args)
+    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "run":
+            return _cmd_run(args)
     # MemoryError: a valid config too large to build, e.g. a huge `days`
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    if args.command == "version":
+        print(__version__)
+        return 0
+    for line in runner.list_scenarios():    # argparse leaves "scenarios"
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

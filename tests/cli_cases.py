@@ -154,6 +154,10 @@ def _names_the_run(scenario: str, houses: int):
     return expect
 
 
+def _leaves_a_forced_charge_unfilled(out: Path, stdout: str) -> None:
+    assert _summary(out)["violations"]["ev_unfilled_must_charge"] > 0
+
+
 def _has_no_nan(out: Path, stdout: str) -> None:
     assert "NaN" not in (out / "summary.json").read_text()
 
@@ -313,6 +317,23 @@ CASES: dict[str, list[Case]] = {
                   "--days", "2", "--set", "scenario.discard_days=1",
                   "--set", "ev.seed=none"),
     ],
+    # the branches that the small runs above skip
+    "test_rare_device_branches_run": [
+        # test_invariants.py's draw of an EV below 20% SoC whose forced
+        # charge the 10 kW grid does not fill
+        run("unfilled-forced-charge", "s5", "--days", "2", "--seed", "478825",
+            "--set", "scenario.discard_days=1", "--set", "houses.count=3",
+            "--set", "ev.count=1", "--set", "scenario.n_pv=0",
+            "--set", "market.t_market_s=900", "--set", "grid.capacity_kw=10",
+            exit=2, expect=_leaves_a_forced_charge_unfilled),
+        # nearly empty packs that drive 1.5 kWh a km: step_battery clamps
+        # the pack energy at 0
+        run("empty-pack", "s5", *FLEET, "--set", "ev.initial_soc_range=0,0.05",
+            "--set", "ev.drive_kwh_per_km=1.5"),
+        # a 500 kW charger on a 10 MW grid fills a pack within a step
+        run("full-pack", "s5", *FLEET, "--set", "ev.charger_kw=500",
+            "--set", "grid.capacity_kw=10000"),
+    ],
     "test_demo_runs": [
         Case("walkthrough", (), script="market_round_walkthrough.py",
              expect=_prints_something),
@@ -320,6 +341,20 @@ CASES: dict[str, list[Case]] = {
              expect=_prints_something),
         Case("ev-day", (), script="ev_day_in_the_life.py",
              expect=_prints_something),
+    ],
+    # argparse's own usage errors give one `error:` line and exit 1, as
+    # every other bad input does; argparse alone prints a usage block and
+    # exits 2, the code of a run with violations
+    "test_a_usage_error_is_one_error_line": [
+        refused("fractional-days", "s1", "--days", "2.5",
+                error="error: argument --days: invalid int value: '2.5'\n"),
+        refused("unknown-flag", "s1", "--bogus",
+                error="error: unrecognized arguments: --bogus\n"),
+        Case("run-without-scenario", ("run",), exit=1,
+             error="error: the following arguments are required: "
+             "--scenario\n"),
+        Case("no-command", (), exit=1, error="error: the following "
+             "arguments are required: command\n"),
     ],
     "test_run_unknown_scenario_is_usage_error": [
         refused(None, "s99", error="error: unknown scenario 's99'\n")],
@@ -375,6 +410,10 @@ CASES: dict[str, list[Case]] = {
         probe("pv.panels_range=0,20"),
         probe("pv.panels_range=8"),
         probe("ev.initial_soc_range=0.5,1.5"),
+        probe("ev.count=4", *TINY, error="error: n_ev and n_pv must not "
+              "exceed n_houses\n"),
+        probe("pv.panels_range=8.5,9.5",
+              error="error: pv_panels_range must be whole numbers\n"),
         probe("scenario.discard_days=-1", "--days", "1"),
         probe("houses.hvac_kw=0"),
         # a 0.4 W HVAC packet rounds to 0 W, so the HVAC never buys or runs

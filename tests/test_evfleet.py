@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from harness import StubContext, spy
 from petgrid import evfleet, kernel
 from petgrid.evfleet import (PACK_KWH, EvFederate, Itinerary, Trip,
                              build_fleet, generate_itinerary, load_range,
@@ -24,24 +25,9 @@ def test_default_models_pack_sizes_and_charger(monkeypatch):
     assert fleet.capacity_kwh == [75.0, 58.0, 75.0, 58.0]
     # the federate gates every EV by the configured 11 kW charger, in
     # whole watts
-    chargers = []
-    monkeypatch.setattr(evfleet, "load_range",
-                        lambda soc, home, depart, charger_w, t, t_market:
-                        chargers.append(charger_w) or (0, 0))
-
-    class Ctx:
-        t, next_round = 240.0, 1
-
-        def read(self, key, default=0.0):
-            return default
-
-        def read_cleared(self, key, default):
-            return default
-
-        def publish(self, key, value):
-            pass
-
-    fleet(Ctx())
+    chargers = spy(monkeypatch, evfleet, "load_range",
+                   record=lambda soc, home, depart, charger_w, *_: charger_w)
+    fleet(StubContext(240.0, next_round=1))
     assert chargers == [11000] * 4
     assert all(type(w) is int for w in chargers)
 
@@ -255,35 +241,16 @@ def test_build_fleet_mix_models_and_initial_soc():
 def test_federate_counts_out_of_range_commands(monkeypatch):
     fed = EvFederate([0.5], [75.0], [Itinerary([])],
                      ScenarioConfig(ev_charger_kw=7.0))
-    commands = []
-    step = evfleet.step_battery
-
-    def recording(soc, command_w, *args):
-        commands.append(command_w)
-        return step(soc, command_w, *args)
-
-    monkeypatch.setattr(evfleet, "step_battery", recording)
-
-    class Ctx:
-        t = 60.0
-        next_round = None
-
-        def read(self, key, default=0.0):
-            return (5000.0,) if key == "dispatch/ev_load_w" else default
-
-        def read_cleared(self, key, default):
-            return default
-
-        def publish(self, key, value):
-            pass
-
-    fed(Ctx())
+    commands = spy(monkeypatch, evfleet, "step_battery",
+                   record=lambda soc, command_w, *_: command_w)
+    ctx = StubContext(60.0, bus={"dispatch/ev_load_w": (5000.0,)})
+    fed(ctx)
     assert fed.range_violations == 1
     assert commands == [0.0]  # clamped back into range
     assert fed.soc == [0.5]
     # the command stays in force, and out of range, at the next step
-    Ctx.t = 120.0
-    fed(Ctx())
+    ctx.t = 120.0
+    fed(ctx)
     assert fed.range_violations == 2
     assert commands == [0.0, 0.0]
 
@@ -296,29 +263,11 @@ def test_a_command_a_quarter_watt_outside_its_range_is_out_of_range(
     against it exactly, with no rounding slack."""
     fed = EvFederate([0.25], [75.0], [Itinerary([])],
                      ScenarioConfig(ev_charger_kw=7.0))
-    commands = []
-    step = evfleet.step_battery
-
-    def recording(soc, command_w, *args):
-        commands.append(command_w)
-        return step(soc, command_w, *args)
-
-    monkeypatch.setattr(evfleet, "step_battery", recording)
-
-    class Ctx:
-        t, next_round = 60.0, None
-
-        def read(self, key, default=0.0):
-            return (command_w,) if key == "dispatch/ev_load_w" else default
-
-        def read_cleared(self, key, default):
-            # the charge-only range of an EV between 20% and 30% SoC
-            return ((0, 7000),) if key == "evs/load_range_w" else default
-
-        def publish(self, key, value):
-            pass
-
-    fed(Ctx())
+    commands = spy(monkeypatch, evfleet, "step_battery",
+                   record=lambda soc, command_w, *_: command_w)
+    # the charge-only range of an EV between 20% and 30% SoC
+    fed(StubContext(60.0, bus={"dispatch/ev_load_w": (command_w,)},
+                    cleared={"evs/load_range_w": ((0, 7000),)}))
     assert fed.range_violations == 1
     assert commands == [clamped_w]
 
@@ -345,14 +294,9 @@ def test_federate_steps_match_a_search_at_every_step(monkeypatch):
         for worker in (True, True, False, False)]
     n = len(itineraries)
     cfg = ScenarioConfig(n_houses=n, n_ev=n, days=2, discard_days=1)
-    calls = []
-    step = evfleet.step_battery
-
-    def recording(soc, command_w, drive_kwh, home, *args):
-        calls.append((drive_kwh, home))
-        return step(soc, command_w, drive_kwh, home, *args)
-
-    monkeypatch.setattr(evfleet, "step_battery", recording)
+    calls = spy(monkeypatch, evfleet, "step_battery",
+                record=lambda soc, command_w, drive_kwh, home, *_:
+                (drive_kwh, home))
     fed = Federation(cfg.step_s, cfg.t_market_s)
     fed.register_federate("ev-fleet", EvFederate([0.6] * n, [75.0] * n,
                                                  itineraries, cfg))
@@ -368,16 +312,10 @@ def test_federate_steps_match_a_search_at_every_step(monkeypatch):
 
 
 def test_soc_extremes_are_those_of_the_stepped_series(monkeypatch):
-    socs = []
-    step = evfleet.step_battery
-
-    def recording(*args):
-        socs.append(step(*args))
-        return socs[-1]
-
-    monkeypatch.setattr(evfleet, "step_battery", recording)
+    calls = spy(monkeypatch, evfleet, "step_battery")
     result = run_scenario(builtin_config("s5", n_houses=3, n_ev=3, n_pv=3,
                                          days=2, discard_days=1))
+    socs = [call.result for call in calls]
     assert len(socs) == 3 * 2 * 1440
     # strictly inside [0, 1], so extremes that start at a bound would show
     assert 0.0 < min(socs) and max(socs) < 1.0
@@ -385,8 +323,10 @@ def test_soc_extremes_are_those_of_the_stepped_series(monkeypatch):
 
 
 def assert_published_as_searched(published, itineraries, cfg):
-    """Each round's published ranges and departures equal those of a
-    linear-scan search of every EV at the round's window start."""
+    """Each round's published ranges and departures, of the `published`
+    (next round, key, value) entries, equal those of a linear-scan
+    search of every EV at the round's window start."""
+    published = [entry for entry in published if entry[1].startswith("evs/")]
     charger_w = round(cfg.ev_charger_kw * 1000.0)
     rounds = [published[k:k + 3] for k in range(0, len(published), 3)]
     assert len(rounds) == cfg.days * DAY_S / cfg.t_market_s
@@ -402,31 +342,21 @@ def assert_published_as_searched(published, itineraries, cfg):
 
 
 def recording_publish(monkeypatch):
-    published = []
-    publish = kernel.StepContext.publish
-
-    def recording(ctx, key, value):
-        if key.startswith("evs/"):
-            published.append((ctx.next_round, key, value))
-        publish(ctx, key, value)
-
-    monkeypatch.setattr(kernel.StepContext, "publish", recording)
-    return published
+    """Every publication of a run, as (next round, key, value)."""
+    return spy(monkeypatch, kernel.StepContext, "publish",
+               record=lambda ctx, key, value: (ctx.next_round, key, value))
 
 
 def test_published_ranges_and_departures_are_those_of_a_search(monkeypatch):
     """Each round the fleet searches only the EVs not parked past the
     window start; what it publishes must equal a search of every EV."""
-    fleets = []
-    build = evfleet.build_fleet
-    monkeypatch.setattr(evfleet, "build_fleet",
-                        lambda *args: fleets.append(build(*args)) or fleets[-1])
+    fleets = spy(monkeypatch, evfleet, "build_fleet")
     published = recording_publish(monkeypatch)
     cfg = builtin_config("s5", n_houses=8, n_ev=8, n_pv=8, days=3,
                          discard_days=1, seed=3)
     run_scenario(cfg)
-    rounds = assert_published_as_searched(published, fleets[0].itineraries,
-                                          cfg)
+    rounds = assert_published_as_searched(
+        published, fleets[0].result.itineraries, cfg)
     # EVs leave, come back and trade over the run
     away = [ranges.count((0.0, 0.0)) for (_, _, ranges), *_ in rounds]
     assert min(away) < max(away)

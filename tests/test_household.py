@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from harness import StubContext, spy
 from petgrid import household
 from petgrid.household import (HouseholdFederate, build_houses, hvac_demand,
                                setpoint, step_thermal, thermal_decay,
@@ -231,23 +232,6 @@ def test_fleet_daily_mean_close_to_target():
     assert total == pytest.approx(34500.0, rel=0.10)
 
 
-class Ctx:
-    """One publishing step of a household handler, outside a federation."""
-
-    def __init__(self, t, next_round):
-        self.t, self.next_round = t, next_round
-        self.published = {}
-
-    def read(self, key, default=0.0):
-        return default
-
-    def read_cleared(self, key, default):
-        return default
-
-    def publish(self, key, value):
-        self.published[key] = value
-
-
 def test_pv_potential_examples():
     panels = [10, 17, 8, 20]        # the fifth house has no array
     cfg = _cfg(n_houses=5, n_pv=4)
@@ -256,7 +240,7 @@ def test_pv_potential_examples():
                            (0.0, (0.0,) * 4)):
         weather = SimpleNamespace(sample=lambda t, f=frac: SimpleNamespace(
             temp_c=30.0, irradiance_frac=f))
-        ctx = Ctx(240.0, 1)
+        ctx = StubContext(240.0, next_round=1)
         HouseholdFederate([25.0] * 5, [R] * 5, [C] * 5, [0.0] * 5, [0.0] * 5,
                           panels, [], weather, cfg)(ctx)
         assert ctx.published["houses/pv_potential_w"] == expected
@@ -299,25 +283,13 @@ def test_pv_sizing_does_not_perturb_thermal_fleet():
     assert np.array_equal(with_pv.day_noise(2), without.day_noise(2))
 
 
-def _recording_step_thermal(monkeypatch):
-    """Record every step_thermal call's q_net argument."""
-    q_nets = []
-    step = household.step_thermal
-
-    def recording(t_air, temp_out, q_net, r, decay):
-        q_nets.append(q_net)
-        return step(t_air, temp_out, q_net, r, decay)
-
-    monkeypatch.setattr(household, "step_thermal", recording)
-    return q_nets
-
-
 @pytest.mark.parametrize("t_market_s", [60.0, 120.0, 300.0])
 def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
         t_market_s, monkeypatch):
     cfg = _cfg(n_houses=4, t_market_s=t_market_s)
     houses = _houses(cfg, seed=3)
-    q_nets = _recording_step_thermal(monkeypatch)
+    q_nets = spy(monkeypatch, household, "step_thermal",
+                 record=lambda t_air, temp_out, q_net, r, decay: q_net)
     spr = int(t_market_s // 60.0)
     visible = []
 
@@ -348,15 +320,10 @@ def test_published_unresponsive_loads_are_the_loads_held_in_their_window(
 def test_unresponsive_loads_are_evaluated_once_per_house_per_round(
         monkeypatch):
     cfg = builtin_config("s1", n_houses=3, days=2, discard_days=1)
-    calls = Counter()
-    loads = HouseholdFederate.unresponsive_loads
-
-    def counting(houses, index):
-        calls[index] += 1
-        return loads(houses, index)
-
-    monkeypatch.setattr(HouseholdFederate, "unresponsive_loads", counting)
+    indices = spy(monkeypatch, HouseholdFederate, "unresponsive_loads",
+                  record=lambda houses, index: index)
     run_scenario(cfg)
+    calls = Counter(indices)
     n_rounds = 2 * 288
     # one fleet evaluation, a value per house, for each of rounds
     # 0 .. n_rounds: the last publication is for the round after

@@ -2,18 +2,15 @@
 processes."""
 
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harness import run_child
 from petgrid.runner import builtin_config, run_scenario
 from petgrid.substation import EV_BASE, EV_SELL_BASE
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 OUTPUT_FILES = ("time_series.csv", "transactions.csv", "average_day.csv",
                 "summary.json")
 
@@ -62,16 +59,11 @@ def test_invariants_hold_on_random_small_configs(overrides):
 
 
 def run_in_fresh_process(out: Path, hash_seed: str) -> dict[str, str]:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC)] + os.environ.get("PYTHONPATH", "").split(
-                       os.pathsep)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "petgrid.cli", "run", "--scenario", "s5",
-         "--days", "2", "--seed", "7", "--out", str(out),
-         "--set", "scenario.discard_days=1", "--set", "houses.count=4",
-         "--set", "ev.count=3", "--set", "scenario.n_pv=3"],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = run_child(
+        "-m", "petgrid.cli", "run", "--scenario", "s5", "--days", "2",
+        "--seed", "7", "--out", str(out), "--set", "scenario.discard_days=1",
+        "--set", "houses.count=4", "--set", "ev.count=3",
+        "--set", "scenario.n_pv=3", timeout=300, PYTHONHASHSEED=hash_seed)
     assert proc.returncode in (0, 2), proc.stderr
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in OUTPUT_FILES}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from harness import StubContext
 from petgrid.kernel import Federation, FederationError, SimClock, whole_steps
 from petgrid.kernel import FederateFailure
 
@@ -202,6 +203,23 @@ def test_mutable_published_value_rejected(value):
     fed.register_federate("r", reader("x", None, seen))
     fed.run(120.0)
     assert len(errors) == 2 and seen == [None, None]
+
+
+def test_the_stub_context_reads_and_refuses_as_a_federation_does():
+    """The unit tests step a federate on `harness.StubContext`, so it
+    serves the kernel's `read` default and refuses the same publish."""
+    seen = []
+
+    def handler(ctx):
+        seen.append((ctx.read("x"), ctx.read_cleared("x", "default")))
+        ctx.publish("y", [1.0])
+
+    fed = Federation(60.0, 300.0)
+    fed.register_federate("f", handler)
+    for run in (lambda: fed.run(60.0), lambda: handler(StubContext())):
+        with pytest.raises(FederationError, match="mutable list"):
+            run()
+    assert seen == [(0.0, "default")] * 2
 
 
 def test_causality_value_never_observable_same_step():

@@ -1,21 +1,15 @@
 """Memory held by a run's orders and fills."""
 
 import gc
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from harness import run_child, spy
 from petgrid import market, substation
-from petgrid.market import (Order, Side, Transaction, TransactionLog,
-                            match_orders)
+from petgrid.market import Order, Side, Transaction, TransactionLog
 from petgrid.runner import builtin_config, run_scenario
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_orders_and_fills_have_no_instance_dict():
@@ -25,26 +19,15 @@ def test_orders_and_fills_have_no_instance_dict():
 
 def test_a_run_builds_no_transaction_tuple(monkeypatch, tmp_path):
     """Fills go from the matcher to transactions.csv as columns."""
-    built = []
-
-    def counting(*fields):
-        built.append(fields)
-        return Transaction(*fields)
-
-    results = []
-
-    def recording(orders):
-        results.append(match_orders(orders))
-        return results[-1]
-
-    monkeypatch.setattr(market, "Transaction", counting)
-    monkeypatch.setattr(substation, "match_orders", recording)
+    built = spy(monkeypatch, market, "Transaction")
+    matches = spy(monkeypatch, substation, "match_orders")
     cfg = builtin_config("s5", n_houses=3, n_ev=3, n_pv=3, days=2,
                          discard_days=1)
     result = run_scenario(cfg, out_dir=tmp_path)
     assert len(result.transactions) > 1000
     assert built == []
     # no round's result holds a fill as a tuple either
+    results = [call.result for call in matches]
     assert len(results) == 2 * 288
     assert not [value for r in results for value in vars(r).values()
                 if isinstance(value, list)
@@ -165,11 +148,7 @@ def _held_by_build(build: str, scenario: str, days: int) -> int:
         gc.collect()
         print(held - tracemalloc.get_traced_memory()[0])
         """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", code, scenario, str(days)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_child("-c", code, scenario, str(days))
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
 

@@ -4,17 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from array import array
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from harness import run_child, spy
 from petgrid import evfleet, kernel, substation
 from petgrid.market import Transaction, TransactionLog
 from petgrid.metrics import ROUND_COLUMNS
@@ -25,8 +22,6 @@ from petgrid.runner import (BUILTIN_SCENARIOS, DOMAINS, ScenarioConfig,
 from petgrid.substation import (EV_BASE, PV_BASE, SubstationFederate,
                                  formulate_grid_bid)
 from petgrid.weather import DAY_S
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_builtin_s1_is_uncapped_grid_only():
@@ -221,21 +216,14 @@ def test_apply_settings_coerces_by_declared_type():
 
 
 def test_ev_seed_setting_runs(monkeypatch):
-    fleets = []
-    build_fleet = evfleet.build_fleet
-
-    def recording_build_fleet(*args):
-        fleets.append(build_fleet(*args))
-        return fleets[-1]
-
-    monkeypatch.setattr(evfleet, "build_fleet", recording_build_fleet)
+    builds = spy(monkeypatch, evfleet, "build_fleet")
     cfg = ScenarioConfig(n_houses=2, n_ev=2, days=2, discard_days=1)
     apply_settings(cfg, {"ev.seed": "5"})
     run_scenario(cfg)
     apply_settings(cfg, {"scenario.seed": "6"})
     run_scenario(cfg)
     # the EV fleet follows ev.seed, not the scenario seed
-    a, b = fleets
+    a, b = (call.result for call in builds)
     assert [it.trips for it in a.itineraries] == \
         [it.trips for it in b.itineraries]
 
@@ -265,10 +253,7 @@ def test_only_a_config_file_imports_yaml(tmp_path):
             "from petgrid.runner import load_config_file\n"
             f"assert load_config_file({str(path)!r}).n_houses == 3\n"
             "assert 'yaml' in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -288,10 +273,7 @@ def test_only_a_csv_wrap_imports_logging(tmp_path):
             "assert 'logging' not in sys.modules\n"
             "csv.sample(90000.0)\n"         # a day and an hour in
             "assert 'logging' in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert "outside CSV period" in proc.stderr
 
@@ -520,17 +502,12 @@ def test_the_fill_log_has_one_entry_per_round_log_row(monkeypatch,
     """Entry r of the fill log holds the fills the matcher cleared in
     round r, row r of the round log, and their rows of transactions.csv
     give r as their round."""
-    cleared, match = [], substation.match_orders
-
-    def recording(orders):
-        cleared.append(match(orders))
-        return cleared[-1]
-
-    monkeypatch.setattr(substation, "match_orders", recording)
+    matches = spy(monkeypatch, substation, "match_orders")
     result = run_scenario(builtin_config("s5", n_houses=3, n_ev=3, n_pv=3,
                                          days=2, discard_days=1),
                           out_dir=tmp_path)
     log = result.transactions
+    cleared = [call.result for call in matches]
     rows = len(result.rounds["t_s"])
     assert len(log.round_starts) == rows == len(cleared) == 2 * 288
     assert [log.first_fill(r + 1) - log.first_fill(r)
@@ -555,21 +532,15 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
               "dispatch/ev_load_w")
     scalars = ("weather/temp_c", "houses/mean_t_air_c",
                "houses/mean_t_set_c", "houses/mean_t_excess2")
-    published, pv_traders = {}, []
-    publish, match = kernel.StepContext.publish, substation.match_orders
-
-    def recording(ctx, key, value):
-        published.setdefault(key, []).append(value)
-        publish(ctx, key, value)
-
-    def matching(orders):
-        pv_traders.extend(o.trader for o in orders
-                          if PV_BASE <= o.trader < EV_BASE)
-        return match(orders)
-
-    monkeypatch.setattr(kernel.StepContext, "publish", recording)
-    monkeypatch.setattr(substation, "match_orders", matching)
+    publications = spy(monkeypatch, kernel.StepContext, "publish",
+                       record=lambda ctx, key, value: (key, value))
+    pv_traders = spy(monkeypatch, substation, "match_orders",
+                     record=lambda orders: [o.trader for o in orders
+                                            if PV_BASE <= o.trader < EV_BASE])
     run_scenario(cfg)
+    published = {}
+    for key, value in publications:
+        published.setdefault(key, []).append(value)
     assert set(published) == {*per_house, *per_pv, *per_ev, *scalars}
     for key in scalars:
         assert all(isinstance(v, float) for v in published[key]), key
@@ -578,7 +549,8 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
         for key in keys:
             assert all(isinstance(v, tuple) and len(v) == n
                        for v in published[key]), key
-    assert set(pv_traders) == {PV_BASE, PV_BASE + 1}
+    assert {t for traders in pv_traders for t in traders} == \
+        {PV_BASE, PV_BASE + 1}
     ranges = {r for v in published["evs/load_range_w"] for r in v}
     assert all(len(r) == 2 and r[0] <= r[1] for r in ranges)
     assert any(r != (0, 0) for r in ranges)
@@ -588,12 +560,14 @@ def test_bus_carries_one_topic_per_fleet_quantity(monkeypatch):
         for v in published[key] for w in v]
     assert all(type(w) is int for w in watts)
     # no arrays: the PV topic is empty and the round builds no PV order
-    published.clear()
+    publications.clear()
     pv_traders.clear()
     run_scenario(dataclasses.replace(cfg, n_pv=0))
-    assert published["houses/pv_potential_w"]
-    assert all(v == () for v in published["houses/pv_potential_w"])
-    assert pv_traders == []
+    pv_potential = [value for key, value in publications
+                    if key == "houses/pv_potential_w"]
+    assert pv_potential
+    assert all(v == () for v in pv_potential)
+    assert not any(pv_traders)
 
 
 def test_round_0_clears_against_the_bus_defaults():
@@ -610,14 +584,8 @@ def test_round_0_clears_against_the_bus_defaults():
 
 
 def test_a_run_without_evs_publishes_no_ev_topic(monkeypatch):
-    published = set()
-    publish = kernel.StepContext.publish
-
-    def recording(ctx, key, value):
-        published.add(key)
-        publish(ctx, key, value)
-
-    monkeypatch.setattr(kernel.StepContext, "publish", recording)
+    published = spy(monkeypatch, kernel.StepContext, "publish",
+                    record=lambda ctx, key, value: key)
     result = run_scenario(builtin_config("s1", n_houses=3, days=2,
                                          discard_days=1))
     assert not [key for key in published if key.startswith("evs/")]

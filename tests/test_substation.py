@@ -1,5 +1,6 @@
 """Bid formulation, grid pricing and the EV bidding strategy."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harness import StubContext, spy
 from petgrid import substation
 from petgrid.market import (Order, Side, Transaction, TransactionLog,
                             match_orders)
@@ -26,10 +28,8 @@ CFG = ScenarioConfig()
 @pytest.fixture
 def books(monkeypatch):
     """The order book of every `match_orders` call of the substation."""
-    books, match = [], substation.match_orders
-    monkeypatch.setattr(substation, "match_orders",
-                        lambda orders: books.append(orders) or match(orders))
-    return books
+    return spy(monkeypatch, substation, "match_orders",
+               record=lambda orders: orders)
 
 
 def test_base_price_trough_and_peak_hours():
@@ -318,34 +318,18 @@ def test_ev_ties_serve_the_lower_ev_index_first():
 TINY_S5 = dict(n_houses=3, n_ev=3, n_pv=3, days=2, discard_days=1)
 
 
-def count_strategy_rounds(monkeypatch, cfg, bid_calls=None):
+def count_strategy_rounds(monkeypatch, cfg):
     """Run `cfg`; return the round index of every `ev_strategy_prices`
-    call and the number of rounds. The round index of every
-    `formulate_ev_bids` call goes to `bid_calls`."""
-    calls, n_rounds = [], 0
-    bid_calls = [] if bid_calls is None else bid_calls
-    lmp, strategy, bids = (substation.compute_lmp,
-                           substation.ev_strategy_prices,
-                           substation.formulate_ev_bids)
-
-    def counting_lmp(*args):        # runs once at the start of each round
-        nonlocal n_rounds
-        n_rounds += 1
-        return lmp(*args)
-
-    def counting_strategy(hist):
-        calls.append(n_rounds)
-        return strategy(hist)
-
-    def recording_bids(ranges, *args):
-        bid_calls.append(n_rounds)
-        return bids(ranges, *args)
-
-    monkeypatch.setattr(substation, "compute_lmp", counting_lmp)
-    monkeypatch.setattr(substation, "ev_strategy_prices", counting_strategy)
-    monkeypatch.setattr(substation, "formulate_ev_bids", recording_bids)
+    call, that of every `formulate_ev_bids` call and the number of
+    rounds."""
+    # `compute_lmp` runs once at the start of each round
+    lmps = spy(monkeypatch, substation, "compute_lmp")
+    calls = spy(monkeypatch, substation, "ev_strategy_prices",
+                record=lambda hist: len(lmps))
+    bid_calls = spy(monkeypatch, substation, "formulate_ev_bids",
+                    record=lambda *_: len(lmps))
     run_scenario(cfg)
-    return calls, n_rounds
+    return calls, bid_calls, len(lmps)
 
 
 def test_strategy_prices_run_once_in_every_round(monkeypatch):
@@ -353,56 +337,39 @@ def test_strategy_prices_run_once_in_every_round(monkeypatch):
     also round 0, where every EV is idle, and rounds without two-sided
     ranges, whose orders do not read them."""
     cfg = builtin_config("s5", **TINY_S5)
-    calls, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    calls, _, n_rounds = count_strategy_rounds(monkeypatch, cfg)
     assert n_rounds == 2 * 288
     assert calls == list(range(1, n_rounds + 1))
 
 
 def test_strategy_prices_never_run_without_evs(monkeypatch):
     cfg = builtin_config("s5", **dict(TINY_S5, n_ev=0))
-    calls, n_rounds = count_strategy_rounds(monkeypatch, cfg)
+    calls, _, n_rounds = count_strategy_rounds(monkeypatch, cfg)
     assert n_rounds == 2 * 288
     assert calls == []
 
 
 def test_ev_bids_are_formulated_at_most_once_per_round(monkeypatch):
-    bid_calls = []
-    count_strategy_rounds(monkeypatch, builtin_config("s5", **TINY_S5),
-                          bid_calls)
+    _, bid_calls, _ = count_strategy_rounds(
+        monkeypatch, builtin_config("s5", **TINY_S5))
     assert bid_calls == list(range(1, 2 * 288 + 1))
-    bid_calls.clear()
-    count_strategy_rounds(monkeypatch,
-                          builtin_config("s5", **dict(TINY_S5, n_ev=0)),
-                          bid_calls)
+    _, bid_calls, _ = count_strategy_rounds(
+        monkeypatch, builtin_config("s5", **dict(TINY_S5, n_ev=0)))
     assert bid_calls == []
 
 
 def test_a_round_without_evs_reads_nothing_of_evs(monkeypatch):
     """The federate rounds the house topics to whole watts once, and a
     fleet without EVs reads no EV topic and calls no EV function."""
-    reads = []
-
-    class RecordingContext:
-        t, clearing_round = 0.0, 0
-
-        def __init__(self):
-            self.published = {}
-
-        def read(self, key, default=0.0):
-            reads.append(key)
-            return {"houses/hvac_demand_w": (3999.6,),
-                    "houses/unresponsive_w": (1199.6,),
-                    "houses/pv_potential_w": (0.4,)}.get(key, default)
-
-        def publish(self, key, value):
-            self.published[key] = value
-
     for name in ("ev_strategy_prices", "formulate_ev_bids"):
         monkeypatch.setattr(substation, name, None)   # calling one fails
     sub = SubstationFederate(ScenarioConfig(n_houses=1, n_ev=0))
-    ctx = RecordingContext()
+    ctx = StubContext(0.0, clearing_round=0,
+                      bus={"houses/hvac_demand_w": (3999.6,),
+                           "houses/unresponsive_w": (1199.6,),
+                           "houses/pv_potential_w": (0.4,)})
     sub(ctx)
-    assert not [key for key in reads if key.startswith("evs/")]
+    assert not [key for key in ctx.reads if key.startswith("evs/")]
     assert ctx.published == {"dispatch/hvac_w": (4000,),
                              "dispatch/ev_load_w": ()}
     assert type(ctx.published["dispatch/hvac_w"][0]) is int
@@ -544,13 +511,12 @@ def test_a_run_counts_each_violation_in_its_rounds(tmp_path, monkeypatch):
     holds none of the three columns: on a 1 kW grid, the houses' loads
     go unserved and the nearly empty EVs' forced charges unfilled. No
     round is out of balance, so one is made so, by 2.5 W."""
-    clear, rows = substation.clear_round, []
+    clear, calls = substation.clear_round, itertools.count(1)
 
     def unbalanced(*args):
         cleared = clear(*args)
-        rows.append(cleared[-1])
-        if len(rows) == 100:
-            rows[-1]["imbalance_w"] = 2.5
+        if next(calls) == 100:
+            cleared[-1]["imbalance_w"] = 2.5
         return cleared
 
     monkeypatch.setattr(substation, "clear_round", unbalanced)
